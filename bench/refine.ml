@@ -164,9 +164,8 @@ let () =
     rows;
   (* At the default three-model list, refinement must recover queries on
      at least two models to earn its keep; a deliberately shortened list
-     (the CI gate re-measures only small_3 — ℓ∞ Precise searches on the
-     larger models cost tens of minutes) still requires every listed
-     model to gain. *)
+     (the CI gate re-measures only small_3, see bench/dune) still
+     requires every listed model to gain. *)
   let need = min 2 (List.length rows) in
   if !strict_gains < need then begin
     Printf.eprintf

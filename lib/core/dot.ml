@@ -45,29 +45,126 @@ let fast_abs_bound ~order ~p1 ~p2 (v : Mat.t) (w : Mat.t) =
   in
   if w_first then cascade_w_first ~p1 ~p2 v w else cascade_w_first ~p1:p2 ~p2:p1 w v
 
+(* A bound is NaN only when an infinite coefficient met a zero (inf·0):
+   the remainder is then unbounded, which [mid_rad] turns into an
+   infinite fresh-symbol radius exactly as for an overflowed bound. *)
+let itv_or_top lo hi =
+  if Float.is_nan lo || Float.is_nan hi then Itv.top else Itv.make lo hi
+
+(* With C = B1^T B2, diagonal entries multiply eps_k^2 in [0,1] and
+   symmetrized off-diagonal pairs C_kl + C_lk multiply eps_k eps_l in
+   [-1,1]. Only the live columns (a nonzero entry in either block) are
+   visited: they are packed into one contiguous k-run per column and the
+   pairs are summed directly, with no E x E Gram matrix.
+
+   Bit-identity with the Gram formulation: each C entry is the same
+   ascending-t sum with the zero-skip on [b1] that [Mat.gemm ~ta:true]
+   computes, and pairs are visited in the same (k, l) order. A pair
+   touching a dead column sums to exactly +0.0 when every entry is
+   finite, and adding +0.0 leaves [lo] and [hi] unchanged (neither is
+   ever -0.0). An inf or NaN against a dead column's zero is NaN, not
+   +0.0, so any non-finite entry makes every column live. *)
 let precise_eps_bound (b1 : Mat.t) (b2 : Mat.t) =
   if Mat.rows b1 <> Mat.rows b2 || Mat.cols b1 <> Mat.cols b2 then
     invalid_arg "Dot.precise_eps_bound: shape mismatch";
-  let e = Mat.cols b1 in
-  if e = 0 then Itv.zero
-  else begin
-    (* C = B1^T B2; diagonal entries multiply eps^2 in [0,1], symmetrized
-       off-diagonal pairs multiply eps_k eps_l in [-1,1]. *)
-    let c = Mat.gemm ~ta:true b1 b2 in
-    let lo = ref 0.0 and hi = ref 0.0 in
-    for k = 0 to e - 1 do
-      let ckk = Mat.get c k k in
-      if ckk > 0.0 then hi := !hi +. ckk else lo := !lo +. ckk;
-      for l = k + 1 to e - 1 do
-        let s = Float.abs (Mat.get c k l +. Mat.get c l k) in
-        hi := !hi +. s;
-        lo := !lo -. s
-      done
+  let k = Mat.rows b1 and e = Mat.cols b1 in
+  let d1 = b1.Mat.data and d2 = b2.Mat.data in
+  let live = Bytes.make e '\000' in
+  let finite = ref true in
+  for t = 0 to k - 1 do
+    let base = t * e in
+    for c = 0 to e - 1 do
+      let x = Array.unsafe_get d1 (base + c) and y = Array.unsafe_get d2 (base + c) in
+      if x <> 0.0 || y <> 0.0 then begin
+        Bytes.unsafe_set live c '\001';
+        if not (Float.is_finite x && Float.is_finite y) then finite := false
+      end
+    done
+  done;
+  if not !finite then Bytes.fill live 0 e '\001';
+  let l = ref 0 in
+  Bytes.iter (fun b -> if b <> '\000' then incr l) live;
+  let l = !l in
+  let p1 = Array.create_float (l * k) and p2 = Array.create_float (l * k) in
+  let a = ref 0 in
+  for c = 0 to e - 1 do
+    if Bytes.unsafe_get live c <> '\000' then begin
+      let ra = !a * k in
+      for t = 0 to k - 1 do
+        Array.unsafe_set p1 (ra + t) (Array.unsafe_get d1 ((t * e) + c));
+        Array.unsafe_set p2 (ra + t) (Array.unsafe_get d2 ((t * e) + c))
+      done;
+      incr a
+    end
+  done;
+  let lo = ref 0.0 and hi = ref 0.0 in
+  for a = 0 to l - 1 do
+    let ra = a * k in
+    let caa = ref 0.0 in
+    for t = 0 to k - 1 do
+      let x = Array.unsafe_get p1 (ra + t) in
+      if x <> 0.0 then caa := !caa +. (x *. Array.unsafe_get p2 (ra + t))
     done;
-    Itv.make !lo !hi
-  end
+    if !caa > 0.0 then hi := !hi +. !caa else lo := !lo +. !caa;
+    (* Four pairs (a, b..b+3) at a time share the loads of column a;
+       each pair keeps its own two accumulators and is folded into
+       [lo]/[hi] in ascending b. *)
+    let b = ref (a + 1) in
+    while !b + 3 < l do
+      let r0 = !b * k in
+      let r1 = r0 + k in
+      let r2 = r1 + k in
+      let r3 = r2 + k in
+      let ab0 = ref 0.0 and ab1 = ref 0.0 and ab2 = ref 0.0 and ab3 = ref 0.0 in
+      let ba0 = ref 0.0 and ba1 = ref 0.0 and ba2 = ref 0.0 and ba3 = ref 0.0 in
+      for t = 0 to k - 1 do
+        let x = Array.unsafe_get p1 (ra + t) and y = Array.unsafe_get p2 (ra + t) in
+        if x <> 0.0 then begin
+          ab0 := !ab0 +. (x *. Array.unsafe_get p2 (r0 + t));
+          ab1 := !ab1 +. (x *. Array.unsafe_get p2 (r1 + t));
+          ab2 := !ab2 +. (x *. Array.unsafe_get p2 (r2 + t));
+          ab3 := !ab3 +. (x *. Array.unsafe_get p2 (r3 + t))
+        end;
+        let z = Array.unsafe_get p1 (r0 + t) in
+        if z <> 0.0 then ba0 := !ba0 +. (z *. y);
+        let z = Array.unsafe_get p1 (r1 + t) in
+        if z <> 0.0 then ba1 := !ba1 +. (z *. y);
+        let z = Array.unsafe_get p1 (r2 + t) in
+        if z <> 0.0 then ba2 := !ba2 +. (z *. y);
+        let z = Array.unsafe_get p1 (r3 + t) in
+        if z <> 0.0 then ba3 := !ba3 +. (z *. y)
+      done;
+      let s = Float.abs (!ab0 +. !ba0) in
+      hi := !hi +. s;
+      lo := !lo -. s;
+      let s = Float.abs (!ab1 +. !ba1) in
+      hi := !hi +. s;
+      lo := !lo -. s;
+      let s = Float.abs (!ab2 +. !ba2) in
+      hi := !hi +. s;
+      lo := !lo -. s;
+      let s = Float.abs (!ab3 +. !ba3) in
+      hi := !hi +. s;
+      lo := !lo -. s;
+      b := !b + 4
+    done;
+    for b = !b to l - 1 do
+      let rb = b * k in
+      let cab = ref 0.0 and cba = ref 0.0 in
+      for t = 0 to k - 1 do
+        let x = Array.unsafe_get p1 (ra + t) in
+        if x <> 0.0 then cab := !cab +. (x *. Array.unsafe_get p2 (rb + t));
+        let y = Array.unsafe_get p1 (rb + t) in
+        if y <> 0.0 then cba := !cba +. (y *. Array.unsafe_get p2 (ra + t))
+      done;
+      let s = Float.abs (!cab +. !cba) in
+      hi := !hi +. s;
+      lo := !lo -. s
+    done
+  done;
+  itv_or_top !lo !hi
 
-let sym m = Itv.make (-.m) m
+let sym m = itv_or_top (-.m) m
 
 let quad_bounds ~precise ~order ~p ~a1 ~b1 ~a2 ~b2 =
   {

@@ -10,7 +10,8 @@
     Two remainder bounds are provided:
     - {b Fast} (Equation 5): dual-norm cascade, [O(N(Ep + E∞))] per output;
     - {b Precise} (Equation 6): exact treatment of the ε²/ε·ε structure of
-      the ℓ∞-ℓ∞ term, [O(N·E∞²)] per output. *)
+      the ℓ∞-ℓ∞ term, [O(k·E + k·L²)] per output for [k x E] coefficient
+      blocks with [L] live columns (nonzero in either block). *)
 
 type quad_bound = {
   phi_phi : Interval.Itv.t;
@@ -31,7 +32,11 @@ val fast_abs_bound :
 
 val precise_eps_bound : Tensor.Mat.t -> Tensor.Mat.t -> Interval.Itv.t
 (** Equation 6: bound of [(B₁ε)·(B₂ε)] that accounts for [ε² ∈ [0,1]]
-    on the diagonal and symmetrizes off-diagonal pairs. *)
+    on the diagonal and symmetrizes off-diagonal pairs. Visits only the
+    pairs of live columns, [O(k·E + k·L²)]; the result is bit-identical
+    to summing over the full [E x E] Gram matrix [B₁ᵀB₂] (DESIGN.md
+    §15). A NaN bound (an infinite coefficient against a zero one) is
+    returned as {!Interval.Itv.top}. *)
 
 val quad_bounds :
   precise:bool ->

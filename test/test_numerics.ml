@@ -200,6 +200,56 @@ let test_dot_overflow_routed_to_verdict () =
   Helpers.check_true "overflow routed to Unknown Numerical_fault"
     (v = Deept.Verdict.Unknown Deept.Verdict.Numerical_fault)
 
+(* An infinite ε coefficient against a zero one makes a remainder bound
+   NaN (inf·0) in both the Precise ε·ε bound and the Fast cascade.
+   Itv.make rejects NaN, so the bound must become the unbounded interval,
+   giving the fresh symbol an infinite radius. *)
+let test_dot_nan_remainder () =
+  let mk e =
+    Z.make ~p:Lp.Linf ~center:(Mat.make 1 1 1.0) ~phi:(Mat.create 1 0)
+      ~eps:(Mat.of_rows [| e |])
+  in
+  List.iter
+    (fun (name, precise, a, b) ->
+      let ctx = Z.ctx () in
+      ignore (Z.alloc_eps ctx 2);
+      let out = Deept.Dot.mul_zz ~precise ctx (mk a) (mk b) in
+      Helpers.check_true (name ^ ": one fresh symbol") (Z.num_eps out = 3);
+      Helpers.check_true (name ^ ": fresh radius infinite")
+        (Mat.get out.Z.eps 0 2 = infinity);
+      Helpers.check_true (name ^ ": center finite")
+        (Float.is_finite (Mat.get out.Z.center 0 0)))
+    [
+      ("precise", true, [| infinity; 0.0 |], [| 0.0; 1.0 |]);
+      ("fast", false, [| 0.0; 1.0 |], [| infinity; 0.0 |]);
+    ]
+
+(* End to end: at absurd ℓ∞ radii on small_3 the Precise dot product sees
+   inf·0 remainders; the verdict must be the same typed Unknown Unbounded
+   that Fast returns, not an exception escaping the engine. Skipped when
+   the model file is absent. *)
+let test_precise_absurd_radius_verdict () =
+  if not (Sys.file_exists "../data/small_3.model") then ()
+  else begin
+    Zoo.data_dir := "../data";
+    let model = Zoo.load_or_train ~log:(fun _ -> ()) "small_3" in
+    let c = Zoo.corpus_of (Zoo.entry "small_3").Zoo.corpus in
+    let program = Nn.Model.to_ir model in
+    let toks, label = List.nth c.Text.Corpus.test 0 in
+    let x = Nn.Model.embed_tokens model toks in
+    List.iter
+      (fun radius ->
+        let region = Deept.Region.lp_ball ~p:Lp.Linf x ~word:1 ~radius in
+        List.iter
+          (fun (name, cfg) ->
+            Helpers.check_true
+              (Printf.sprintf "%s at %g is Unknown Unbounded" name radius)
+              (Deept.Certify.certify_v cfg program region ~true_class:label
+              = Deept.Verdict.Unknown Deept.Verdict.Unbounded))
+          [ ("fast", Deept.Config.fast); ("precise", Deept.Config.precise) ])
+      [ 1e160; 1e200; 1e300 ]
+  end
+
 (* Saturated softmax: one position dominates by more than the float range
    can express; outputs must be the sharp one-hot-ish box, and sampled
    concrete softmax values must be covered. *)
@@ -287,6 +337,9 @@ let () =
             test_dot_overflow_downstream;
           Alcotest.test_case "dot overflow routed" `Quick
             test_dot_overflow_routed_to_verdict;
+          Alcotest.test_case "dot NaN remainder" `Quick test_dot_nan_remainder;
+          Alcotest.test_case "precise absurd radius" `Quick
+            test_precise_absurd_radius_verdict;
           Alcotest.test_case "softmax saturated" `Quick test_softmax_saturated;
           Alcotest.test_case "deep propagation" `Quick test_deep_propagation_no_nan;
           Alcotest.test_case "refinement degenerate" `Quick

@@ -150,6 +150,92 @@ let test_precise_eps_bound_sound () =
     done
   done
 
+(* Reference for [Dot.precise_eps_bound]: Equation 6 summed over the full
+   E x E Gram matrix C = B1^T B2, every column dead or alive. *)
+let gram_eps_bound (b1 : Mat.t) (b2 : Mat.t) =
+  let e = Mat.cols b1 in
+  if e = 0 then Interval.Itv.zero
+  else begin
+    let c = Mat.gemm ~ta:true b1 b2 in
+    let lo = ref 0.0 and hi = ref 0.0 in
+    for k = 0 to e - 1 do
+      let ckk = Mat.get c k k in
+      if ckk > 0.0 then hi := !hi +. ckk else lo := !lo +. ckk;
+      for l = k + 1 to e - 1 do
+        let s = Float.abs (Mat.get c k l +. Mat.get c l k) in
+        hi := !hi +. s;
+        lo := !lo -. s
+      done
+    done;
+    Interval.Itv.make !lo !hi
+  end
+
+(* Random k x E operand pairs with the structure the packed kernel keys
+   on: columns dead in both operands (0-95%), columns live in one operand
+   only, signed zeros inside and outside live columns, and in some trials
+   scattered inf/NaN entries. [lo] and [hi] must match the Gram reference
+   bit for bit; where the reference raises (a NaN bound), the kernel must
+   return top. *)
+let test_precise_packed_bit_identity () =
+  let rng = Helpers.rng_of 12 in
+  let bits = Int64.bits_of_float in
+  let tops = ref 0 and compared = ref 0 in
+  let check name b1 b2 =
+    let got = Deept.Dot.precise_eps_bound b1 b2 in
+    match gram_eps_bound b1 b2 with
+    | want ->
+        incr compared;
+        if
+          bits got.Interval.Itv.lo <> bits want.Interval.Itv.lo
+          || bits got.Interval.Itv.hi <> bits want.Interval.Itv.hi
+        then
+          Alcotest.failf "%s: packed [%h, %h] <> Gram [%h, %h]" name got.Interval.Itv.lo
+            got.Interval.Itv.hi want.Interval.Itv.lo want.Interval.Itv.hi
+    | exception Invalid_argument _ ->
+        incr tops;
+        Helpers.check_true (name ^ ": NaN bound maps to top") (got = Interval.Itv.top)
+  in
+  let signed_zero () = if Rng.bool rng then 0.0 else -0.0 in
+  List.iter
+    (fun e ->
+      for trial = 1 to 40 do
+        let k = 1 + Rng.int rng 6 in
+        let dead = Rng.uniform rng 0.0 0.95 in
+        (* half the trials keep zeros out of live columns *)
+        let zeros = if Rng.bool rng then 0.2 else 0.0 in
+        let b1 = Mat.create k e and b2 = Mat.create k e in
+        for c = 0 to e - 1 do
+          (* 0: dead in both, 1: live in b1 only, 2: b2 only, 3: both *)
+          let kind = if Rng.float rng < dead then 0 else 1 + Rng.int rng 3 in
+          let entry live =
+            if live && Rng.float rng >= zeros then Rng.gaussian rng else signed_zero ()
+          in
+          for t = 0 to k - 1 do
+            Mat.set b1 t c (entry (kind = 1 || kind = 3));
+            Mat.set b2 t c (entry (kind = 2 || kind = 3))
+          done
+        done;
+        if e > 0 && trial mod 4 = 0 then
+          for _ = 1 to 1 + Rng.int rng 3 do
+            let m = if Rng.bool rng then b1 else b2 in
+            Mat.set m (Rng.int rng k) (Rng.int rng e)
+              (Rng.choose rng [| infinity; neg_infinity; nan |])
+          done;
+        check (Printf.sprintf "k=%d E=%d trial %d" k e trial) b1 b2
+      done)
+    [ 0; 1; 7; 120; 121; 400 ];
+  (* An inf in [b1] meets zeros only in dead columns: the live pairs alone
+     give [0, inf], the Gram path's inf * 0 gives NaN, hence top. An inf
+     in [b2] against dead columns stays [0, inf] on both paths. *)
+  let row r = Mat.of_rows [| r |] in
+  let tops_before = !tops in
+  check "b1 inf, dead columns" (row [| infinity; 0.0; -0.0 |]) (row [| 1.0; 0.0; 0.0 |]);
+  Helpers.check_true "b1 inf against dead columns is top" (!tops = tops_before + 1);
+  check "b2 inf, dead columns" (row [| 1.0; -0.0; 0.0 |]) (row [| infinity; 0.0; 0.0 |]);
+  (* both branches of the oracle must actually have run *)
+  Helpers.check_true "some bounds compared" (!compared > 100);
+  Helpers.check_true "some NaN bounds mapped to top" (!tops > 0)
+
 (* Dual-norm cascade bound is sound for all norm combinations and orders. *)
 let test_fast_bound_sound () =
   let rng = rng () in
@@ -342,6 +428,8 @@ let () =
           Alcotest.test_case "precise <= fast" `Quick test_precise_tighter;
           Alcotest.test_case "precise eps bound sound" `Quick
             test_precise_eps_bound_sound;
+          Alcotest.test_case "precise packed = Gram" `Quick
+            test_precise_packed_bit_identity;
           Alcotest.test_case "mul sound" `Quick test_mul_sound;
         ] );
       ( "softmax",
