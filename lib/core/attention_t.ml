@@ -24,9 +24,5 @@ let apply ~(cfg : Config.t) ~precise ctx (att : Ir.attention) x =
         in
         Dot.matmul_zz ~precise ~order ctx p vh)
   in
-  let z =
-    match heads with
-    | [] -> invalid_arg "Attention_t.apply: no heads"
-    | h :: rest -> List.fold_left Zonotope.hcat_value h rest
-  in
-  Zonotope.linear_map ?pool z att.wo att.bo
+  if heads = [] then invalid_arg "Attention_t.apply: no heads";
+  Zonotope.linear_map ?pool (Zonotope.hcat_values heads) att.wo att.bo

@@ -34,16 +34,19 @@ let cascade_w_first ~p1 ~p2 (v : Mat.t) (w : Mat.t) =
     Lp.norm (Lp.dual p1) t
   end
 
+(* Which operand Eq. 5 norms first: [w] (the right one) unless the
+   norms differ and [order] picks [v]. *)
+let w_first ~order ~p1 ~p2 =
+  if p1 = p2 then true
+  else
+    match (order : Config.dual_order) with
+    | Config.Linf_first -> p2 = Lp.Linf
+    | Config.Lp_first -> p2 <> Lp.Linf
+
 let fast_abs_bound ~order ~p1 ~p2 (v : Mat.t) (w : Mat.t) =
   if Mat.rows v <> Mat.rows w then invalid_arg "Dot.fast_abs_bound: dim mismatch";
-  let w_first =
-    if p1 = p2 then true
-    else
-      match (order : Config.dual_order) with
-      | Config.Linf_first -> p2 = Lp.Linf
-      | Config.Lp_first -> p2 <> Lp.Linf
-  in
-  if w_first then cascade_w_first ~p1 ~p2 v w else cascade_w_first ~p1:p2 ~p2:p1 w v
+  if w_first ~order ~p1 ~p2 then cascade_w_first ~p1 ~p2 v w
+  else cascade_w_first ~p1:p2 ~p2:p1 w v
 
 (* A bound is NaN only when an infinite coefficient met a zero (inf·0):
    the remainder is then unbounded, which [mid_rad] turns into an
@@ -197,6 +200,94 @@ let gather_col_block (g : Mat.t) ~k ~m ~j =
   done;
   out
 
+(* |rows [start, start + n)| of [g], as a fresh n x cols matrix. *)
+let abs_rows (g : Mat.t) start n =
+  let e = Mat.cols g in
+  let src = g.Mat.data and base = start * e in
+  let out = Array.create_float (n * e) in
+  for x = 0 to (n * e) - 1 do
+    Array.unsafe_set out x (Float.abs (Array.unsafe_get src (base + x)))
+  done;
+  Mat.of_array ~rows:n ~cols:e out
+
+(* The coefficients of a k x m value viewed as k x (m·E): row t holds the
+   rows t·m .. t·m + m − 1 side by side, so segment j of row t is row t
+   of value column j's block (same data, no copy). *)
+let wide ~k ~m (g : Mat.t) = Mat.of_array ~rows:k ~cols:(m * Mat.cols g) g.Mat.data
+
+(* One Eq. 5 term for every output pair: [term i] is the array over j of
+   [fast_abs_bound ~order ~p1 ~p2 va_i wb_j], where [va_i] is row block
+   i of [ga] (rows i·k .. i·k + k − 1, the left operand's value row i)
+   and [wb_j] is value column j of [gb] (rows t·m + j). The block that
+   gets normed follows [fast_abs_bound]'s rule; its k row-norms are
+   computed once per block and stacked into N, and the cascade becomes
+   one N·|X| product per row block i:
+   - [w] first: N holds every wb_j's norms (k x m, read transposed) and
+     T_i = Nᵀ·|va_i| (m x E_a);
+   - [v] first: N_i holds va_i's norms (1 x k) and T_i = N_i·|gb| with
+     gb viewed as k x (m·E_b), i.e. m x E_b.
+   Row j of T_i is the per-pair [t] vector summed in the same ascending
+   order from +0.0 with the zero-skip on the norm, so its outer norm is
+   the per-pair bound bit for bit. With an occupancy for the |X| side,
+   dead tiles are skipped when N is finite: a dead |x| is +0.0, and a
+   finite norm times +0.0 adds nothing to a +0.0-seeded sum. *)
+let cascade_term ~order ~p1 ~p2 ~k ~m ?occ_a ?occ_b (ga : Mat.t) (gb : Mat.t) =
+  let ea = Mat.cols ga and eb = Mat.cols gb in
+  if ea = 0 || eb = 0 then fun _ -> Array.make m 0.0
+  else if w_first ~order ~p1 ~p2 then begin
+    let nb =
+      Mat.of_array ~rows:k ~cols:m
+        (Mat.row_lp_norms gb (Lp.to_float (Lp.dual p2)))
+    in
+    let occ =
+      match occ_a with
+      | Some o when (not (Bands.is_full o)) && Mat.finite_class nb = `Finite ->
+          Some o
+      | _ -> None
+    in
+    let outer = Lp.to_float (Lp.dual p1) in
+    fun i ->
+      let cols =
+        Option.map
+          (Bands.row_intervals ~lo:(i * k) ~hi:((i + 1) * k) ~cols:ea)
+          occ
+      in
+      Mat.row_lp_norms (Mat.matmul_ta ?cols nb (abs_rows ga (i * k) k)) outer
+  end
+  else begin
+    let na = Mat.row_lp_norms ga (Lp.to_float (Lp.dual p1)) in
+    let absb = wide ~k ~m (abs_rows gb 0 (k * m)) in
+    let live =
+      Option.map
+        (fun o -> Bands.repeat_intervals ~times:m ~cols:eb o)
+        (match occ_b with Some o when not (Bands.is_full o) -> Some o | _ -> None)
+    in
+    let outer = Lp.to_float (Lp.dual p2) in
+    fun i ->
+      let ni = Mat.of_array ~rows:1 ~cols:k (Array.sub na (i * k) k) in
+      let cols =
+        if Mat.finite_class ni = `Finite then live else None
+      in
+      let t = Mat.matmul ?cols ni absb in
+      Mat.row_lp_norms (Mat.of_array ~rows:m ~cols:eb t.Mat.data) outer
+  end
+
+(* Whole-operand kernel. The affine part is two blocked products: the
+   left half c_a,iᵀ·(value column j of B) of every output at once as
+   A_c·B_coef with B's coefficients viewed as k x (m·E) (row i, segment
+   j is output (i, j)), and the right half c_b,jᵀ·(value row i of A) as
+   B_cᵀ·A_coef,i per row block i. The remainder's Fast terms come from
+   [cascade_term]; Precise keeps [precise_eps_bound] per pair. Every
+   entry is the sum the per-pair formulation computed (DESIGN.md §16).
+
+   The work is split into row blocks: each block writes only its own
+   output rows with the same arithmetic, so sharding the blocks over the
+   pool cannot change a bit of the result. The dot product dominates
+   propagation cost, and without an intra-op poll one large product
+   could overrun the wall-clock budget between Propagate's per-op
+   checkpoints, so the cooperative deadline is polled once per block in
+   each pass; an expired deadline raises inside the block and the pool
+   cancels the remaining ones via its atomic failure flag. *)
 let matmul_zz ?(precise = false) ?(order = Config.Linf_first) ctx
     (a : Zonotope.t) (b : Zonotope.t) =
   if a.Zonotope.vcols <> b.Zonotope.vrows then
@@ -209,57 +300,80 @@ let matmul_zz ?(precise = false) ?(order = Config.Linf_first) ctx
   let n = a.Zonotope.vrows and k = a.Zonotope.vcols and m = b.Zonotope.vcols in
   let ep = Zonotope.num_phi a and ee = Zonotope.num_eps a in
   let p = a.Zonotope.p in
-  (* Pre-gather row blocks of [a] and column blocks of [b]. *)
-  let aphi = Array.init n (fun i -> Zonotope.phi_block a (i * k) k) in
-  let aeps = Array.init n (fun i -> Zonotope.eps_block a (i * k) k) in
-  let ca = Array.init n (fun i -> Mat.row a.Zonotope.center i) in
-  let bphi = Array.init m (fun j -> gather_col_block b.Zonotope.phi ~k ~m ~j) in
-  let beps = Array.init m (fun j -> gather_col_block b.Zonotope.eps ~k ~m ~j) in
-  let cb = Array.init m (fun j -> Mat.col b.Zonotope.center j) in
+  let pool = Zonotope.ctx_pool ctx in
+  let ca = a.Zonotope.center and cb = b.Zonotope.center in
+  let a_occ = a.Zonotope.eps_occ and b_occ = b.Zonotope.eps_occ in
+  (* Products whose left operand is a center skip dead ε tiles only when
+     that center is finite (an infinite center times a dead 0.0 is NaN). *)
+  let ca_finite = Mat.finite_class ca = `Finite in
+  let cb_finite = Mat.finite_class cb = `Finite in
   let nv = n * m in
-  let center = Mat.matmul a.Zonotope.center b.Zonotope.center in
-  let phi = Mat.create nv ep in
-  let eps_aff = Mat.create nv ee in
-  let rad = Array.make nv 0.0 in
-  (* One chunk per output row: every output (i, j) is computed by exactly
-     one chunk with the same arithmetic, so sharding the rows over the
-     pool cannot change a bit of the result. The cooperative deadline is
-     polled once per chunk; an expired deadline raises inside the chunk
-     and the pool cancels the remaining ones via its atomic failure
-     flag. *)
-  let row i =
-    (* The dot product dominates propagation cost; without an intra-op
-       poll a single large matmul could overrun the wall-clock budget
-       unboundedly between Propagate's per-op checkpoints. *)
-    Zonotope.check_deadline ctx;
-    for j = 0 to m - 1 do
-      let v = (i * m) + j in
-      (* Exact affine part: c_a^T . (b coeff block) + c_b^T . (a coeff block) *)
-      if ep > 0 then begin
-        let pa = Vecops.add (Mat.vec_mat ca.(i) bphi.(j)) (Mat.vec_mat cb.(j) aphi.(i)) in
-        Array.blit pa 0 phi.Mat.data (v * ep) ep
-      end;
-      if ee > 0 then begin
-        let pe = Vecops.add (Mat.vec_mat ca.(i) beps.(j)) (Mat.vec_mat cb.(j) aeps.(i)) in
-        Array.blit pe 0 eps_aff.Mat.data (v * ee) ee
-      end;
-      (* Quadratic remainder. *)
-      let q =
-        quad_bounds ~precise ~order ~p ~a1:aphi.(i) ~b1:aeps.(i) ~a2:bphi.(j)
-          ~b2:beps.(j)
-      in
-      let itv = total_quad q in
-      let mid, r = mid_rad itv in
-      center.Mat.data.(v) <- center.Mat.data.(v) +. mid;
-      rad.(v) <- r
-    done
+  let center = Mat.matmul ca cb in
+  let phi =
+    Mat.of_array ~rows:nv ~cols:ep (Mat.matmul ?pool ca (wide ~k ~m b.Zonotope.phi)).Mat.data
   in
-  (match Zonotope.ctx_pool ctx with
-  | Some pool when Tensor.Dpool.size pool > 1 && n > 1 ->
-      Tensor.Dpool.run_chunks pool ~nchunks:n row
-  | _ ->
-      for i = 0 to n - 1 do
-        row i
+  let eps_left =
+    let cols =
+      if ca_finite && not (Bands.is_full b_occ) then
+        Some (Bands.repeat_intervals ~times:m ~cols:ee b_occ)
+      else None
+    in
+    Mat.matmul ?pool ?cols ca (wide ~k ~m b.Zonotope.eps)
+  in
+  let phi_phi = cascade_term ~order ~p1:p ~p2:p ~k ~m a.Zonotope.phi b.Zonotope.phi in
+  let phi_eps =
+    cascade_term ~order ~p1:p ~p2:Lp.Linf ~k ~m ~occ_b:b_occ a.Zonotope.phi
+      b.Zonotope.eps
+  in
+  let eps_phi =
+    cascade_term ~order ~p1:Lp.Linf ~p2:p ~k ~m ~occ_a:a_occ a.Zonotope.eps
+      b.Zonotope.phi
+  in
+  let eps_eps =
+    if precise then begin
+      let beps = Array.init m (fun j -> gather_col_block b.Zonotope.eps ~k ~m ~j) in
+      fun i ->
+        let ai = Zonotope.eps_block a (i * k) k in
+        Array.map (precise_eps_bound ai) beps
+    end
+    else begin
+      let term =
+        cascade_term ~order ~p1:Lp.Linf ~p2:Lp.Linf ~k ~m ~occ_a:a_occ ~occ_b:b_occ
+          a.Zonotope.eps b.Zonotope.eps
+      in
+      fun i -> Array.map sym (term i)
+    end
+  in
+  let run_blocks f =
+    match pool with
+    | Some pool when Tensor.Dpool.size pool > 1 && n > 1 ->
+        Tensor.Dpool.run_chunks pool ~nchunks:n f
+    | _ ->
+        for i = 0 to n - 1 do
+          f i
+        done
+  in
+  (* Pass 1: the φ part and the quadratic remainder of row block i. *)
+  let rad = Array.make nv 0.0 in
+  run_blocks (fun i ->
+      Zonotope.check_deadline ctx;
+      if ep > 0 then begin
+        let right = Mat.matmul_ta cb (Zonotope.phi_block a (i * k) k) in
+        let o = i * m * ep in
+        for x = 0 to (m * ep) - 1 do
+          phi.Mat.data.(o + x) <- phi.Mat.data.(o + x) +. right.Mat.data.(x)
+        done
+      end;
+      let pp = phi_phi i and pe = phi_eps i and epb = eps_phi i and eeb = eps_eps i in
+      for j = 0 to m - 1 do
+        let v = (i * m) + j in
+        let q =
+          { phi_phi = sym pp.(j); phi_eps = sym pe.(j); eps_phi = sym epb.(j);
+            eps_eps = eeb.(j) }
+        in
+        let mid, r = mid_rad (total_quad q) in
+        center.Mat.data.(v) <- center.Mat.data.(v) +. mid;
+        rad.(v) <- r
       done);
   (* One fresh symbol per output with a non-trivial remainder. *)
   let fresh = Array.make nv (-1) in
@@ -274,26 +388,40 @@ let matmul_zz ?(precise = false) ?(order = Config.Linf_first) ctx
   let base = Zonotope.alloc_eps ctx !n_new in
   assert (base = ee);
   let w = base + !n_new in
+  (* Pass 2: the final ε matrix, written once per row block. *)
   let eps = Mat.create nv w in
-  for v = 0 to nv - 1 do
-    Array.blit eps_aff.Mat.data (v * ee) eps.Mat.data (v * w) ee;
-    if fresh.(v) >= 0 then eps.Mat.data.((v * w) + base + fresh.(v)) <- rad.(v)
-  done;
+  run_blocks (fun i ->
+      Zonotope.check_deadline ctx;
+      if ee > 0 then begin
+        let cols =
+          if cb_finite && not (Bands.is_full a_occ) then
+            Some (Bands.row_intervals ~lo:(i * k) ~hi:((i + 1) * k) ~cols:ee a_occ)
+          else None
+        in
+        let right = Mat.matmul_ta ?cols cb (Zonotope.eps_block a (i * k) k) in
+        for j = 0 to m - 1 do
+          let v = (i * m) + j in
+          for c = 0 to ee - 1 do
+            eps.Mat.data.((v * w) + c) <-
+              eps_left.Mat.data.((v * ee) + c) +. right.Mat.data.((j * ee) + c)
+          done
+        done
+      end;
+      for v = i * m to ((i + 1) * m) - 1 do
+        if fresh.(v) >= 0 then eps.Mat.data.((v * w) + base + fresh.(v)) <- rad.(v)
+      done);
   (* The affine ε part mixes [a]'s coefficients within a value row
      (block k -> m) and [b]'s across all rows (widen); dead columns stay
      exactly ±0.0 only when both centers are finite (an infinite center
      times a dead 0.0 would write NaN there), so widen to full
      otherwise. *)
   let occ =
-    if
-      Mat.finite_class a.Zonotope.center <> `Finite
-      || Mat.finite_class b.Zonotope.center <> `Finite
-    then Bands.full
+    if not (ca_finite && cb_finite) then Bands.full
     else
       Bands.union
         (Bands.union
-           (Bands.block_rows ~bin:k ~bout:m a.Zonotope.eps_occ)
-           (Bands.widen_rows ~rows:nv b.Zonotope.eps_occ))
+           (Bands.block_rows ~bin:k ~bout:m a_occ)
+           (Bands.widen_rows ~rows:nv b_occ))
         (Zonotope.fresh_bands ~fresh ~base ~rows:n ~per_row:m)
   in
   Zonotope.make ~p ~center ~phi ~eps |> Zonotope.with_eps_occ occ

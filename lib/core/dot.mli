@@ -8,7 +8,11 @@
     plus one fresh ε symbol covering an interval bound of the remainder.
 
     Two remainder bounds are provided:
-    - {b Fast} (Equation 5): dual-norm cascade, [O(N(Ep + E∞))] per output;
+    - {b Fast} (Equation 5): dual-norm cascade. {!matmul_zz} evaluates it
+      for all [n·m] outputs of an [n x k] by [k x m] product as one
+      [N·|X|] product per row block, [O(n·m·k·(Ep + E∞))] in all, with
+      each operand block's [k] row norms computed once rather than once
+      per output;
     - {b Precise} (Equation 6): exact treatment of the ε²/ε·ε structure of
       the ℓ∞-ℓ∞ term, [O(k·E + k·L²)] per output for [k x E] coefficient
       blocks with [L] live columns (nonzero in either block). *)
@@ -58,8 +62,16 @@ val matmul_zz :
     [c₁·c₂ + (c₁ᵀA₂ + c₂ᵀA₁)φ + (c₁ᵀB₂ + c₂ᵀB₁)ε] plus one fresh ε
     symbol covering the quadratic remainder.
 
-    Polls {!Zonotope.check_deadline} once per output row, so a deadline
-    armed on [ctx] preempts even a single huge dot product mid-op.
+    The affine part runs as two blocked products ([A_c·B_coef] with
+    [B]'s coefficients viewed as [k x (m·E)], and [B_cᵀ·A_coef,i] per row
+    block [i]); dead ε tiles are skipped through the occupancy when the
+    product's left operand is finite. The result equals the per-output
+    formulation in every bit except the sign and payload of a NaN entry
+    (DESIGN.md §16).
+
+    Polls {!Zonotope.check_deadline} once per row block of the output in
+    each of its two passes, so a deadline armed on [ctx] preempts even a
+    single huge dot product mid-op.
     @raise Verdict.Abort [Timeout] when the armed deadline has passed. *)
 
 val mul_zz :

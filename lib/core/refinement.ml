@@ -2,39 +2,55 @@ open Tensor
 
 let eval_abs_sum ~r ~s t =
   let acc = ref 0.0 in
-  Array.iteri (fun i ri -> acc := !acc +. Float.abs (ri +. (s.(i) *. t))) r;
+  for i = 0 to Array.length r - 1 do
+    acc := !acc +. Float.abs (r.(i) +. (s.(i) *. t))
+  done;
   !acc
 
+(* Plain loops over parallel float arrays: no closure captures a float
+   accumulator and no breakpoint is a boxed tuple. The breakpoints are
+   sorted through an index array that starts in the order of the former
+   breakpoint list (descending i), with the same key comparison;
+   [Array.sort]'s permutation depends only on the comparison outcomes,
+   so the order, and every result, is unchanged. *)
 let minimize_abs_sum ~r ~s ~allowed =
   let n = Array.length r in
   if Array.length s <> n || Array.length allowed <> n then
     invalid_arg "Refinement.minimize_abs_sum: length mismatch";
   (* Breakpoints where one |r + s t| term vanishes. *)
-  let bps = ref [] in
-  for i = 0 to n - 1 do
-    if s.(i) <> 0.0 then bps := (-.r.(i) /. s.(i), Float.abs s.(i), allowed.(i)) :: !bps
+  let bt = Array.make n 0.0 and bw = Array.make n 0.0 and ba = Array.make n false in
+  let nb = ref 0 in
+  for i = n - 1 downto 0 do
+    if s.(i) <> 0.0 then begin
+      bt.(!nb) <- -.r.(i) /. s.(i);
+      bw.(!nb) <- Float.abs s.(i);
+      ba.(!nb) <- allowed.(i);
+      incr nb
+    end
   done;
-  let bps = Array.of_list !bps in
-  if Array.length bps = 0 then 0.0
+  let nb = !nb in
+  if nb = 0 then 0.0
   else begin
-    Array.sort (fun (a, _, _) (b, _, _) -> compare a b) bps;
-    let total = Array.fold_left (fun acc (_, w, _) -> acc +. w) 0.0 bps in
+    let order = Array.init nb Fun.id in
+    Array.sort (fun a b -> Float.compare bt.(a) bt.(b)) order;
+    let t_of i = bt.(order.(i)) and ok i = ba.(order.(i)) in
+    let total = ref 0.0 in
+    for i = 0 to nb - 1 do
+      total := !total +. bw.(order.(i))
+    done;
     (* Weighted median: first breakpoint where the cumulative weight
        reaches half the total — there the slope of f changes sign. *)
-    let median = ref (Array.length bps - 1) in
-    let acc = ref 0.0 in
-    (try
-       Array.iteri
-         (fun i (_, w, _) ->
-           acc := !acc +. w;
-           if !acc >= 0.5 *. total then begin
-             median := i;
-             raise Exit
-           end)
-         bps
-     with Exit -> ());
-    let t_of i = let t, _, _ = bps.(i) in t in
-    let ok i = let _, _, a = bps.(i) in a in
+    let half = 0.5 *. !total in
+    let median = ref (nb - 1) in
+    let acc = ref 0.0 and i = ref 0 in
+    while !i < nb do
+      acc := !acc +. bw.(order.(!i));
+      if !acc >= half then begin
+        median := !i;
+        i := nb
+      end
+      else incr i
+    done;
     if ok !median then t_of !median
     else begin
       (* Linear scan outward for the nearest allowed candidates; f is
@@ -42,8 +58,8 @@ let minimize_abs_sum ~r ~s ~allowed =
       let left = ref (!median - 1) in
       while !left >= 0 && not (ok !left) do decr left done;
       let right = ref (!median + 1) in
-      while !right < Array.length bps && not (ok !right) do incr right done;
-      match (!left >= 0, !right < Array.length bps) with
+      while !right < nb && not (ok !right) do incr right done;
+      match (!left >= 0, !right < nb) with
       | false, false -> 0.0
       | true, false -> t_of !left
       | false, true -> t_of !right

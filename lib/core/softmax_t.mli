@@ -9,6 +9,16 @@
     [σᵢ = exp(νᵢ) · recip(Σⱼ exp(νⱼ))] — the composition CROWN uses — is
     provided for the ablation.
 
+    The stable form builds the difference matrix [D] of a score row and
+    its bounds once. For each output [σᵢ] it takes exp's coefficients
+    from row [i] of those bounds and accumulates [Σⱼ exp(Dᵢⱼ)] straight
+    into the sum's coefficient row, then applies the reciprocal: no
+    per-output copy of the row and no [n x W] exp zonotope. Symbols,
+    coefficients and occupancy are those of the exp / sum / reciprocal
+    chain, bit for bit (DESIGN.md §16). Saturated outputs and outputs
+    whose exp or reciprocal is unbounded fall back to a fresh interval
+    symbol.
+
     With [refine], each output row is intersected with the hyperplane
     [Σᵢ σᵢ = 1] (Section 5.3). *)
 

@@ -234,6 +234,16 @@ let sample rng z =
 
 (* ---------------- alignment ---------------- *)
 
+(* The occupancy of an [n]-row, [cur]-column ε matrix padded with zero
+   columns to width [w]. The appended columns are all-zero, so a full
+   occupancy can be sharpened to a band over the pre-existing columns —
+   this is where a dense prefix regains structure before fresh symbols
+   are appended behind it. *)
+let padded_occ occ ~n ~cur ~w =
+  if cur < w && Bands.enabled && Bands.is_full occ && cur > 0 then
+    Bands.of_bands [ { Bands.col_lo = 0; col_hi = cur; row_lo = 0; row_hi = n } ]
+  else occ
+
 let pad_eps z w =
   let cur = num_eps z in
   if cur >= w then z
@@ -243,22 +253,8 @@ let pad_eps z w =
     for v = 0 to n - 1 do
       Array.blit z.eps.Mat.data (v * cur) eps.Mat.data (v * w) cur
     done;
-    (* The appended columns are all-zero, so a full occupancy can be
-       sharpened to a band over the pre-existing columns — this is
-       where a dense prefix regains structure before fresh symbols are
-       appended behind it. *)
-    let eps_occ =
-      if Bands.enabled && Bands.is_full z.eps_occ && cur > 0 then
-        Bands.of_bands
-          [ { Bands.col_lo = 0; col_hi = cur; row_lo = 0; row_hi = n } ]
-      else z.eps_occ
-    in
-    { z with eps; eps_occ }
+    { z with eps; eps_occ = padded_occ z.eps_occ ~n ~cur ~w }
   end
-
-let align a b =
-  let w = max (num_eps a) (num_eps b) in
-  (pad_eps a w, pad_eps b w)
 
 (* ---------------- affine transformers ---------------- *)
 
@@ -339,17 +335,42 @@ let linear_map ?pool z w b =
   end;
   out
 
+(* The ε sum is written straight into one matrix of the wider width, as
+   [Mat.add] of the two operands zero-padded to that width computes it:
+   past the narrower width each entry is [x +. 0.0] (which turns a -0.0
+   into +0.0), and the occupancy is the union of the padded ones. *)
 let add a b =
   if a.vrows <> b.vrows || a.vcols <> b.vcols then
     invalid_arg "Zonotope.add: value shape mismatch";
   if num_phi a <> num_phi b then invalid_arg "Zonotope.add: phi width mismatch";
-  let a, b = align a b in
+  let ea = num_eps a and eb = num_eps b in
+  let w = max ea eb in
+  let n = num_vars a in
+  let eps = Mat.create n w in
+  let da = a.eps.Mat.data and db = b.eps.Mat.data and out = eps.Mat.data in
+  let lo = min ea eb in
+  for v = 0 to n - 1 do
+    let o = v * w and oa = v * ea and ob = v * eb in
+    for c = 0 to lo - 1 do
+      Array.unsafe_set out (o + c)
+        (Array.unsafe_get da (oa + c) +. Array.unsafe_get db (ob + c))
+    done;
+    if ea > eb then
+      for c = lo to w - 1 do
+        Array.unsafe_set out (o + c) (Array.unsafe_get da (oa + c) +. 0.0)
+      done
+    else
+      for c = lo to w - 1 do
+        Array.unsafe_set out (o + c) (0.0 +. Array.unsafe_get db (ob + c))
+      done
+  done;
   {
     a with
     center = Mat.add a.center b.center;
     phi = Mat.add a.phi b.phi;
-    eps = Mat.add a.eps b.eps;
-    eps_occ = Bands.union a.eps_occ b.eps_occ;
+    eps;
+    eps_occ =
+      Bands.union (padded_occ a.eps_occ ~n ~cur:ea ~w) (padded_occ b.eps_occ ~n ~cur:eb ~w);
   }
 
 let add_const z m = { z with center = Mat.add z.center m }
@@ -580,56 +601,109 @@ let reshape_value z ~rows ~cols =
   { z with vrows = rows; vcols = cols;
     center = Mat.reshape z.center ~rows ~cols }
 
-let hcat_value a b =
-  if a.vrows <> b.vrows then invalid_arg "Zonotope.hcat_value: row mismatch";
-  if num_phi a <> num_phi b then invalid_arg "Zonotope.hcat_value: phi mismatch";
-  let a, b = align a b in
-  let vcols = a.vcols + b.vcols in
-  let pick (ma : Mat.t) (mb : Mat.t) cols_kind =
-    let e = match cols_kind with `Phi -> num_phi a | `Eps -> num_eps a in
-    let out = Mat.create (a.vrows * vcols) e in
-    if e > 0 then
-      for i = 0 to a.vrows - 1 do
-        Array.blit ma.Mat.data (i * a.vcols * e) out.Mat.data (i * vcols * e)
-          (a.vcols * e);
-        Array.blit mb.Mat.data (i * b.vcols * e) out.Mat.data
-          ((i * vcols * e) + (a.vcols * e))
-          (b.vcols * e)
-      done;
-    out
-  in
-  {
-    vrows = a.vrows;
-    vcols;
-    p = a.p;
-    center = Mat.hcat a.center b.center;
-    phi = pick a.phi b.phi `Phi;
-    eps = pick a.eps b.eps `Eps;
-    (* both sides' rows land inside the same widened value rows *)
-    eps_occ =
-      Bands.union
-        (Bands.block_rows ~bin:a.vcols ~bout:vcols a.eps_occ)
-        (Bands.block_rows ~bin:b.vcols ~bout:vcols b.eps_occ);
-  }
+(* Stacking and concatenation build their result in one pass. The
+   occupancy is still folded pairwise, exactly as a left fold of binary
+   concatenations built it, each step padding the accumulator and the
+   next operand to their common width ([padded_occ]) before the union:
+   band coalescing makes the union order-sensitive, and compaction and
+   the decorrelation tie-break read the bands. [step ~vars ~vcols occ z
+   occ_z] joins the occupancy of the operands so far ([vars] variables,
+   [vcols] value columns side by side) with operand [z]'s padded one. *)
+let fold_occ ~step = function
+  | [] -> invalid_arg "Zonotope.fold_occ: empty"
+  | z0 :: rest ->
+      let occ, _, _, _ =
+        List.fold_left
+          (fun (occ, w, vars, vcols) z ->
+            let w' = max w (num_eps z) and nz = num_vars z in
+            ( step ~vars ~vcols
+                (padded_occ occ ~n:vars ~cur:w ~w:w')
+                z
+                (padded_occ z.eps_occ ~n:nz ~cur:(num_eps z) ~w:w'),
+              w',
+              vars + nz,
+              vcols + z.vcols ))
+          (z0.eps_occ, num_eps z0, num_vars z0, z0.vcols)
+          rest
+      in
+      occ
 
-let vcat_value a b =
-  if a.vcols <> b.vcols then invalid_arg "Zonotope.vcat_value: col mismatch";
-  if num_phi a <> num_phi b then invalid_arg "Zonotope.vcat_value: phi mismatch";
-  let a, b = align a b in
-  {
-    a with
-    vrows = a.vrows + b.vrows;
-    center = Mat.vcat a.center b.center;
-    phi = Mat.vcat a.phi b.phi;
-    eps = Mat.vcat a.eps b.eps;
-    eps_occ =
-      Bands.union a.eps_occ
-        (Bands.shift_rows (a.vrows * a.vcols) b.eps_occ);
-  }
+let hcat_values = function
+  | [] -> invalid_arg "Zonotope.hcat_values: empty"
+  | [ z ] -> z
+  | z0 :: _ as zs ->
+      List.iter
+        (fun z ->
+          if z.vrows <> z0.vrows then invalid_arg "Zonotope.hcat_values: row mismatch";
+          if num_phi z <> num_phi z0 then invalid_arg "Zonotope.hcat_values: phi mismatch")
+        zs;
+      let vrows = z0.vrows in
+      let vcols = List.fold_left (fun acc z -> acc + z.vcols) 0 zs in
+      let w = List.fold_left (fun acc z -> max acc (num_eps z)) 0 zs in
+      let ep = num_phi z0 in
+      let center = Mat.create vrows vcols in
+      let phi = Mat.create (vrows * vcols) ep in
+      let eps = Mat.create (vrows * vcols) w in
+      (* value row i of the result is each operand's value row i, left to
+         right *)
+      ignore
+        (List.fold_left
+          (fun off z ->
+            let e = num_eps z in
+            for i = 0 to vrows - 1 do
+              Array.blit z.center.Mat.data (i * z.vcols) center.Mat.data
+                ((i * vcols) + off) z.vcols;
+              Array.blit z.phi.Mat.data (i * z.vcols * ep) phi.Mat.data
+                (((i * vcols) + off) * ep) (z.vcols * ep);
+              for c = 0 to z.vcols - 1 do
+                Array.blit z.eps.Mat.data (((i * z.vcols) + c) * e) eps.Mat.data
+                  (((i * vcols) + off + c) * w) e
+              done
+            done;
+            off + z.vcols)
+          0 zs);
+      (* both sides' rows land inside the same widened value rows *)
+      let eps_occ =
+        fold_occ zs ~step:(fun ~vars:_ ~vcols occ z occ_z ->
+            let cols = vcols + z.vcols in
+            Bands.union
+              (Bands.block_rows ~bin:vcols ~bout:cols occ)
+              (Bands.block_rows ~bin:z.vcols ~bout:cols occ_z))
+      in
+      { vrows; vcols; p = z0.p; center; phi; eps; eps_occ }
 
 let of_rows = function
   | [] -> invalid_arg "Zonotope.of_rows: empty"
-  | z :: rest -> List.fold_left vcat_value z rest
+  | [ z ] -> z
+  | z0 :: _ as zs ->
+      List.iter
+        (fun z ->
+          if z.vcols <> z0.vcols then invalid_arg "Zonotope.of_rows: col mismatch";
+          if num_phi z <> num_phi z0 then invalid_arg "Zonotope.of_rows: phi mismatch")
+        zs;
+      let vcols = z0.vcols in
+      let vrows = List.fold_left (fun acc z -> acc + z.vrows) 0 zs in
+      let w = List.fold_left (fun acc z -> max acc (num_eps z)) 0 zs in
+      let ep = num_phi z0 in
+      let center = Mat.create vrows vcols in
+      let phi = Mat.create (vrows * vcols) ep in
+      let eps = Mat.create (vrows * vcols) w in
+      ignore
+        (List.fold_left
+          (fun row z ->
+            let nz = num_vars z and e = num_eps z in
+            Array.blit z.center.Mat.data 0 center.Mat.data row nz;
+            Array.blit z.phi.Mat.data 0 phi.Mat.data (row * ep) (nz * ep);
+            for v = 0 to nz - 1 do
+              Array.blit z.eps.Mat.data (v * e) eps.Mat.data ((row + v) * w) e
+            done;
+            row + nz)
+          0 zs);
+      let eps_occ =
+        fold_occ zs ~step:(fun ~vars ~vcols:_ occ _ occ_z ->
+            Bands.union occ (Bands.shift_rows vars occ_z))
+      in
+      { vrows; vcols; p = z0.p; center; phi; eps; eps_occ }
 
 let map_rows_affine ?pool z m =
   if Mat.cols m <> z.vrows then invalid_arg "Zonotope.map_rows_affine";
@@ -655,12 +729,7 @@ let map_rows_affine ?pool z m =
       let cols =
         match occ with
         | Some o when m_finite && not (Bands.is_full o) ->
-            let ivs = Bands.col_intervals ~cols:e o in
-            Some
-              (List.concat_map
-                 (fun j ->
-                   List.map (fun (lo, hi) -> ((j * e) + lo, (j * e) + hi)) ivs)
-                 (List.init z.vcols Fun.id))
+            Some (Bands.repeat_intervals ~times:z.vcols ~cols:e o)
         | _ -> None
       in
       let mapped = Mat.matmul ?pool ?cols m wide in

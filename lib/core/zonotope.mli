@@ -190,8 +190,10 @@ val positional : t -> Tensor.Mat.t -> t
 
 (** {1 Structural operations} *)
 
-val align : t -> t -> t * t
-(** Zero-pads ε matrices to a common width. *)
+val padded_occ : Tensor.Bands.t -> n:int -> cur:int -> w:int -> Tensor.Bands.t
+(** The occupancy of an [n]-row ε matrix of [cur] columns after padding
+    it with zero columns to width [w]: a full occupancy becomes one band
+    over the first [cur] columns (when [cur < w]). *)
 
 val pad_eps : t -> int -> t
 (** Zero-pads the ε matrix to the given width (no-op if already wider). *)
@@ -212,14 +214,16 @@ val reshape_value : t -> rows:int -> cols:int -> t
 (** Reinterprets the value shape keeping the flat (row-major) variable
     order; [rows * cols] must equal {!num_vars}. *)
 
-val hcat_value : t -> t -> t
-(** Horizontally concatenates the abstracted values. *)
-
-val vcat_value : t -> t -> t
-(** Vertically concatenates the abstracted values. *)
+val hcat_values : t list -> t
+(** Horizontally concatenates the abstracted values, left to right (equal
+    value row counts). Built in one pass; the columns, coefficients and
+    occupancy are those of a left fold of pairwise concatenations. *)
 
 val of_rows : t list -> t
-(** Stacks single-row zonotopes (value shape [1 x d] each). *)
+(** Stacks zonotopes of equal value width top to bottom (single-row
+    ones, value shape [1 x d], in the softmax). Built in one pass; the
+    columns, coefficients and occupancy are those of a left fold of
+    pairwise stackings. *)
 
 val map_rows_affine : ?pool:Tensor.Dpool.t -> t -> Tensor.Mat.t -> t
 (** [map_rows_affine z m] abstracts [m · x] for the constant matrix [m]

@@ -186,6 +186,12 @@ let col_intervals ~cols t =
                if lo < hi then Some (lo, hi) else None)
              bs)
 
+let repeat_intervals ~times ~cols t =
+  let ivs = col_intervals ~cols t in
+  List.concat_map
+    (fun j -> List.map (fun (lo, hi) -> ((j * cols) + lo, (j * cols) + hi)) ivs)
+    (List.init times Fun.id)
+
 let row_intervals ~lo ~hi ~cols t =
   if cols <= 0 then []
   else

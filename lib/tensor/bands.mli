@@ -89,6 +89,12 @@ val col_intervals : cols:int -> t -> (int * int) list
     sparsity is disabled). This is the [~cols] argument of the
     tile-skipping kernels. *)
 
+val repeat_intervals : times:int -> cols:int -> t -> (int * int) list
+(** {!col_intervals} repeated for [times] side-by-side copies of the
+    [cols]-column matrix: copy [j] is shifted by [j * cols]. These are
+    the live columns of a coefficient matrix of [times] value columns
+    viewed as one row of [times * cols] entries per value row. *)
+
 val row_intervals : lo:int -> hi:int -> cols:int -> t -> (int * int) list
 (** Like {!col_intervals} but restricted to bands meeting rows
     [lo .. hi) — the per-row-block refinement used when a kernel works

@@ -123,13 +123,62 @@ let zip f a b =
   done;
   { a with data }
 
-let add a b = zip ( +. ) a b
-let sub a b = zip ( -. ) a b
-let mul a b = zip ( *. ) a b
-let scale s m = map (fun x -> s *. x) m
-let add_scalar s m = map (fun x -> s +. x) m
-let abs m = map Float.abs m
-let neg m = map Float.neg m
+(* The pointwise helpers below are direct loops rather than [map]/[zip]
+   with a float closure: without flambda the closure call boxes every
+   element. *)
+let same_shape_zeros name a b =
+  if a.rows <> b.rows || a.cols <> b.cols then
+    invalid_arg ("Mat." ^ name ^ ": shape mismatch");
+  Array.make (Array.length a.data) 0.0
+
+let add a b =
+  let data = same_shape_zeros "add" a b in
+  for i = 0 to Array.length data - 1 do
+    Array.unsafe_set data i (Array.unsafe_get a.data i +. Array.unsafe_get b.data i)
+  done;
+  { a with data }
+
+let sub a b =
+  let data = same_shape_zeros "sub" a b in
+  for i = 0 to Array.length data - 1 do
+    Array.unsafe_set data i (Array.unsafe_get a.data i -. Array.unsafe_get b.data i)
+  done;
+  { a with data }
+
+let mul a b =
+  let data = same_shape_zeros "mul" a b in
+  for i = 0 to Array.length data - 1 do
+    Array.unsafe_set data i (Array.unsafe_get a.data i *. Array.unsafe_get b.data i)
+  done;
+  { a with data }
+
+let scale s m =
+  let data = Array.make (Array.length m.data) 0.0 in
+  for i = 0 to Array.length data - 1 do
+    Array.unsafe_set data i (s *. Array.unsafe_get m.data i)
+  done;
+  { m with data }
+
+let add_scalar s m =
+  let data = Array.make (Array.length m.data) 0.0 in
+  for i = 0 to Array.length data - 1 do
+    Array.unsafe_set data i (s +. Array.unsafe_get m.data i)
+  done;
+  { m with data }
+
+let abs m =
+  let data = Array.make (Array.length m.data) 0.0 in
+  for i = 0 to Array.length data - 1 do
+    Array.unsafe_set data i (Float.abs (Array.unsafe_get m.data i))
+  done;
+  { m with data }
+
+let neg m =
+  let data = Array.make (Array.length m.data) 0.0 in
+  for i = 0 to Array.length data - 1 do
+    Array.unsafe_set data i (Float.neg (Array.unsafe_get m.data i))
+  done;
+  { m with data }
 
 let add_in_place dst src =
   if dst.rows <> src.rows || dst.cols <> src.cols then

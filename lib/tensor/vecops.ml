@@ -9,15 +9,30 @@ let dot a b =
   done;
   !acc
 
+(* Direct loops: without flambda an [Array.map]/[fold_left] float
+   closure boxes every element. *)
 let add a b =
   check_same a b "add";
-  Array.mapi (fun i x -> x +. b.(i)) a
+  let out = Array.make (Array.length a) 0.0 in
+  for i = 0 to Array.length a - 1 do
+    Array.unsafe_set out i (Array.unsafe_get a i +. Array.unsafe_get b i)
+  done;
+  out
 
 let sub a b =
   check_same a b "sub";
-  Array.mapi (fun i x -> x -. b.(i)) a
+  let out = Array.make (Array.length a) 0.0 in
+  for i = 0 to Array.length a - 1 do
+    Array.unsafe_set out i (Array.unsafe_get a i -. Array.unsafe_get b i)
+  done;
+  out
 
-let scale s v = Array.map (fun x -> s *. x) v
+let scale s v =
+  let out = Array.make (Array.length v) 0.0 in
+  for i = 0 to Array.length v - 1 do
+    Array.unsafe_set out i (s *. Array.unsafe_get v i)
+  done;
+  out
 
 let axpy a x y =
   check_same x y "axpy";
@@ -25,21 +40,33 @@ let axpy a x y =
     Array.unsafe_set y i (Array.unsafe_get y i +. (a *. Array.unsafe_get x i))
   done
 
-let l1 v = Array.fold_left (fun acc x -> acc +. Float.abs x) 0.0 v
+let l1 v =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length v - 1 do
+    acc := !acc +. Float.abs (Array.unsafe_get v i)
+  done;
+  !acc
+
+let linf v =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length v - 1 do
+    acc := Float.max !acc (Float.abs (Array.unsafe_get v i))
+  done;
+  !acc
+
 (* Scaled two-pass form: naive summing of squares overflows for entries
    beyond ~1e154, which certification of saturated softmax layers hits. *)
 let l2 v =
-  let m = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 v in
+  let m = linf v in
   if m = 0.0 || not (Float.is_finite m) then m
-  else
-    m
-    *. sqrt
-         (Array.fold_left
-            (fun acc x ->
-              let r = x /. m in
-              acc +. (r *. r))
-            0.0 v)
-let linf v = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 v
+  else begin
+    let acc = ref 0.0 in
+    for i = 0 to Array.length v - 1 do
+      let r = Array.unsafe_get v i /. m in
+      acc := !acc +. (r *. r)
+    done;
+    m *. sqrt !acc
+  end
 
 let lp v p =
   if p = 1.0 then l1 v

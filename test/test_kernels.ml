@@ -1,9 +1,11 @@
 (* The parallel kernel layer: bit-identity of the blocked and
    domain-parallel matmul kernels against the seed serial kernel, the
    determinism contract of Dpool, pool-parallel abstract transformers vs
-   their serial runs, the partial top-k selection against the full-sort
-   reference, and cooperative deadline preemption inside the pooled
-   transformers. Also reachable as `dune build @kernels`. *)
+   their serial runs, the batched self-attention kernels (dot product,
+   stable softmax, softmax-sum refinement, stacking) against their
+   per-pair / per-output references, the partial top-k selection against
+   the full-sort reference, and cooperative deadline preemption inside
+   the pooled transformers. Also reachable as `dune build @kernels`. *)
 
 open Tensor
 module Z = Deept.Zonotope
@@ -122,7 +124,8 @@ let test_dpool_nested_call_is_serial () =
 let zonotope_fields_equal msg (a : Z.t) (b : Z.t) =
   bits_equal_mat (msg ^ ": center") a.Z.center b.Z.center;
   bits_equal_mat (msg ^ ": phi") a.Z.phi b.Z.phi;
-  bits_equal_mat (msg ^ ": eps") a.Z.eps b.Z.eps
+  bits_equal_mat (msg ^ ": eps") a.Z.eps b.Z.eps;
+  Helpers.check_true (msg ^ ": eps_occ") (a.Z.eps_occ = b.Z.eps_occ)
 
 (* Dot.matmul_zz under a 2-domain pool must equal the serial run down to
    the bit, including the fresh-symbol allocation order in the ctx. *)
@@ -174,6 +177,536 @@ let test_certify_domains_deterministic () =
   let p4 = margin (Deept.Config.with_domains 4 Deept.Config.precise) in
   if Int64.bits_of_float p1 <> Int64.bits_of_float p4 then
     Alcotest.failf "precise: domains=1 %h <> domains=4 %h" p1 p4
+
+(* --- batched attention kernels vs the per-pair / per-output references - *)
+
+(* The per-pair [Dot.matmul_zz]: one [vec_mat] pass per output pair and
+   the Eq. 5 cascade re-norming its operand blocks for every pair. Kept
+   as the oracle of the blocked kernel. *)
+let ref_matmul_zz ~precise ~order ctx (a : Z.t) (b : Z.t) =
+  let a = Z.pad_eps a (Z.ctx_symbols ctx) and b = Z.pad_eps b (Z.ctx_symbols ctx) in
+  let n = a.Z.vrows and k = a.Z.vcols and m = b.Z.vcols in
+  let ep = Z.num_phi a and ee = Z.num_eps a and p = a.Z.p in
+  let gather (g : Mat.t) j =
+    let e = Mat.cols g in
+    let out = Mat.create k e in
+    for t = 0 to k - 1 do
+      Array.blit g.Mat.data (((t * m) + j) * e) out.Mat.data (t * e) e
+    done;
+    out
+  in
+  let aphi = Array.init n (fun i -> Z.phi_block a (i * k) k) in
+  let aeps = Array.init n (fun i -> Z.eps_block a (i * k) k) in
+  let ca = Array.init n (fun i -> Mat.row a.Z.center i) in
+  let bphi = Array.init m (gather b.Z.phi) and beps = Array.init m (gather b.Z.eps) in
+  let cb = Array.init m (fun j -> Mat.col b.Z.center j) in
+  let nv = n * m in
+  let center = Mat.matmul a.Z.center b.Z.center in
+  let phi = Mat.create nv ep and eps_aff = Mat.create nv ee in
+  let rad = Array.make nv 0.0 in
+  for i = 0 to n - 1 do
+    for j = 0 to m - 1 do
+      let v = (i * m) + j in
+      if ep > 0 then
+        Array.blit
+          (Vecops.add (Mat.vec_mat ca.(i) bphi.(j)) (Mat.vec_mat cb.(j) aphi.(i)))
+          0 phi.Mat.data (v * ep) ep;
+      if ee > 0 then
+        Array.blit
+          (Vecops.add (Mat.vec_mat ca.(i) beps.(j)) (Mat.vec_mat cb.(j) aeps.(i)))
+          0 eps_aff.Mat.data (v * ee) ee;
+      let q =
+        Deept.Dot.quad_bounds ~precise ~order ~p ~a1:aphi.(i) ~b1:aeps.(i)
+          ~a2:bphi.(j) ~b2:beps.(j)
+      in
+      let itv =
+        Interval.Itv.add q.Deept.Dot.phi_phi
+          (Interval.Itv.add q.Deept.Dot.phi_eps
+             (Interval.Itv.add q.Deept.Dot.eps_phi q.Deept.Dot.eps_eps))
+      in
+      let c = Interval.Itv.center itv and r = 0.5 *. Interval.Itv.width itv in
+      let mid, r = if Float.is_finite c then (c, r) else (0.0, infinity) in
+      center.Mat.data.(v) <- center.Mat.data.(v) +. mid;
+      rad.(v) <- r
+    done
+  done;
+  let fresh = Array.make nv (-1) and n_new = ref 0 in
+  Array.iteri
+    (fun v r ->
+      if r > 0.0 then begin
+        fresh.(v) <- !n_new;
+        incr n_new
+      end)
+    rad;
+  let base = Z.alloc_eps ctx !n_new in
+  let w = base + !n_new in
+  let eps = Mat.create nv w in
+  for v = 0 to nv - 1 do
+    Array.blit eps_aff.Mat.data (v * ee) eps.Mat.data (v * w) ee;
+    if fresh.(v) >= 0 then eps.Mat.data.((v * w) + base + fresh.(v)) <- rad.(v)
+  done;
+  let occ =
+    if
+      Mat.finite_class a.Z.center <> `Finite
+      || Mat.finite_class b.Z.center <> `Finite
+    then Bands.full
+    else
+      Bands.union
+        (Bands.union
+           (Bands.block_rows ~bin:k ~bout:m a.Z.eps_occ)
+           (Bands.widen_rows ~rows:nv b.Z.eps_occ))
+        (Z.fresh_bands ~fresh ~base ~rows:n ~per_row:m)
+  in
+  Z.make ~p ~center ~phi ~eps |> Z.with_eps_occ occ
+
+(* Zero-pads the ε matrices of two zonotopes to a common width. *)
+let align a b =
+  let w = max (Z.num_eps a) (Z.num_eps b) in
+  (Z.pad_eps a w, Z.pad_eps b w)
+
+(* The pairwise concatenations the one-pass [of_rows] / [hcat_values]
+   replaced, folded left. *)
+let ref_vcat a b =
+  let a, b = align a b in
+  Z.with_eps_occ
+    (Bands.union a.Z.eps_occ
+       (Bands.shift_rows (a.Z.vrows * a.Z.vcols) b.Z.eps_occ))
+    (Z.make ~p:a.Z.p
+       ~center:(Mat.vcat a.Z.center b.Z.center)
+       ~phi:(Mat.vcat a.Z.phi b.Z.phi) ~eps:(Mat.vcat a.Z.eps b.Z.eps))
+
+let ref_hcat a b =
+  let a, b = align a b in
+  let vcols = a.Z.vcols + b.Z.vcols in
+  let pick (ma : Mat.t) (mb : Mat.t) =
+    let e = Mat.cols ma in
+    let out = Mat.create (a.Z.vrows * vcols) e in
+    for i = 0 to a.Z.vrows - 1 do
+      Array.blit ma.Mat.data (i * a.Z.vcols * e) out.Mat.data (i * vcols * e)
+        (a.Z.vcols * e);
+      Array.blit mb.Mat.data (i * b.Z.vcols * e) out.Mat.data
+        ((i * vcols * e) + (a.Z.vcols * e))
+        (b.Z.vcols * e)
+    done;
+    out
+  in
+  Z.with_eps_occ
+    (Bands.union
+       (Bands.block_rows ~bin:a.Z.vcols ~bout:vcols a.Z.eps_occ)
+       (Bands.block_rows ~bin:b.Z.vcols ~bout:vcols b.Z.eps_occ))
+    (Z.make ~p:a.Z.p
+       ~center:(Mat.hcat a.Z.center b.Z.center)
+       ~phi:(pick a.Z.phi b.Z.phi) ~eps:(pick a.Z.eps b.Z.eps))
+
+let ref_of_rows = function [] -> assert false | z :: rest -> List.fold_left ref_vcat z rest
+
+(* The per-output stable softmax row: for every output a copy of row i of
+   the difference matrix, its n x W exp zonotope, a sum matmul and a
+   recip, stacked by pairwise [vcat]. *)
+let ref_stable_row ctx (row : Z.t) =
+  Z.check_deadline ctx;
+  let n = row.Z.vcols in
+  let col = Z.transpose_value row in
+  let m =
+    Mat.init (n * n) n (fun v t ->
+        let i = v / n and j = v mod n in
+        (if t = j then 1.0 else 0.0) -. if t = i then 1.0 else 0.0)
+  in
+  let d = Z.reshape_value (Z.map_rows_affine col m) ~rows:n ~cols:n in
+  let db = Z.bounds d in
+  let sat_bound i =
+    let l_max = ref neg_infinity in
+    for j = 0 to n - 1 do
+      l_max := Float.max !l_max (Mat.get db.Interval.Imat.lo i j)
+    done;
+    if !l_max > 700.0 then Some (Float.max (exp (-. !l_max)) 1e-300) else None
+  in
+  let boxed u =
+    let base = Z.alloc_eps ctx 1 in
+    let eps = Mat.create 1 (base + 1) in
+    Mat.set eps 0 base (0.5 *. u);
+    Z.make ~p:row.Z.p ~center:(Mat.make 1 1 (0.5 *. u))
+      ~phi:(Mat.create 1 (Z.num_phi row)) ~eps
+    |> Z.with_eps_occ
+         (Bands.of_bands
+            [ { Bands.col_lo = base; col_hi = base + 1; row_lo = 0; row_hi = 1 } ])
+  in
+  let outputs =
+    List.init n (fun i ->
+        match sat_bound i with
+        | Some u -> boxed u
+        | None -> (
+            let di = Z.select_value_rows d i 1 in
+            try
+              let e = Deept.Elementwise.exp_ ctx di in
+              let t = Z.linear_map e (Mat.make n 1 1.0) [| 0.0 |] in
+              Deept.Elementwise.recip ctx t
+            with Z.Unbounded -> boxed 1.0))
+  in
+  Z.transpose_value (ref_of_rows outputs)
+
+let ref_softmax ~refine ctx (z : Z.t) =
+  ref_of_rows
+    (List.init z.Z.vrows (fun r ->
+         let out = ref_stable_row ctx (Z.select_value_rows z r 1) in
+         if refine then Deept.Refinement.softmax_sum out else out))
+
+(* Bitwise like [bits_equal_mat], except that a NaN matches any NaN.
+   Which operand's NaN an addition of two NaNs propagates depends on the
+   instruction's operand order, which ocamlopt picks per loop: the
+   per-pair reference's [Mat.vec_mat] keeps the product's NaN, the
+   matmul kernels keep the accumulator's. No computation reads the sign
+   or payload of a NaN. *)
+let bits_or_nan_equal_mat msg (a : Mat.t) (b : Mat.t) =
+  Helpers.check_true (msg ^ ": dims") (Mat.dims a = Mat.dims b);
+  Array.iteri
+    (fun i x ->
+      let y = b.Mat.data.(i) in
+      if
+        not
+          ((Float.is_nan x && Float.is_nan y)
+          || Int64.bits_of_float x = Int64.bits_of_float y)
+      then Alcotest.failf "%s: element %d differs bitwise: %h vs %h" msg i x y)
+    a.Mat.data
+
+let zonotope_bits_equal ?(nan_any = false) msg (a : Z.t) (b : Z.t) =
+  Helpers.check_true (msg ^ ": value shape")
+    (a.Z.vrows = b.Z.vrows && a.Z.vcols = b.Z.vcols && a.Z.p = b.Z.p);
+  if nan_any then begin
+    bits_or_nan_equal_mat (msg ^ ": center") a.Z.center b.Z.center;
+    bits_or_nan_equal_mat (msg ^ ": phi") a.Z.phi b.Z.phi;
+    bits_or_nan_equal_mat (msg ^ ": eps") a.Z.eps b.Z.eps;
+    Helpers.check_true (msg ^ ": eps_occ") (a.Z.eps_occ = b.Z.eps_occ)
+  end
+  else zonotope_fields_equal msg a b
+
+(* A random operand of [vrows x vcols] values over [ee] symbols:
+   [dead] columns (and, per value row, a further random fifth, or all of
+   them) are ±0.0 and, when [banded], outside a matching occupancy; live
+   entries include -0.0, and [specials] scatters inf/-inf/NaN over live
+   coefficients and centers. *)
+let kernel_operand rng ~p ~vrows ~vcols ~ep ~ee ~dead ~banded ~specials =
+  let nv = vrows * vcols in
+  let center = Mat.random_gaussian rng vrows vcols 1.0 in
+  let phi = Mat.random_gaussian rng nv ep 0.3 in
+  let eps = Mat.random_gaussian rng nv ee 0.3 in
+  let signed_zero () = if Rng.bool rng then 0.0 else -0.0 in
+  (* now and then a whole value row is dead: its tiles are all skipped *)
+  let live =
+    Array.init vrows (fun _ ->
+        let row_dead = Rng.float rng < 0.15 in
+        Array.init ee (fun c -> (not row_dead) && (not dead.(c)) && Rng.float rng > 0.2))
+  in
+  for v = 0 to nv - 1 do
+    for c = 0 to ee - 1 do
+      if not live.(v / vcols).(c) then Mat.set eps v c (signed_zero ())
+      else if Rng.float rng < 0.05 then Mat.set eps v c (-0.0)
+    done;
+    for c = 0 to ep - 1 do
+      if Rng.float rng < 0.05 then Mat.set phi v c (-0.0)
+    done
+  done;
+  if Rng.float rng < 0.1 then Mat.set center (Rng.int rng vrows) (Rng.int rng vcols) (-0.0);
+  let special () = Rng.choose rng [| infinity; neg_infinity; nan |] in
+  if specials then
+    for _ = 1 to 1 + Rng.int rng 2 do
+      match Rng.int rng 3 with
+      | 0 -> Mat.set center (Rng.int rng vrows) (Rng.int rng vcols) (special ())
+      | 1 when ep > 0 -> Mat.set phi (Rng.int rng nv) (Rng.int rng ep) (special ())
+      | _ ->
+          let v = Rng.int rng nv in
+          let cols = List.filter (fun c -> live.(v / vcols).(c)) (List.init ee Fun.id) in
+          if cols <> [] then
+            Mat.set eps v (Rng.choose rng (Array.of_list cols)) (special ())
+    done;
+  let z = Z.make ~p ~center ~phi ~eps in
+  if not banded then z
+  else begin
+    (* one band per run of live columns in each value row *)
+    let bands = ref [] in
+    Array.iteri
+      (fun i row ->
+        let c = ref 0 in
+        while !c < ee do
+          if row.(!c) then begin
+            let lo = !c in
+            while !c < ee && row.(!c) do incr c done;
+            bands :=
+              { Bands.col_lo = lo; col_hi = !c; row_lo = i * vcols;
+                row_hi = (i + 1) * vcols }
+              :: !bands
+          end
+          else incr c
+        done)
+      live;
+    Z.with_eps_occ (Bands.of_bands !bands) z
+  end
+
+let same_outcome ?nan_any msg (ref_out, ref_syms) (out, syms) =
+  Helpers.check_true (msg ^ ": symbol count") (ref_syms = syms);
+  match (ref_out, out) with
+  | Ok r, Ok o -> zonotope_bits_equal ?nan_any msg r o
+  | Error r, Error o -> Helpers.check_true (msg ^ ": same exception") (r = o)
+  | Ok _, Error e -> Alcotest.failf "%s: kernel raised %s" msg (Printexc.to_string e)
+  | Error e, Ok _ ->
+      Alcotest.failf "%s: reference raised %s, kernel did not" msg (Printexc.to_string e)
+
+let outcome ~width f =
+  let ctx = Z.ctx () in
+  ignore (Z.alloc_eps ctx width);
+  let r = try Ok (f ctx) with e -> Error e in
+  (r, Z.ctx_symbols ctx)
+
+let test_matmul_zz_matches_per_pair () =
+  let pool = Dpool.create ~force:true 2 in
+  Fun.protect ~finally:(fun () -> Dpool.shutdown pool) @@ fun () ->
+  let rng = Rng.create 0x5eed in
+  let trial = ref 0 in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun order ->
+          List.iter
+            (fun precise ->
+              for _ = 1 to 40 do
+                incr trial;
+                let n = 1 + Rng.int rng 9 and k = 1 + Rng.int rng 9 in
+                let m = 1 + Rng.int rng 9 in
+                let ep = Rng.choose rng [| 0; 3 |] in
+                let ee = Rng.choose rng [| 0; 1; 7; 130 |] in
+                let frac = Rng.choose rng [| 0.0; 0.3; 0.6; 0.95; 1.0 |] in
+                let dead = Array.init ee (fun _ -> Rng.float rng < frac) in
+                let banded = Rng.float rng < 0.7 in
+                let specials = Rng.float rng < 0.4 in
+                let a = kernel_operand rng ~p ~vrows:n ~vcols:k ~ep ~ee ~dead ~banded ~specials in
+                (* [b] sometimes narrower: the kernel pads it to the ctx width *)
+                let eb = if ee > 1 && Rng.bool rng then ee - 1 - Rng.int rng (ee - 1) else ee in
+                let b =
+                  kernel_operand rng ~p ~vrows:k ~vcols:m ~ep ~ee:eb
+                    ~dead:(Array.sub dead 0 eb) ~banded ~specials
+                in
+                let width = ee + if Rng.float rng < 0.2 then 2 else 0 in
+                let msg =
+                  Printf.sprintf "trial %d %s %s precise=%b n=%d k=%d m=%d ep=%d ee=%d/%d"
+                    !trial (Lp.to_string p)
+                    (match order with Deept.Config.Linf_first -> "linf-first" | _ -> "lp-first")
+                    precise n k m ep ee eb
+                in
+                let reference = outcome ~width (fun ctx -> ref_matmul_zz ~precise ~order ctx a b) in
+                let serial =
+                  outcome ~width (fun ctx -> Deept.Dot.matmul_zz ~precise ~order ctx a b)
+                in
+                same_outcome ~nan_any:true (msg ^ " serial") reference serial;
+                (* the pool shares the kernels, so it matches to the NaN bit *)
+                same_outcome (msg ^ " pool") serial
+                  (outcome ~width (fun ctx ->
+                       Z.set_pool ctx (Some pool);
+                       Deept.Dot.matmul_zz ~precise ~order ctx a b))
+              done)
+            [ false; true ])
+        [ Deept.Config.Linf_first; Deept.Config.Lp_first ])
+    [ Lp.L1; Lp.L2; Lp.Linf ];
+  (* An infinite norm of [a]'s φ rows against an all-dead ε block of [b],
+     with every other term zero: the dense product is inf·0 = NaN (an
+     unbounded remainder), which only the finite-norm gate keeps from
+     being skipped to 0. *)
+  List.iter
+    (fun (order, p) ->
+      let a =
+        Z.make ~p ~center:(Mat.of_rows [| [| 1.0; 2.0 |] |])
+          ~phi:(Mat.of_rows [| [| infinity; 0.5 |]; [| 0.25; 1.0 |] |])
+          ~eps:(Mat.create 2 3)
+        |> Z.with_eps_occ Bands.empty
+      in
+      let b =
+        Z.make ~p ~center:(Mat.of_rows [| [| 1.0 |]; [| -1.0 |] |])
+          ~phi:(Mat.create 2 2) ~eps:(Mat.create 2 3)
+        |> Z.with_eps_occ Bands.empty
+      in
+      same_outcome ~nan_any:true
+        ("infinite norm, dead operand " ^ Lp.to_string p)
+        (outcome ~width:3 (fun ctx -> ref_matmul_zz ~precise:false ~order ctx a b))
+        (outcome ~width:3 (fun ctx -> Deept.Dot.matmul_zz ~order ctx a b)))
+    [ (Deept.Config.Lp_first, Lp.L1); (Deept.Config.Lp_first, Lp.L2) ]
+
+(* A 1..2 x n score zonotope: [`Sat] puts one position 1000 above the
+   rest (every other output saturates), [`Exp_raise] gives one score an
+   infinite coefficient (its difference rows are unbounded, so exp
+   raises), [`Recip_raise] gives one score a coefficient of 800 (exp's
+   upper bound overflows, its symbols are minted, then recip raises).
+   Also says whether the case could be planted (the raising cases need
+   a live column). *)
+let score_rows rng ~rows ~n ~banded ~case =
+  let ee = 12 in
+  let dead = Array.init ee (fun _ -> Rng.float rng < 0.4) in
+  let z =
+    kernel_operand rng ~p:Lp.L2 ~vrows:rows ~vcols:n ~ep:3 ~ee ~dead ~banded
+      ~specials:false
+  in
+  let center = Mat.copy z.Z.center and eps = Mat.copy z.Z.eps in
+  let j = Rng.int rng n in
+  (* a column live in score [j], so the occupancy still covers it *)
+  let set_live x =
+    match List.filter (fun c -> Mat.get eps j c <> 0.0) (List.init ee Fun.id) with
+    | [] -> false
+    | cols ->
+        Mat.set eps j (Rng.choose rng (Array.of_list cols)) x;
+        true
+  in
+  let applied =
+    match case with
+    | `Plain -> false
+    | `Sat ->
+        Mat.set center 0 j 1000.0;
+        true
+    | `Exp_raise -> set_live infinity
+    | `Recip_raise -> set_live 800.0
+  in
+  (Z.with_eps_occ z.Z.eps_occ (Z.make ~p:z.Z.p ~center ~phi:z.Z.phi ~eps), applied)
+
+let test_softmax_matches_per_output () =
+  let rng = Rng.create 0x50f7 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun case ->
+          for t = 1 to 4 do
+            let rows = 1 + Rng.int rng 2 and banded = t mod 2 = 0 in
+            let z, applied = score_rows rng ~rows ~n ~banded ~case in
+            List.iter
+              (fun refine ->
+                let msg =
+                  Printf.sprintf "n=%d %s trial %d refine=%b banded=%b" n
+                    (match case with
+                    | `Plain -> "plain"
+                    | `Sat -> "saturated"
+                    | `Exp_raise -> "exp raises"
+                    | `Recip_raise -> "recip raises")
+                    t refine banded
+                in
+                let width = Z.num_eps z in
+                let got =
+                  outcome ~width (fun ctx ->
+                      Deept.Softmax_t.apply ~form:Deept.Config.Stable ~refine ctx z)
+                in
+                same_outcome msg (outcome ~width (fun ctx -> ref_softmax ~refine ctx z)) got;
+                (* the raising cases reach their fallback: every output of
+                   score row 0 is the [0, 1] box, and a failing recip
+                   comes after at least one exp symbol per output *)
+                match (case, got) with
+                | (`Exp_raise | `Recip_raise), (Ok out, syms)
+                  when applied && n >= 2 && not refine ->
+                    for i = 0 to n - 1 do
+                      Helpers.check_true (msg ^ ": boxed") (Mat.get out.Z.center 0 i = 0.5)
+                    done;
+                    if case = `Recip_raise then
+                      Helpers.check_true (msg ^ ": exp symbols kept")
+                        (syms - width >= 2 * n)
+                | _ -> ())
+              [ false; true ]
+          done)
+        [ `Plain; `Sat; `Exp_raise; `Recip_raise ])
+    [ 1; 2; 5; 9; 14 ]
+
+(* The parent's breakpoint search, with its boxed-tuple list sorted by
+   [Array.sort]: the oracle of the allocation-free version, on inputs
+   with many tied breakpoints. *)
+let ref_minimize_abs_sum ~r ~s ~allowed =
+  let eval t =
+    let acc = ref 0.0 in
+    Array.iteri (fun i ri -> acc := !acc +. Float.abs (ri +. (s.(i) *. t))) r;
+    !acc
+  in
+  let bps = ref [] in
+  for i = 0 to Array.length r - 1 do
+    if s.(i) <> 0.0 then bps := (-.r.(i) /. s.(i), Float.abs s.(i), allowed.(i)) :: !bps
+  done;
+  let bps = Array.of_list !bps in
+  if Array.length bps = 0 then 0.0
+  else begin
+    Array.sort (fun (a, _, _) (b, _, _) -> compare a b) bps;
+    let total = Array.fold_left (fun acc (_, w, _) -> acc +. w) 0.0 bps in
+    let median = ref (Array.length bps - 1) in
+    let acc = ref 0.0 in
+    (try
+       Array.iteri
+         (fun i (_, w, _) ->
+           acc := !acc +. w;
+           if !acc >= 0.5 *. total then begin
+             median := i;
+             raise Exit
+           end)
+         bps
+     with Exit -> ());
+    let t_of i = let t, _, _ = bps.(i) in t in
+    let ok i = let _, _, a = bps.(i) in a in
+    if ok !median then t_of !median
+    else begin
+      let left = ref (!median - 1) in
+      while !left >= 0 && not (ok !left) do decr left done;
+      let right = ref (!median + 1) in
+      while !right < Array.length bps && not (ok !right) do incr right done;
+      match (!left >= 0, !right < Array.length bps) with
+      | false, false -> 0.0
+      | true, false -> t_of !left
+      | false, true -> t_of !right
+      | true, true ->
+          if eval (t_of !left) <= eval (t_of !right) then t_of !left else t_of !right
+    end
+  end
+
+let test_minimize_abs_sum_matches_reference () =
+  let rng = Rng.create 0xab5 in
+  for trial = 1 to 2000 do
+    let n = Rng.int rng 40 in
+    (* small integer grids make equal breakpoints (and NaN ones) common *)
+    let pick () =
+      match Rng.int rng 12 with
+      | 0 -> 0.0
+      | 1 -> -0.0
+      | 2 -> nan
+      | _ -> float_of_int (Rng.int rng 7 - 3)
+    in
+    let r = Array.init n (fun _ -> pick ()) and s = Array.init n (fun _ -> pick ()) in
+    let allowed = Array.init n (fun _ -> Rng.float rng < 0.6) in
+    let expected = ref_minimize_abs_sum ~r ~s ~allowed in
+    let got = Deept.Refinement.minimize_abs_sum ~r ~s ~allowed in
+    if Int64.bits_of_float expected <> Int64.bits_of_float got then
+      Alcotest.failf "trial %d (n=%d): %h vs reference %h" trial n got expected
+  done
+
+(* [of_rows] / [hcat_values] against the pairwise folds, and [add]
+   against [Mat.add] of the [align]-padded operands, on operands of
+   different widths with full and banded occupancy and -0.0 entries. *)
+let test_stack_and_add_match_padded () =
+  let rng = Rng.create 0x57ac in
+  for trial = 1 to 60 do
+    let msg = Printf.sprintf "trial %d" trial in
+    let parts = 1 + Rng.int rng 5 and vrows = 1 + Rng.int rng 3 in
+    let vcols = 1 + Rng.int rng 3 in
+    let operand () =
+      let ee = Rng.int rng 9 in
+      kernel_operand rng ~p:Lp.L2 ~vrows ~vcols ~ep:2 ~ee
+        ~dead:(Array.init ee (fun _ -> Rng.float rng < 0.3))
+        ~banded:(Rng.bool rng) ~specials:false
+    in
+    let zs = List.init parts (fun _ -> operand ()) in
+    let check name r o = zonotope_bits_equal (msg ^ " " ^ name) r o in
+    check "of_rows" (ref_of_rows zs) (Z.of_rows zs);
+    check "hcat_values"
+      (match zs with [] -> assert false | z :: rest -> List.fold_left ref_hcat z rest)
+      (Z.hcat_values zs);
+    let a = operand () and b = operand () in
+    let pa, pb = align a b in
+    let padded =
+      Z.with_eps_occ
+        (Bands.union pa.Z.eps_occ pb.Z.eps_occ)
+        (Z.make ~p:pa.Z.p
+           ~center:(Mat.add pa.Z.center pb.Z.center)
+           ~phi:(Mat.add pa.Z.phi pb.Z.phi) ~eps:(Mat.add pa.Z.eps pb.Z.eps))
+    in
+    check "add" padded (Z.add a b)
+  done
 
 (* --- partial top-k selection ------------------------------------------ *)
 
@@ -289,6 +822,17 @@ let () =
           Alcotest.test_case "certify domains 1 = 4" `Slow
             test_certify_domains_deterministic;
         ] );
+      ( "attention kernels",
+          [
+            Alcotest.test_case "matmul_zz = per-pair reference" `Quick
+              test_matmul_zz_matches_per_pair;
+            Alcotest.test_case "stable softmax = per-output reference" `Quick
+              test_softmax_matches_per_output;
+            Alcotest.test_case "minimize_abs_sum = list reference" `Quick
+              test_minimize_abs_sum_matches_reference;
+            Alcotest.test_case "stack, hcat, add = padded folds" `Quick
+              test_stack_and_add_match_padded;
+          ] );
       ( "top-k",
         [
           Alcotest.test_case "heap matches sort" `Quick test_top_k_matches_sort;

@@ -2,9 +2,10 @@
    tile-skipping matmul kernels' bit-identity contract, dead-symbol
    compaction (standalone and through decorrelate / branch refinement),
    the Banded shared-memory transport (round-trips, SIGKILL-mid-batch
-   arena reclaim) and the dense-vs-sparse oracle: a child process
-   running the exact same queries under DEEPT_NO_SPARSE=1 must print a
-   bit-identical report. Also reachable as `dune build @sparse`. *)
+   arena reclaim) and the report oracles: child processes running the
+   exact same queries under DEEPT_NO_SPARSE=1 and under MAT_NAIVE=1
+   must each print a bit-identical report. Also reachable as
+   `dune build @sparse`. *)
 
 open Tensor
 module C = Deept.Config
@@ -558,8 +559,10 @@ let test_banded_sigkill_drill () =
 
 (* A deterministic battery of real queries whose printed report must be
    bit-identical (%h margins, exact radii, verdict strings) whether the
-   sparse machinery is on or off. The test re-executes this binary with
-   DEEPT_NO_SPARSE=1 and TEST_SPARSE_REPORT=1 and diffs the output. *)
+   sparse machinery is on or off, and whether the products run on the
+   blocked or the naive kernel. The tests re-execute this binary with
+   TEST_SPARSE_REPORT=1 and DEEPT_NO_SPARSE=1 or MAT_NAIVE=1 and diff
+   the output. *)
 let report () =
   let b = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -652,8 +655,40 @@ let contains_sub s sub =
   let rec go i = i + lb <= ls && (String.sub s i lb = sub || go (i + 1)) in
   go 0
 
+(* The report, computed once and shared by both oracles below. *)
+let blocked_sparse_report = lazy (report ())
+
+(* Re-execute this binary in report mode with [setting] (an env
+   assignment) added and return what it printed. *)
+let child_report setting =
+  let out = Filename.temp_file "sparse_report" ".txt" in
+  Fun.protect ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+  @@ fun () ->
+  let env =
+    Array.append
+      (Array.of_seq
+         (Seq.filter
+            (fun s ->
+              not
+                (List.exists
+                   (fun prefix -> String.starts_with ~prefix s)
+                   [ "DEEPT_NO_SPARSE="; "MAT_NAIVE="; "TEST_SPARSE_REPORT=" ]))
+            (Array.to_seq (Unix.environment ()))))
+      [| setting; "TEST_SPARSE_REPORT=1" |]
+  in
+  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Unix.create_process_env Sys.executable_name
+      [| Sys.executable_name |]
+      env Unix.stdin fd Unix.stderr
+  in
+  Unix.close fd;
+  let _, status = Unix.waitpid [] pid in
+  check_true (setting ^ " child exited cleanly") (status = Unix.WEXITED 0);
+  In_channel.with_open_text out In_channel.input_all
+
 let test_report_identical_no_sparse () =
-  let mine = report () in
+  let mine = Lazy.force blocked_sparse_report in
   (* the committed pins must appear verbatim on the sparse path (the
      child-diff below then proves the dense path prints them too) *)
   if Sys.file_exists "../data/small_3.model" then
@@ -665,34 +700,24 @@ let test_report_identical_no_sparse () =
       ];
   if Sys.file_exists "../data/sst_3.model" then
     check_true "sst_3 pin" (contains_sub mine "sst_3 fast l2 radius 0.1474609375");
-  let out = Filename.temp_file "sparse_report" ".txt" in
-  Fun.protect ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
-  @@ fun () ->
-  let env =
-    Array.append
-      (Array.of_seq
-         (Seq.filter
-            (fun s ->
-              not
-                (String.starts_with ~prefix:"DEEPT_NO_SPARSE=" s
-                || String.starts_with ~prefix:"TEST_SPARSE_REPORT=" s))
-            (Array.to_seq (Unix.environment ()))))
-      [| "DEEPT_NO_SPARSE=1"; "TEST_SPARSE_REPORT=1" |]
-  in
-  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let pid =
-    Unix.create_process_env Sys.executable_name
-      [| Sys.executable_name |]
-      env Unix.stdin fd Unix.stderr
-  in
-  Unix.close fd;
-  let _, status = Unix.waitpid [] pid in
-  check_true "dense child exited cleanly" (status = Unix.WEXITED 0);
-  let theirs = In_channel.with_open_text out In_channel.input_all in
+  let theirs = child_report "DEEPT_NO_SPARSE=1" in
   if mine <> theirs then
     Alcotest.failf
       "sparse and DEEPT_NO_SPARSE=1 reports differ:\n\
        --- sparse ---\n%s--- dense ---\n%s" mine theirs
+
+(* The same report with every product on the naive reference kernel
+   (which also ignores the tile-skipping [?cols]): the batched
+   dot-product kernels route the affine part and the Eq. 5 cascades
+   through [Mat.matmul]/[matmul_ta], so this diffs them against the
+   naive loop end to end. *)
+let test_report_identical_mat_naive () =
+  let mine = Lazy.force blocked_sparse_report in
+  let theirs = child_report "MAT_NAIVE=1" in
+  if mine <> theirs then
+    Alcotest.failf
+      "blocked and MAT_NAIVE=1 reports differ:\n\
+       --- blocked ---\n%s--- naive ---\n%s" mine theirs
 
 let () =
   (* Child mode: print the report under whatever mode the environment
@@ -741,6 +766,8 @@ let () =
             [
               Alcotest.test_case "report sparse = DEEPT_NO_SPARSE" `Slow
                 test_report_identical_no_sparse;
+              Alcotest.test_case "report blocked = MAT_NAIVE" `Slow
+                test_report_identical_mat_naive;
             ] );
           (* Domain-spawning tests last: Unix.fork (the transport drill,
              Psearch.fork_wave) refuses to run once any domain exists. *)
