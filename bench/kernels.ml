@@ -15,8 +15,10 @@
      run; the symbol count E grows from 24 (embedding phi block) through
      ~344 and ~1344 (mid layers) to ~3800 (last layer, before
      reduction);
-   - the softmax difference map is an 81 x 9 by 9 x E product
-     (map_rows_affine of the n^2-variable difference matrix);
+   - the softmax_rows shape, 81 x 9 by 9 x E: a 9-token softmax
+     difference map as a product with the n^2 x n +-1 matrix. The
+     stable softmax computes those entries on the fly instead; the row
+     stays as a generic product with a short inner dimension;
    - value centers are tiny 9 x 24 by 24 x 24 products, kept as a
      below-threshold control (the parallel row must not regress them).
 

@@ -705,14 +705,13 @@ let of_rows = function
       in
       { vrows; vcols; p = z0.p; center; phi; eps; eps_occ }
 
-let map_rows_affine ?pool z m =
+let map_rows_affine z m =
   if Mat.cols m <> z.vrows then invalid_arg "Zonotope.map_rows_affine";
   (* y = m . x : output var (i, j) = sum_k m_ik x_kj. Coefficients combine
      linearly with the same weights. Viewing the coefficient matrix of a
      [vrows x vcols] value as a [vrows x (vcols * e)] matrix (same
-     row-major data) turns the combination into one matrix product, which
-     runs on the blocked (and, for the softmax's n^2-variable difference
-     matrices, pool-sharded) kernel. *)
+     row-major data) turns the combination into one matrix product on
+     the blocked kernel. *)
   let vrows = Mat.rows m in
   (* An infinity in [m] multiplies dead +0.0 entries into NaN under the
      dense kernel; only a finite [m] may skip dead columns or keep the
@@ -732,7 +731,7 @@ let map_rows_affine ?pool z m =
             Some (Bands.repeat_intervals ~times:z.vcols ~cols:e o)
         | _ -> None
       in
-      let mapped = Mat.matmul ?pool ?cols m wide in
+      let mapped = Mat.matmul ?cols m wide in
       Mat.of_array ~rows:(vrows * z.vcols) ~cols:e mapped.Mat.data
     end
   in

@@ -114,6 +114,11 @@ val bounds : ?pool:Tensor.Dpool.t -> t -> Interval.Imat.t
 val bounds_var : t -> int -> Interval.Itv.t
 (** Bounds of one flat variable index. *)
 
+val dual_row_norm : Lp.t -> Tensor.Mat.t -> int -> float
+(** [dual_row_norm p m v] is the ℓ_q norm of row [v] of [m], [q] the dual
+    of [p] — the φ term of that row's radius. The ℓ2 norm is rescaled by
+    the row's largest magnitude so that huge entries do not overflow. *)
+
 val radius_terms : t -> int -> float * float
 (** [(‖α_v‖_q, ‖β_v‖₁)] for variable [v] — the φ and ε contributions to
     its radius. *)
@@ -225,7 +230,7 @@ val of_rows : t list -> t
     columns, coefficients and occupancy are those of a left fold of
     pairwise stackings. *)
 
-val map_rows_affine : ?pool:Tensor.Dpool.t -> t -> Tensor.Mat.t -> t
+val map_rows_affine : t -> Tensor.Mat.t -> t
 (** [map_rows_affine z m] abstracts [m · x] for the constant matrix [m]
     applied from the left to the [vrows x vcols] value [x]. *)
 

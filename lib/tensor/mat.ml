@@ -338,17 +338,43 @@ let sum m = fold ( +. ) 0.0 m
 let frobenius m = sqrt (fold (fun acc x -> acc +. (x *. x)) 0.0 m)
 let max_abs m = fold (fun acc x -> Float.max acc (Float.abs x)) 0.0 m
 
+(* [x -. x] is +0.0 for a finite [x] and NaN for an infinite or NaN one,
+   so the first pass's sum is exactly 0.0 iff every entry is finite: it
+   settles the common case with no branch per entry (four accumulators
+   keep the adds independent). Only a poisoned matrix pays for the
+   second, branching scan that tells NaN from Inf. *)
 let finite_class m =
-  let n = Array.length m.data in
-  let has_inf = ref false and has_nan = ref false in
+  let d = m.data in
+  let n = Array.length d in
+  let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
   let i = ref 0 in
-  while (not !has_nan) && !i < n do
-    let x = Array.unsafe_get m.data !i in
-    if Float.is_nan x then has_nan := true
-    else if not (Float.is_finite x) then has_inf := true;
+  while !i + 3 < n do
+    let k = !i in
+    let x0 = Array.unsafe_get d k and x1 = Array.unsafe_get d (k + 1) in
+    let x2 = Array.unsafe_get d (k + 2) and x3 = Array.unsafe_get d (k + 3) in
+    s0 := !s0 +. (x0 -. x0);
+    s1 := !s1 +. (x1 -. x1);
+    s2 := !s2 +. (x2 -. x2);
+    s3 := !s3 +. (x3 -. x3);
+    i := k + 4
+  done;
+  while !i < n do
+    let x = Array.unsafe_get d !i in
+    s0 := !s0 +. (x -. x);
     incr i
   done;
-  if !has_nan then `Nan else if !has_inf then `Inf else `Finite
+  if !s0 +. !s1 +. !s2 +. !s3 = 0.0 then `Finite
+  else begin
+    let has_inf = ref false and has_nan = ref false in
+    let i = ref 0 in
+    while (not !has_nan) && !i < n do
+      let x = Array.unsafe_get d !i in
+      if Float.is_nan x then has_nan := true
+      else if not (Float.is_finite x) then has_inf := true;
+      incr i
+    done;
+    if !has_nan then `Nan else if !has_inf then `Inf else `Finite
+  end
 
 let row_sums m =
   Array.init m.rows (fun i ->

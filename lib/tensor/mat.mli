@@ -173,8 +173,10 @@ val frobenius : t -> float
 val max_abs : t -> float
 
 val finite_class : t -> [ `Finite | `Inf | `Nan ]
-(** One-pass poison scan: [`Nan] if any entry is NaN, else [`Inf] if any
-    entry is infinite, else [`Finite]. NaN dominates Inf. Used by the
+(** Poison scan: [`Nan] if any entry is NaN, else [`Inf] if any entry is
+    infinite, else [`Finite]. NaN dominates Inf. A branch-free pass
+    settles the all-finite case; only a matrix with a non-finite entry
+    is scanned a second time to tell NaN from Inf. Used by the
     verifier's per-op checkpoints to detect numerical faults early. *)
 
 val row_sums : t -> float array

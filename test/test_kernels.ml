@@ -300,11 +300,9 @@ let ref_hcat a b =
 
 let ref_of_rows = function [] -> assert false | z :: rest -> List.fold_left ref_vcat z rest
 
-(* The per-output stable softmax row: for every output a copy of row i of
-   the difference matrix, its n x W exp zonotope, a sum matmul and a
-   recip, stacked by pairwise [vcat]. *)
-let ref_stable_row ctx (row : Z.t) =
-  Z.check_deadline ctx;
+(* The difference matrix D(i,j) = nu_j - nu_i of a 1 x n score row, built
+   explicitly as the product with the n^2 x n +-1 matrix. *)
+let ref_diff (row : Z.t) =
   let n = row.Z.vcols in
   let col = Z.transpose_value row in
   let m =
@@ -312,7 +310,15 @@ let ref_stable_row ctx (row : Z.t) =
         let i = v / n and j = v mod n in
         (if t = j then 1.0 else 0.0) -. if t = i then 1.0 else 0.0)
   in
-  let d = Z.reshape_value (Z.map_rows_affine col m) ~rows:n ~cols:n in
+  Z.reshape_value (Z.map_rows_affine col m) ~rows:n ~cols:n
+
+(* The per-output stable softmax row: for every output a copy of row i of
+   the difference matrix, its n x W exp zonotope, a sum matmul and a
+   recip, stacked by pairwise [vcat]. *)
+let ref_stable_row ctx (row : Z.t) =
+  Z.check_deadline ctx;
+  let n = row.Z.vcols in
+  let d = ref_diff row in
   let db = Z.bounds d in
   let sat_bound i =
     let l_max = ref neg_infinity in
@@ -529,84 +535,207 @@ let test_matmul_zz_matches_per_pair () =
         (outcome ~width:3 (fun ctx -> Deept.Dot.matmul_zz ~order ctx a b)))
     [ (Deept.Config.Lp_first, Lp.L1); (Deept.Config.Lp_first, Lp.L2) ]
 
-(* A 1..2 x n score zonotope: [`Sat] puts one position 1000 above the
-   rest (every other output saturates), [`Exp_raise] gives one score an
-   infinite coefficient (its difference rows are unbounded, so exp
-   raises), [`Recip_raise] gives one score a coefficient of 800 (exp's
-   upper bound overflows, its symbols are minted, then recip raises).
-   Also says whether the case could be planted (the raising cases need
-   a live column). *)
-let score_rows rng ~rows ~n ~banded ~case =
-  let ee = 12 in
+(* A [rows] x n score zonotope over [ep] phi and [ee] eps symbols.
+   [`Sat] puts one position of score row 0 1000 above the rest (every
+   other output saturates), [`Exp_raise] gives one score an infinite
+   coefficient (its difference rows are unbounded, so exp raises),
+   [`Recip_raise] gives one score a coefficient of 800 (exp's upper bound
+   overflows, its symbols are minted, then recip raises), [`Twin] makes
+   two scores identical (their differences are +0.0 throughout), [`Neg_zero]
+   sets every center of row 0 to -0.0 or +0.0, and [`Nan] puts a NaN in
+   a live coefficient or center of row 0 (D's bounds are NaN: Unbounded
+   before any symbol is minted). Also returns whether the case could be
+   planted, and where (the raising cases need a live column, [`Twin]
+   two scores). *)
+let score_rows rng ~p ~rows ~n ~ep ~ee ~banded ~case =
   let dead = Array.init ee (fun _ -> Rng.float rng < 0.4) in
   let z =
-    kernel_operand rng ~p:Lp.L2 ~vrows:rows ~vcols:n ~ep:3 ~ee ~dead ~banded
+    kernel_operand rng ~p ~vrows:rows ~vcols:n ~ep ~ee ~dead ~banded
       ~specials:false
   in
-  let center = Mat.copy z.Z.center and eps = Mat.copy z.Z.eps in
+  let center = Mat.copy z.Z.center and phi = Mat.copy z.Z.phi in
+  let eps = Mat.copy z.Z.eps in
   let j = Rng.int rng n in
   (* a column live in score [j], so the occupancy still covers it *)
   let set_live x =
     match List.filter (fun c -> Mat.get eps j c <> 0.0) (List.init ee Fun.id) with
-    | [] -> false
+    | [] -> None
     | cols ->
         Mat.set eps j (Rng.choose rng (Array.of_list cols)) x;
-        true
+        Some (j, j)
   in
-  let applied =
+  let planted =
     match case with
-    | `Plain -> false
+    | `Plain -> None
     | `Sat ->
         Mat.set center 0 j 1000.0;
-        true
+        Some (j, j)
     | `Exp_raise -> set_live infinity
     | `Recip_raise -> set_live 800.0
+    | `Twin when n >= 2 ->
+        let k = (j + 1 + Rng.int rng (n - 1)) mod n in
+        Mat.set center 0 k (Mat.get center 0 j);
+        Array.blit phi.Mat.data (j * ep) phi.Mat.data (k * ep) ep;
+        Array.blit eps.Mat.data (j * ee) eps.Mat.data (k * ee) ee;
+        Some (j, k)
+    | `Twin -> None
+    | `Neg_zero ->
+        for t = 0 to n - 1 do
+          Mat.set center 0 t (if Rng.float rng < 0.7 then -0.0 else 0.0)
+        done;
+        Some (j, j)
+    | `Nan -> (
+        match Rng.int rng 3 with
+        | 0 when ep > 0 ->
+            Mat.set phi j (Rng.int rng ep) nan;
+            Some (j, j)
+        | 1 -> set_live nan
+        | _ ->
+            Mat.set center 0 j nan;
+            Some (j, j))
   in
-  (Z.with_eps_occ z.Z.eps_occ (Z.make ~p:z.Z.p ~center ~phi:z.Z.phi ~eps), applied)
+  (Z.with_eps_occ z.Z.eps_occ (Z.make ~p:z.Z.p ~center ~phi ~eps), planted)
+
+let case_name = function
+  | `Plain -> "plain"
+  | `Sat -> "saturated"
+  | `Exp_raise -> "exp raises"
+  | `Recip_raise -> "recip raises"
+  | `Twin -> "twin scores"
+  | `Neg_zero -> "-0.0 centers"
+  | `Nan -> "NaN"
 
 let test_softmax_matches_per_output () =
   let rng = Rng.create 0x50f7 in
   List.iter
-    (fun n ->
+    (fun p ->
       List.iter
-        (fun case ->
-          for t = 1 to 4 do
-            let rows = 1 + Rng.int rng 2 and banded = t mod 2 = 0 in
-            let z, applied = score_rows rng ~rows ~n ~banded ~case in
-            List.iter
-              (fun refine ->
-                let msg =
-                  Printf.sprintf "n=%d %s trial %d refine=%b banded=%b" n
-                    (match case with
-                    | `Plain -> "plain"
-                    | `Sat -> "saturated"
-                    | `Exp_raise -> "exp raises"
-                    | `Recip_raise -> "recip raises")
-                    t refine banded
+        (fun n ->
+          List.iter
+            (fun case ->
+              (* every phi width x eps width, over 1..3 score rows *)
+              for t = 0 to 5 do
+                let ep = [| 0; 3 |].(t mod 2) and ee = [| 0; 12; 130 |].(t mod 3) in
+                let rows = 1 + Rng.int rng 3 and banded = Rng.bool rng in
+                let z, planted = score_rows rng ~p ~rows ~n ~ep ~ee ~banded ~case in
+                let base_msg =
+                  Printf.sprintf "%s n=%d %s ep=%d ee=%d rows=%d banded=%b"
+                    (Lp.to_string p) n (case_name case) ep ee rows banded
                 in
-                let width = Z.num_eps z in
-                let got =
-                  outcome ~width (fun ctx ->
-                      Deept.Softmax_t.apply ~form:Deept.Config.Stable ~refine ctx z)
-                in
-                same_outcome msg (outcome ~width (fun ctx -> ref_softmax ~refine ctx z)) got;
-                (* the raising cases reach their fallback: every output of
-                   score row 0 is the [0, 1] box, and a failing recip
-                   comes after at least one exp symbol per output *)
-                match (case, got) with
-                | (`Exp_raise | `Recip_raise), (Ok out, syms)
-                  when applied && n >= 2 && not refine ->
-                    for i = 0 to n - 1 do
-                      Helpers.check_true (msg ^ ": boxed") (Mat.get out.Z.center 0 i = 0.5)
-                    done;
-                    if case = `Recip_raise then
-                      Helpers.check_true (msg ^ ": exp symbols kept")
-                        (syms - width >= 2 * n)
-                | _ -> ())
-              [ false; true ]
-          done)
-        [ `Plain; `Sat; `Exp_raise; `Recip_raise ])
-    [ 1; 2; 5; 9; 14 ]
+                (* two identical scores: D is +0.0 between them both ways,
+                   so its bounds there are [+0.0, +0.0] *)
+                (match (case, planted) with
+                | `Twin, Some (j, k) ->
+                    let db = Z.bounds (ref_diff (Z.select_value_rows z 0 1)) in
+                    List.iter
+                      (fun (a, b) ->
+                        List.iter
+                          (fun (m : Mat.t) ->
+                            Helpers.check_true (base_msg ^ ": twin bound +0.0")
+                              (Int64.bits_of_float (Mat.get m a b) = 0L))
+                          [ db.Interval.Imat.lo; db.Interval.Imat.hi ])
+                      [ (j, k); (k, j) ]
+                | _ -> ());
+                List.iter
+                  (fun refine ->
+                    let msg = Printf.sprintf "%s refine=%b" base_msg refine in
+                    let width = Z.num_eps z in
+                    let got =
+                      outcome ~width (fun ctx ->
+                          Deept.Softmax_t.apply ~form:Deept.Config.Stable ~refine ctx z)
+                    in
+                    same_outcome msg
+                      (outcome ~width (fun ctx -> ref_softmax ~refine ctx z))
+                      got;
+                    match (case, got) with
+                    (* the raising cases reach their fallback: every output
+                       of score row 0 is the [0, 1] box, and a failing recip
+                       comes after at least one exp symbol per output *)
+                    | (`Exp_raise | `Recip_raise), (Ok out, syms)
+                      when planted <> None && n >= 2 && not refine ->
+                        for i = 0 to n - 1 do
+                          Helpers.check_true (msg ^ ": boxed")
+                            (Mat.get out.Z.center 0 i = 0.5)
+                        done;
+                        if case = `Recip_raise then
+                          Helpers.check_true (msg ^ ": exp symbols kept")
+                            (syms - width >= 2 * n)
+                    | `Nan, _ when planted <> None && n >= 2 ->
+                        Helpers.check_true (msg ^ ": Unbounded, no symbol minted")
+                          (got = (Error Z.Unbounded, width))
+                    | _ -> ())
+                  [ false; true ]
+              done)
+            [ `Plain; `Sat; `Exp_raise; `Recip_raise; `Twin; `Neg_zero; `Nan ])
+        [ 1; 2; 5; 9; 14 ])
+    [ Lp.L1; Lp.L2; Lp.Linf ]
+
+(* The two-branch scan [Mat.finite_class] ran before its branch-free
+   first pass. *)
+let ref_finite_class (m : Mat.t) =
+  let n = Array.length m.Mat.data in
+  let has_inf = ref false and has_nan = ref false in
+  let i = ref 0 in
+  while (not !has_nan) && !i < n do
+    let x = Array.unsafe_get m.Mat.data !i in
+    if Float.is_nan x then has_nan := true
+    else if not (Float.is_finite x) then has_inf := true;
+    incr i
+  done;
+  if !has_nan then `Nan else if !has_inf then `Inf else `Finite
+
+let test_finite_class_matches_scan () =
+  let rng = Rng.create 0xf1a5 in
+  let class_name = function `Finite -> "finite" | `Inf -> "inf" | `Nan -> "nan" in
+  let check msg (m : Mat.t) =
+    let expected = ref_finite_class m and got = Mat.finite_class m in
+    if expected <> got then
+      Alcotest.failf "%s: %s, two-branch scan says %s" msg (class_name got)
+        (class_name expected)
+  in
+  (* lengths 0..9, then 4k + r around the unrolled loop's tail *)
+  let lengths =
+    List.init 10 Fun.id
+    @ List.concat_map (fun k -> List.init 4 (fun r -> (4 * k) + r)) [ 4; 25 ]
+  in
+  List.iter
+    (fun len ->
+      (* finite entries of every kind, including signed zeros and the
+         extremes whose difference is still exactly 0.0 *)
+      let finite () =
+        match Rng.int rng 6 with
+        | 0 -> 0.0
+        | 1 -> -0.0
+        | 2 -> Float.max_float
+        | 3 -> -.Float.min_float
+        | _ -> Rng.gaussian_scaled rng ~mean:0.0 ~std:1e3
+      in
+      let base = Array.init len (fun _ -> finite ()) in
+      let shape a =
+        if len mod 2 = 0 && len > 0 then Mat.of_array ~rows:2 ~cols:(len / 2) a
+        else Mat.of_array ~rows:1 ~cols:len a
+      in
+      check (Printf.sprintf "len %d finite" len) (shape (Array.copy base));
+      for at = 0 to len - 1 do
+        List.iter
+          (fun x ->
+            let a = Array.copy base in
+            a.(at) <- x;
+            check (Printf.sprintf "len %d %h at %d" len x at) (shape a))
+          [ infinity; neg_infinity; nan ]
+      done;
+      (* inf and NaN together, in both orders *)
+      for at = 0 to len - 1 do
+        for bt = 0 to len - 1 do
+          if at <> bt && (len < 20 || Rng.float rng < 0.05) then begin
+            let a = Array.copy base in
+            a.(at) <- (if Rng.bool rng then infinity else neg_infinity);
+            a.(bt) <- nan;
+            check (Printf.sprintf "len %d inf at %d, NaN at %d" len at bt) (shape a)
+          end
+        done
+      done)
+    lengths
 
 (* The parent's breakpoint search, with its boxed-tuple list sorted by
    [Array.sort]: the oracle of the allocation-free version, on inputs
@@ -805,6 +934,8 @@ let () =
             test_matmul_bit_identity;
           Alcotest.test_case "zero annihilates inf" `Quick
             test_matmul_zero_times_inf;
+          Alcotest.test_case "finite_class = two-branch scan" `Quick
+            test_finite_class_matches_scan;
         ] );
       ( "dpool",
         [

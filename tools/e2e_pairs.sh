@@ -1,0 +1,74 @@
+#!/usr/bin/env bash
+# Paired end-to-end comparison of a parent checkout (A) and this tree (B).
+#
+#   tools/e2e_pairs.sh PARENT_DIR OUT_DIR SEEDS -- WORKLOADS
+#
+#   tools/e2e_pairs.sh ../parent /tmp/pairs 1 2 3 4 5 6 7 8 9 10 -- batch-ladder radius-fast
+#
+# For each seed and workload it runs the command that BENCHMARK.json
+# declares (in each checkout, its own) for `run_seconds`, once in
+# PARENT_DIR and once in this tree, as bench/e2e/README.md's pair
+# procedure does: an odd seed runs this tree first, an even seed the
+# parent. Each run's standard output goes to
+# OUT_DIR/{A,B}/<workload>.<seed>.json. Then this tree's compare.exe
+# rates B against A, and the script exits with its status.
+#
+# SEEDS and WORKLOADS are words; a quoted list ("1 2 3") works too. A
+# run that exits non-zero is reported on stderr and left for compare to
+# judge. Nothing under bench/e2e is written.
+set -eu
+
+usage() {
+  echo "usage: $0 PARENT_DIR OUT_DIR SEEDS -- WORKLOADS" >&2
+  exit 2
+}
+
+[ "$#" -ge 4 ] || usage
+parent=$(realpath "$1")
+out=$(realpath -m "$2")
+shift 2
+seeds=()
+while [ "$#" -gt 0 ] && [ "$1" != "--" ]; do
+  for s in $1; do seeds+=("$s"); done
+  shift
+done
+[ "$#" -gt 0 ] || usage
+shift
+workloads=()
+for w in "$@"; do
+  for x in $w; do workloads+=("$x"); done
+done
+[ "${#seeds[@]}" -gt 0 ] && [ "${#workloads[@]}" -gt 0 ] || usage
+
+here=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$out/A" "$out/B"
+
+# run DIR SET WORKLOAD SEED: the checkout's own benchmark command
+run() {
+  local dir=$1 set=$2 w=$3 seed=$4 cmd secs status=0
+  mapfile -t cmd < <(jq -r '.command[]' "$dir/BENCHMARK.json")
+  secs=$(jq -r '.run_seconds' "$dir/BENCHMARK.json")
+  echo "[$(date +%T)] $set $w seed $seed" >&2
+  (cd "$dir" && "${cmd[@]}" --workload "$w" --seed "$seed" --seconds "$secs") \
+    > "$out/$set/$w.$seed.json" || status=$?
+  if [ "$status" -ne 0 ]; then
+    echo "e2e_pairs: $set $w seed $seed exited $status" >&2
+  fi
+}
+
+for seed in "${seeds[@]}"; do
+  for w in "${workloads[@]}"; do
+    if [ $((seed % 2)) -eq 0 ]; then
+      run "$parent" A "$w" "$seed"
+      run "$here" B "$w" "$seed"
+    else
+      run "$here" B "$w" "$seed"
+      run "$parent" A "$w" "$seed"
+    fi
+  done
+done
+
+status=0
+(cd "$here" && dune exec --root . --display=quiet ./bench/e2e/compare.exe -- \
+  --spec BENCHMARK.json "$out/A" "$out/B") || status=$?
+exit "$status"
