@@ -27,12 +27,6 @@ let metrics =
     "parallel_ns";
     "wall_s";
     "p95_ms";
-    (* the fused-kernel PR's rows: affine-fusion win and the job
-       transport cost (Marshal pipe vs shared-memory descriptors) *)
-    "unfused_ns";
-    "fused_ns";
-    "marshal_ns";
-    "shm_ns";
     (* the sparsity PR's rows: blocked dense vs ?cols tile-skipping on
        banded late-pipeline coefficient blocks *)
     "dense_ns";

@@ -1,7 +1,6 @@
 (* Reproducible benchmark of the zonotope matmul kernels: the seed serial
    kernel vs the register-blocked kernel vs blocked + domain-parallel,
-   plus (since the fused-kernel PR) the affine-fusion win and the
-   Marshal-vs-shared-memory job dispatch cost.
+   plus the column-restricted (tile-skipping) kernel on sparse operands.
 
      dune exec bench/kernels.exe --             # table on stdout
      dune exec bench/kernels.exe -- --json      # + writes BENCH_kernels.json
@@ -22,23 +21,11 @@
    - value centers are tiny 9 x 24 by 24 x 24 products, kept as a
      below-threshold control (the parallel row must not regress them).
 
-   The fused rows measure what the Fuse pre-pass buys on those shapes: a
-   chain of three affine ops costs three coefficient passes unfused and
-   one when composed at load (the composition itself is outside the
-   timed region, exactly as it is outside the certification loop).
-
    The sparse rows measure what column-block liveness buys on the
    late-pipeline shapes where decorrelation and branch compaction leave
    most symbol columns dead: the blocked dense kernel over the full
    width vs the same product restricted to the live intervals
    (bit-identical by the occupancy invariant, checked before timing).
-
-   The dispatch rows measure the per-job transport cost of a coefficient
-   block to a forked worker: Marshal over the job pipe (the seed
-   transport) vs writing into the pre-fork MAP_SHARED arena and shipping
-   an (offset, dims) descriptor, with the worker reading the arena in
-   place (Shm/Bigmat). The worker is forked before any domain pool
-   exists — the same order the supervisor observes.
 
    When a previous BENCH_kernels.json exists it is rotated to
    BENCH_kernels.prev.json so `check_regress.exe` can compare runs. *)
@@ -136,45 +123,6 @@ let measure ~pool (s : shape) =
       { shape = s; serial_ns; blocked_ns; parallel_ns }
   | _ -> assert false
 
-(* --- fused affine chains ---------------------------------------------- *)
-
-(* A Linear -> Linear -> Linear run on the recorded coefficient-block
-   shape: unfused, the interpreter performs one w^T x (24 x E) pass per
-   op; fused, one pass with the pre-composed weight. Composition happens
-   once at program load, so it sits outside the timed closures. *)
-type fused_row = { flabel : string; e : int; unfused_ns : float; fused_ns : float }
-
-let chain_len = 3
-let fused_es = [ 1344; 3800 ]
-
-let measure_fused e =
-  let rng = Rng.create 0xfead in
-  let d = 24 in
-  let ws = List.init chain_len (fun _ -> Mat.random_uniform rng d d 1.0) in
-  let g = Mat.random_uniform rng d e 1.0 in
-  let wf =
-    match ws with
-    | w :: rest -> List.fold_left Mat.matmul w rest
-    | [] -> assert false
-  in
-  let unfused () = List.fold_left (fun acc w -> Mat.matmul_ta w acc) g ws in
-  let fused () = Mat.matmul_ta wf g in
-  (* (w1.w2.w3)^T g must match w3^T (w2^T (w1^T g)) up to reassociation
-     noise before either arm is timed. *)
-  if not (Mat.equal ~tol:1e-6 (unfused ()) (fused ())) then begin
-    Printf.eprintf "kernels: fused chain diverges at e=%d\n%!" e;
-    exit 4
-  end;
-  match time_interleaved [ unfused; fused ] with
-  | [ unfused_ns; fused_ns ] ->
-      {
-        flabel = Printf.sprintf "fused_chain%d_e%d" chain_len e;
-        e;
-        unfused_ns;
-        fused_ns;
-      }
-  | _ -> assert false
-
 (* --- sparsity-aware (tile-skipping) kernels ---------------------------- *)
 
 (* Late-pipeline coefficient blocks are column-sparse: decorrelation
@@ -237,104 +185,6 @@ let measure_sparse ((s : shape), live) =
   | [ dense_ns; sparse_ns ] -> { sshape = s; sdensity; dense_ns; sparse_ns }
   | _ -> assert false
 
-(* --- Marshal vs shared-memory dispatch -------------------------------- *)
-
-(* Round-trip one coefficient block (216 x E: the 9 x 24 value's
-   coefficient rows) to a forked worker and back to an acknowledgment.
-   Marshal arm: the whole matrix crosses the job pipe. Shm arm: the
-   parent writes the block into the pre-fork arena and ships only the
-   descriptor; the worker hashes the floats in place through a Bigmat
-   view (zero copies on the read side). The hash makes the worker touch
-   every float — an idle ack would let the shm arm win by not reading —
-   and doubles as the cross-transport bit-identity check. *)
-type dispatch_row = { dlabel : string; e : int; marshal_ns : float; shm_ns : float }
-
-let dispatch_vars = 216
-let dispatch_es = [ 344; 1344; 3800 ]
-
-type msg = Job of Shm.mat_desc | Quit
-
-let mix h x = Int64.logxor (Int64.mul h 0x100000001b3L) (Int64.bits_of_float x)
-let hash_seed = 0xcbf29ce484222325L
-let hash_mat (m : Mat.t) = Array.fold_left mix hash_seed m.Mat.data
-let hash_view (b : Bigmat.t) = Bigmat.fold mix hash_seed b
-
-type dispatch_ctx = {
-  arena : Shm.t;
-  to_child : out_channel;
-  from_child : in_channel;
-  child : int;
-}
-
-let setup_dispatch () =
-  let arena =
-    Shm.create ~floats:(dispatch_vars * (List.fold_left max 0 dispatch_es) + 1024)
-  in
-  let job_r, job_w = Unix.pipe ~cloexec:false () in
-  let res_r, res_w = Unix.pipe ~cloexec:false () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close job_w;
-      Unix.close res_r;
-      let ic = Unix.in_channel_of_descr job_r in
-      let oc = Unix.out_channel_of_descr res_w in
-      let rec serve () =
-        (match (Marshal.from_channel ic : msg) with
-        | Quit -> exit 0
-        | Job (Shm.Inline m) ->
-            Marshal.to_channel oc (hash_mat m) [];
-            flush oc
-        | Job ((Shm.Block _ | Shm.Banded _) as d) ->
-            Marshal.to_channel oc (hash_view (Shm.view_mat arena d)) [];
-            flush oc);
-        serve ()
-      in
-      serve ()
-  | child ->
-      Unix.close job_r;
-      Unix.close res_w;
-      {
-        arena;
-        to_child = Unix.out_channel_of_descr job_w;
-        from_child = Unix.in_channel_of_descr res_r;
-        child;
-      }
-
-let round_trip ctx (d : Shm.mat_desc) : int64 =
-  Marshal.to_channel ctx.to_child (Job d) [];
-  flush ctx.to_child;
-  Marshal.from_channel ctx.from_child
-
-let teardown_dispatch ctx =
-  Marshal.to_channel ctx.to_child Quit [];
-  flush ctx.to_child;
-  ignore (Unix.waitpid [] ctx.child)
-
-let measure_dispatch ctx e =
-  let rng = Rng.create (0xd15 + e) in
-  let m = Mat.random_uniform rng dispatch_vars e 1.0 in
-  let expect = hash_mat m in
-  let marshal_rt () = round_trip ctx (Shm.Inline m) in
-  (* threshold 1 forces the arena path at every E, so each row measures
-     the transport itself; production packing keeps blocks under
-     Shm.default_threshold on the Marshal path. *)
-  let shm_rt () =
-    let d = Shm.pack_mat ~threshold:1 ctx.arena m in
-    let h = round_trip ctx d in
-    Shm.free_mat ctx.arena d;
-    h
-  in
-  (* Bit-identity across the two transports before either is timed. *)
-  if marshal_rt () <> expect || shm_rt () <> expect then begin
-    Printf.eprintf "kernels: dispatch transports disagree at e=%d\n%!" e;
-    exit 4
-  end;
-  let timed f () = ignore (Sys.opaque_identity (f ())) in
-  match time_interleaved [ timed marshal_rt; timed shm_rt ] with
-  | [ marshal_ns; shm_ns ] ->
-      { dlabel = Printf.sprintf "dispatch_216xe%d" e; e; marshal_ns; shm_ns }
-  | _ -> assert false
-
 (* --- reporting -------------------------------------------------------- *)
 
 let geomean xs =
@@ -349,21 +199,11 @@ let json_of_row ~cores r =
     r.shape.label r.shape.ta r.shape.m r.shape.k r.shape.n r.serial_ns
     r.blocked_ns r.parallel_ns cores
 
-let json_of_fused ~cores r =
-  Printf.sprintf
-    "{\"name\":\"%s\",\"chain\":%d,\"m\":24,\"k\":24,\"n\":%d,\"unfused_ns\":%.1f,\"fused_ns\":%.1f,\"cores\":%d}"
-    r.flabel chain_len r.e r.unfused_ns r.fused_ns cores
-
 let json_of_sparse ~cores r =
   Printf.sprintf
     "{\"name\":\"%s\",\"ta\":%b,\"m\":%d,\"k\":%d,\"n\":%d,\"density\":%.4f,\"dense_ns\":%.1f,\"sparse_ns\":%.1f,\"cores\":%d}"
     r.sshape.label r.sshape.ta r.sshape.m r.sshape.k r.sshape.n r.sdensity
     r.dense_ns r.sparse_ns cores
-
-let json_of_dispatch ~cores r =
-  Printf.sprintf
-    "{\"name\":\"%s\",\"rows\":%d,\"n\":%d,\"marshal_ns\":%.1f,\"shm_ns\":%.1f,\"cores\":%d}"
-    r.dlabel dispatch_vars r.e r.marshal_ns r.shm_ns cores
 
 let write_json path lines =
   if Sys.file_exists path then begin
@@ -402,10 +242,6 @@ let () =
      pool domains, also involve multi-domain barriers). *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
   let cores = Domain.recommended_domain_count () in
-  (* The dispatch worker must fork before the domain pool exists (forking
-     a multi-domain runtime is unsupported) — the supervisor observes the
-     same order: arena, then fork, then any in-process pools. *)
-  let dispatch = if Shm.available () then Some (setup_dispatch ()) else None in
   let pool = Dpool.create !domains in
   Printf.printf "matmul kernels, %d-domain pool (%d recommended on this machine)\n\n"
     !domains cores;
@@ -422,14 +258,6 @@ let () =
   let sp_par = geomean (List.map (fun r -> r.serial_ns /. r.parallel_ns) rows) in
   Printf.printf "\ngeomean speedup: blocked %.2fx, blocked+parallel %.2fx\n"
     sp_blocked sp_par;
-  let fused_rows = List.map measure_fused fused_es in
-  Printf.printf "\n%-26s %12s %12s %9s\n" "affine chain" "unfused ns" "fused ns"
-    "x fused";
-  List.iter
-    (fun r ->
-      Printf.printf "%-26s %12.0f %12.0f %8.2fx\n" r.flabel r.unfused_ns
-        r.fused_ns (r.unfused_ns /. r.fused_ns))
-    fused_rows;
   let sparse_rows = List.map measure_sparse sparse_shapes in
   Printf.printf "\n%-26s %8s %12s %12s %9s\n" "sparse (tile-skipping)" "density"
     "dense ns" "sparse ns" "x sparse";
@@ -438,27 +266,8 @@ let () =
       Printf.printf "%-26s %7.0f%% %12.0f %12.0f %8.2fx\n" r.sshape.label
         (r.sdensity *. 100.0) r.dense_ns r.sparse_ns (r.dense_ns /. r.sparse_ns))
     sparse_rows;
-  let dispatch_rows =
-    match dispatch with
-    | None ->
-        Printf.printf "\ndispatch rows skipped (DEEPT_NO_SHM=1)\n";
-        []
-    | Some ctx ->
-        let rs = List.map (measure_dispatch ctx) dispatch_es in
-        teardown_dispatch ctx;
-        Printf.printf "\n%-26s %12s %12s %9s\n" "job dispatch" "marshal ns"
-          "shm ns" "x shm";
-        List.iter
-          (fun r ->
-            Printf.printf "%-26s %12.0f %12.0f %8.2fx\n" r.dlabel r.marshal_ns
-              r.shm_ns (r.marshal_ns /. r.shm_ns))
-          rs;
-        rs
-  in
   if !json then
     write_json !out
       (List.map (json_of_row ~cores) rows
-      @ List.map (json_of_fused ~cores) fused_rows
-      @ List.map (json_of_sparse ~cores) sparse_rows
-      @ List.map (json_of_dispatch ~cores) dispatch_rows);
+      @ List.map (json_of_sparse ~cores) sparse_rows);
   Dpool.shutdown pool

@@ -52,62 +52,4 @@ let run (scale : Common.scale) =
   Printf.printf "  speedup (jobs=4 over 1): %sx  (%d core%s available%s)\n"
     (Common.fmt_ratio t1 t4) n_cores
     (if n_cores = 1 then "" else "s")
-    (if n_cores = 1 then "; no parallel speedup possible" else "");
-  (* --- Marshal vs shared-memory job transport -----------------------
-
-     The same batch of wide regions dispatched twice through
-     Certify.certify_regions (4 workers): once with each zonotope
-     marshaled whole across the job pipe, once with its coefficient
-     blocks landed in a pre-fork MAP_SHARED arena so only (offset, dims)
-     descriptors cross the pipe. The regions carry 4096 noise symbols
-     (~1.3 MiB of coefficients each) so transport cost is visible next
-     to the propagation itself. Display-only: the gated transport
-     numbers are bench/kernels.ml's dispatch rows. *)
-  if Tensor.Shm.available () then begin
-    let esyms = 4096 and n_regions = 8 in
-    let toks = Array.init 5 (fun i -> i + 1) in
-    let x = Nn.Model.embed_tokens model toks in
-    let nv = Tensor.Mat.rows x * Tensor.Mat.cols x in
-    let regions =
-      List.init n_regions (fun i ->
-          let rng = Tensor.Rng.create (100 + i) in
-          let eps = Tensor.Mat.random_uniform rng nv esyms 0.001 in
-          ( i,
-            Deept.Zonotope.make ~p:Deept.Lp.Linf ~center:(Tensor.Mat.copy x)
-              ~phi:(Tensor.Mat.create nv 0) ~eps ))
-    in
-    let pool = Deept.Config.pool ~workers:4 () in
-    let run_with arena =
-      let t0 = Unix.gettimeofday () in
-      let rs =
-        Deept.Certify.certify_regions ?arena ~pool cfg program ~true_class:0
-          regions
-      in
-      (Unix.gettimeofday () -. t0, rs)
-    in
-    (* The arena exists before Supervisor.run forks its workers, exactly
-       like the daemon's pre-fork weight arena. *)
-    let arena =
-      Tensor.Shm.create ~floats:(2 * n_regions * nv * (esyms + 9))
-    in
-    let tm, rm = run_with None in
-    let ts, rs = run_with (Some arena) in
-    let margin_bits l =
-      List.sort (fun a b -> compare a.Deept.Supervisor.job b.Deept.Supervisor.job) l
-      |> List.map (fun r ->
-             match r.Deept.Supervisor.outcome with
-             | Ok m -> Int64.bits_of_float m
-             | Error _ -> Int64.min_int)
-    in
-    let identical = margin_bits rm = margin_bits rs in
-    Printf.printf "\n  %-24s %8s\n"
-      (Printf.sprintf "transport (%d wide regions)" n_regions)
-      "wall(s)";
-    Printf.printf "  %-24s %8.3f\n" "marshal" tm;
-    Printf.printf "  %-24s %8.3f\n" "shm descriptors" ts;
-    Printf.printf
-      "  speedup (shm over marshal): %sx  (margins bit-identical: %s)\n"
-      (Common.fmt_ratio tm ts)
-      (if identical then "yes" else "NO")
-  end
-  else Printf.printf "  transport comparison skipped (DEEPT_NO_SHM=1)\n"
+    (if n_cores = 1 then "; no parallel speedup possible" else "")

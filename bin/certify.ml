@@ -107,17 +107,6 @@ let apply_domains ~jobs ?(probes = 1) domains cfg =
       jobs probes domains avail;
   Deept.Config.with_domains domains cfg
 
-let no_fuse_arg =
-  let doc =
-    "Disable the affine-fusion pre-pass (chains of affine ops composed \
-     into single linear nodes at program load). Fusion preserves \
-     certification decisions and radii; this flag pins the exact \
-     unfused op graph — useful when op indices must line up with an \
-     external trace. --fault disables fusion automatically (fault sites \
-     are addressed by unfused op index)."
-  in
-  Arg.(value & flag & info [ "no-fuse" ] ~doc)
-
 let probes_arg =
   let doc =
     "Concurrent radius-search probes per refinement round. 1 (the \
@@ -195,7 +184,7 @@ let show_cmd =
 (* --- t1 -------------------------------------------------------------- *)
 
 let certify_t1 data name index sentence word p radius verifier refine domains
-    profile no_fuse =
+    profile =
   if refine && (verifier = Crown_baf || verifier = Crown_backward) then begin
     prerr_endline
       "certify: --refine is a DeepT engine feature (use deept-fast or \
@@ -206,10 +195,6 @@ let certify_t1 data name index sentence word p radius verifier refine domains
   let entry, model = load name in
   let c, (toks, label) = pick_input entry model index sentence in
   let program = Nn.Model.to_ir model in
-  (* The DeepT verifiers run on the fused graph (a no-op on the zoo
-     architectures); prediction and the CROWN baselines keep the
-     as-lowered one. *)
-  let vprogram = if no_fuse then program else Fuse.fuse_program program in
   let x = Nn.Model.embed_tokens model toks in
   let wrap, trace, report = profiler ~model:name profile in
   Printf.printf "sentence: %s\nlabel: %s, perturbing word %d (%s) with l%s radius %g\n"
@@ -229,7 +214,7 @@ let certify_t1 data name index sentence word p radius verifier refine domains
     let deept base =
       let cfg = wrap (apply_domains ~jobs:1 domains base) in
       if not refine then
-        Deept.Certify.certify cfg vprogram
+        Deept.Certify.certify cfg program
           (Deept.Region.lp_ball ~p x ~word ~radius)
           ~true_class:label
       else begin
@@ -237,7 +222,7 @@ let certify_t1 data name index sentence word p radius verifier refine domains
           Deept.Config.with_refine (Some Deept.Config.default_refine) cfg
         in
         let o =
-          Deept.Engine.certify cfg vprogram
+          Deept.Engine.certify cfg program
             (Deept.Region.lp_ball ~p x ~word ~radius)
             ~true_class:label
         in
@@ -269,12 +254,12 @@ let t1_cmd =
     Term.(
       const certify_t1 $ data_arg $ model_arg $ index_arg $ sentence_arg
       $ word_arg $ norm_arg $ radius_arg $ verifier_arg $ refine_arg
-      $ domains_arg $ profile_arg $ no_fuse_arg)
+      $ domains_arg $ profile_arg)
 
 (* --- radius ----------------------------------------------------------- *)
 
 let radius_search data name index sentence word p verifier refine domains
-    probes profile no_fuse =
+    probes profile =
   if refine && (verifier = Crown_baf || verifier = Crown_backward) then begin
     prerr_endline
       "certify: --refine is a DeepT engine feature (use deept-fast or \
@@ -285,7 +270,6 @@ let radius_search data name index sentence word p verifier refine domains
   let entry, model = load name in
   let c, (toks, label) = pick_input entry model index sentence in
   let program = Nn.Model.to_ir model in
-  let vprogram = if no_fuse then program else Fuse.fuse_program program in
   let x = Nn.Model.embed_tokens model toks in
   let wrap, trace, report = profiler ~model:name profile in
   let pred = Nn.Forward.predict program x in
@@ -307,12 +291,12 @@ let radius_search data name index sentence word p verifier refine domains
        the headline line is the same either way. *)
     let deept base =
       if probes <= 1 && not refine then
-        ( Deept.Certify.certified_radius (deept_cfg base) vprogram ~p x ~word
+        ( Deept.Certify.certified_radius (deept_cfg base) program ~p x ~word
             ~true_class:label (),
           None )
       else
         let r =
-          Deept.Certify.certified_radius_v (deept_cfg base) vprogram ~p x ~word
+          Deept.Certify.certified_radius_v (deept_cfg base) program ~p x ~word
             ~true_class:label ()
         in
         (r.Deept.Certify.radius, Some r)
@@ -362,7 +346,7 @@ let radius_cmd =
     Term.(
       const radius_search $ data_arg $ model_arg $ index_arg $ sentence_arg
       $ word_arg $ norm_arg $ verifier_arg $ refine_arg $ domains_arg
-      $ probes_arg $ profile_arg $ no_fuse_arg)
+      $ probes_arg $ profile_arg)
 
 (* --- t2 --------------------------------------------------------------- *)
 
@@ -524,7 +508,7 @@ let crash_sentence_arg =
 
 let batch data name count word p radius verifier refine deadline budget fault
     fault_rungs jobs journal_path resume_path max_retries grace hard_deadline
-    mem_limit fault_sentence crash_sentence domains probes no_fuse =
+    mem_limit fault_sentence crash_sentence domains probes =
   setup data;
   let entry, model = load name in
   let c = Zoo.corpus_of entry.Zoo.corpus in
@@ -556,12 +540,6 @@ let batch data name count word p radius verifier refine deadline budget fault
     | Some (op, action) ->
         let persist = if fault_rungs <= 0 then max_int else fault_rungs in
         { cfg with Deept.Config.fault = Some (Deept.Config.fault ~persist op action) }
-  in
-  (* Propagate.fuse_for keeps the graph unfused whenever cfg arms fault
-     injection (fault sites are addressed by unfused op index); that also
-     covers --fault-sentence, which narrows the same armed cfg. *)
-  let program =
-    if no_fuse then program else Deept.Propagate.fuse_for cfg program
   in
   let sentences =
     Array.of_list (List.filteri (fun i _ -> i < count) c.Text.Corpus.test)
@@ -755,8 +733,7 @@ let batch_cmd =
       $ fault_arg
       $ fault_rungs_arg $ jobs_arg $ journal_arg $ resume_arg
       $ max_retries_arg $ grace_arg $ hard_deadline_arg $ mem_limit_arg
-      $ fault_sentence_arg $ crash_sentence_arg $ domains_arg $ probes_arg
-      $ no_fuse_arg)
+      $ fault_sentence_arg $ crash_sentence_arg $ domains_arg $ probes_arg)
 
 let () =
   let info = Cmd.info "certify" ~doc:"DeepT robustness certification CLI." in

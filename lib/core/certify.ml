@@ -84,14 +84,13 @@ let max_radius ?lo ?hi ?(iters = 10) ?(search = Config.default_search) certifies
    bit-identical to, re-propagation, and the probes = 1 radii are pinned
    bit-for-bit in the test suite. Disabled under fault injection (the
    fault must fire inside every probe, and Inject_nan/Inject_inf mutate
-   the op output in place — unsafe on a shared center) and by the
-   DEEPT_NO_PREFIX_SHARE escape hatch. *)
+   the op output in place — unsafe on a shared center) and when
+   [cfg.search.share_prefix] is off. *)
 let search_prefix (cfg : Config.t) program ~p x ~word =
   let s = cfg.Config.search in
   if
     s.Config.probes <= 1
     || (not s.Config.share_prefix)
-    || Sys.getenv_opt "DEEPT_NO_PREFIX_SHARE" <> None
     || cfg.Config.fault <> None
   then None
   else
@@ -262,29 +261,3 @@ let enumerate_synonyms ?(limit = 1_000_000) program x subs ~true_class =
   in
   go 0;
   (!ok, !checked)
-
-(* --- zero-copy region batches ---------------------------------------- *)
-
-(* Certify explicit input regions on the supervised pool with the Shm
-   transport. Unlike the batch driver (whose jobs are tiny token
-   descriptors, with the region rebuilt inside the worker), the regions
-   here are matrix-heavy values produced *after* any worker could have
-   inherited them — so without the arena each job would Marshal its
-   coefficient matrices through the pipe. The parent packs every region
-   before Supervisor.run forks (workers inherit the mapping), ships
-   descriptors, and frees all blocks once every job's outcome — result
-   or worker death — is final; a SIGKILLed worker therefore leaves the
-   arena fully reusable. Margins are computed from a bit-exact unpack,
-   so results are bit-identical whichever transport each matrix took. *)
-let certify_regions ?arena ?pool cfg program ~true_class jobs =
-  let packed =
-    List.map (fun (id, z) -> (id, Xfer.pack_zono ?arena z)) jobs
-  in
-  let worker _id desc =
-    certify_margin cfg program (Xfer.unpack_zono ?arena desc) ~true_class
-  in
-  let results = Supervisor.run ?pool ~worker packed in
-  (match arena with
-  | Some a -> List.iter (fun (_, d) -> Xfer.free_zono a d) packed
-  | None -> ());
-  results

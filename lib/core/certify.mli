@@ -64,8 +64,7 @@ val certified_radius :
     driven by [cfg.search]). For multi-probe searches on models with an
     affine prefix, the prefix is propagated once at unit radius and
     rescaled per probe ({!Zonotope.scale_coeffs}) unless
-    [cfg.search.share_prefix] is off, the [DEEPT_NO_PREFIX_SHARE]
-    environment variable is set, or a fault is injected. *)
+    [cfg.search.share_prefix] is off or a fault is injected. *)
 
 type radius_report = {
   radius : float;  (** largest radius that certified (0 if none) *)
@@ -109,8 +108,8 @@ val search_prefix :
   (Zonotope.t array * int) option
 (** The shared unit-radius prefix used by the radius searches: [Some]
     only when [cfg.search] asks for a multi-probe search with prefix
-    sharing, no fault is injected, the escape hatch is unset and the
-    program has a nonempty affine prefix. Exposed for tests. *)
+    sharing, no fault is injected and the program has a nonempty affine
+    prefix. Exposed for tests. *)
 
 val certify_synonyms :
   Config.t -> Ir.program -> Tensor.Mat.t -> (int * float array list) list ->
@@ -128,20 +127,3 @@ val enumerate_synonyms :
 val count_combinations : (int * float array list) list -> int
 (** Number of sentences the enumeration baseline must classify
     (product over positions of [1 + #alternatives]). *)
-
-val certify_regions :
-  ?arena:Xfer.arena -> ?pool:Config.pool ->
-  Config.t -> Ir.program -> true_class:int ->
-  (int * Zonotope.t) list ->
-  float Supervisor.job_result list
-(** Certify a batch of explicit input regions on the supervised worker
-    pool, returning each job's margin (see {!certify_margin};
-    [neg_infinity] means not certified). With [arena] (created before
-    the call, hence before the pool forks), each region's large
-    coefficient matrices travel by {!Xfer} descriptor through the
-    MAP_SHARED arena instead of being [Marshal]ed over the job pipe;
-    small matrices — and everything under [DEEPT_NO_SHM=1] or without
-    [arena] — keep the Marshal path. Margins are bit-identical across
-    the two transports. All arena blocks are freed after the last
-    outcome is collected, including jobs whose worker was killed, so
-    the arena is reusable afterwards. *)

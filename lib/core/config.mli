@@ -140,8 +140,7 @@ type search = {
           unit radius and rescale generator coefficients by [r] per
           probe ({!Zonotope.scale_coeffs}). Not bit-identical to
           re-propagation (float rescaling), so tests gate it with a
-          tolerance; the [DEEPT_NO_PREFIX_SHARE] env var is the runtime
-          escape hatch. Auto-disabled under fault injection. *)
+          tolerance. Auto-disabled under fault injection. *)
   probe_backend : probe_backend;
 }
 

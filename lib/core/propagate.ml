@@ -161,13 +161,6 @@ let state_of ~t0 (cfg : Config.t) (p : Ir.program) input =
     layer = 0;
   }
 
-(* Affine fusion is a pure load-time rewrite, but Config.fault addresses
-   fault sites by op index into the unfused graph — the same reason
-   prefix sharing turns itself off under fault injection (Certify).
-   Gate it here so every front-end inherits the rule. *)
-let fuse_for (cfg : Config.t) p =
-  if cfg.Config.fault <> None then p else Fuse.fuse_program p
-
 let affine_prefix_len (p : Ir.program) =
   let n = Array.length p.Ir.ops in
   let rec go i =

@@ -68,21 +68,6 @@ val run_prefix :
     [?prefix].
     @raise Invalid_argument if [len] exceeds the affine prefix. *)
 
-val fuse_for : Config.t -> Ir.program -> Ir.program
-(** Apply {!Fuse.fuse_program} unless the config arms fault injection.
-
-    [Config.fault] names its injection site by op index {e into the
-    graph being interpreted}: fusing would renumber (and possibly
-    absorb) the faulted op, silently moving the drill. So — exactly
-    like prefix sharing in {!Certify.search_prefix} — affine fusion
-    turns itself off whenever [cfg.fault] is set, keeping every per-op
-    fault site addressable. With no fault armed this is the load-time
-    fusion entry point for certification front-ends; the returned
-    program is the input itself when nothing fused (zoo models: their
-    residual connections give every normalization two consumers, so
-    fusion is a structural no-op and all committed pins are preserved
-    by construction). *)
-
 val affine_prefix_len : Ir.program -> int
 (** Length of the leading run of ops whose zonotope transformers are
     exact affine maps independent of {!Config.t}: [Linear], [Add],

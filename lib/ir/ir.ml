@@ -242,33 +242,6 @@ let pp ppf p =
     p.ops;
   Format.fprintf ppf "@]"
 
-let parameters p =
-  let out = ref [] in
-  let push name m = out := (name, m) :: !out in
-  Array.iteri
-    (fun i op ->
-      let pre = Printf.sprintf "op%d" (i + 1) in
-      match op with
-      | Linear { w; b; _ } ->
-          push (pre ^ ".w") (Mat.copy w);
-          push (pre ^ ".b") (Mat.row_vector b)
-      | Center_norm { gamma; beta; _ } ->
-          push (pre ^ ".gamma") (Mat.row_vector gamma);
-          push (pre ^ ".beta") (Mat.row_vector beta)
-      | Self_attention { att; _ } ->
-          push (pre ^ ".wq") (Mat.copy att.wq);
-          push (pre ^ ".bq") (Mat.row_vector att.bq);
-          push (pre ^ ".wk") (Mat.copy att.wk);
-          push (pre ^ ".bk") (Mat.row_vector att.bk);
-          push (pre ^ ".wv") (Mat.copy att.wv);
-          push (pre ^ ".bv") (Mat.row_vector att.bv);
-          push (pre ^ ".wo") (Mat.copy att.wo);
-          push (pre ^ ".bo") (Mat.row_vector att.bo)
-      | Positional { pos; _ } -> push (pre ^ ".pos") (Mat.copy pos)
-      | Relu _ | Tanh _ | Add _ | Pool_first _ -> ())
-    p.ops;
-  List.rev !out
-
 module Serialize = struct
 let magic = "deept-model v1"
 

@@ -96,16 +96,6 @@ val depth_of_kind : program -> string -> int
 val pp : Format.formatter -> program -> unit
 (** Structural summary: one line per op with shapes. *)
 
-(** {1 Parameter access}
-
-    Uniform access to all weight tensors of a program, used by the
-    serializer and by tests that perturb parameters. *)
-
-val parameters : program -> (string * Tensor.Mat.t) list
-(** Matrix parameters with stable hierarchical names ("op3.wq", ...).
-    Bias vectors are exposed as [1 x n] matrices. Matrices are copied;
-    use the serializer in {!Serialize} to persist or restore models. *)
-
 module Serialize : sig
 (** Portable text serialization of {!program} values.
 

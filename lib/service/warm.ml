@@ -3,23 +3,9 @@
    Parsing and lowering a zoo model is the expensive part of a cold
    certification; the daemon pays it once per model at startup, and the
    pre-forked workers inherit the loaded weights, corpus and lowered
-   program read-only through fork's copy-on-write pages.
-
-   Two load-time transforms ride on top since the fused-kernel PR:
-
-   - the lowered program goes through the affine-fusion pre-pass
-     (Fuse). The service protocol has no per-op fault field, so the
-     fusion x fault-injection exclusion (Propagate.fuse_for) cannot be
-     violated from here; and on the zoo architectures fusion is a
-     structural no-op, so cached result digests are unchanged.
-   - every program parameter is also *landed* in a shared-memory arena
-     (Tensor.Shm) created before the workers fork. That gives all
-     workers one stable MAP_SHARED snapshot of the weights, addressed
-     by (offset, dims) descriptors — the same transport the zero-copy
-     job dispatch uses — instead of N copy-on-write heap copies whose
-     pages privatize under GC. The compute kernels still read the heap
-     Mats; the arena snapshot is what descriptor-based dispatch and the
-     cross-fork bit-identity tests read in place. *)
+   program read-only through fork's copy-on-write pages. The program is
+   the plain lowering [Nn.Model.to_ir], the same graph every other
+   front-end certifies. *)
 
 type entry = {
   zoo : Zoo.entry;
@@ -28,57 +14,27 @@ type entry = {
   program : Ir.program;
   digest : string;
   test_len : int;
-  resident : (string * Tensor.Shm.mat_desc) list;
 }
 
-type t = { arena : Tensor.Shm.t option; entries : (string * entry) list }
+type t = (string * entry) list
 
-let load_one ?log ?arena name =
+let load_one ?log name =
   let zoo = Zoo.entry name in
   let model = Zoo.load_or_train ?log name in
   let corpus = Zoo.corpus_of zoo.Zoo.corpus in
-  let program = Fuse.fuse_program (Nn.Model.to_ir model) in
+  let program = Nn.Model.to_ir model in
   let digest = Digest.to_hex (Digest.file (Zoo.path zoo)) in
   let test_len = List.length corpus.Text.Corpus.test in
-  let resident =
-    match arena with
-    | None -> []
-    | Some a ->
-        (* threshold 0: land every parameter, however small — the point
-           is one complete shared snapshot, not the dispatch economics. *)
-        List.map
-          (fun (pname, m) -> (pname, Tensor.Shm.pack_mat ~threshold:0 a m))
-          (Ir.parameters program)
-  in
-  { zoo; model; corpus; program; digest; test_len; resident }
+  { zoo; model; corpus; program; digest; test_len }
 
 let load ?log names =
-  (* Fixed arena budget rather than a pre-measuring pass: zoo weights
-     are a few MiB at most, and a model that does not fit simply
-     degrades to Inline descriptors (pack_mat never fails). *)
-  let arena =
-    if Tensor.Shm.available () && names <> [] then
-      Some (Tensor.Shm.create ~floats:(1 lsl 22) (* 32 MiB of float64 *))
-    else None
-  in
-  let entries =
-    List.map
-      (fun name ->
-        (match log with
-        | Some f -> f (Printf.sprintf "loading model %s" name)
-        | None -> ());
-        (name, load_one ?log ?arena name))
-      names
-  in
-  (match (log, arena) with
-  | Some f, Some a ->
-      let used = Tensor.Shm.capacity a - Tensor.Shm.avail a in
-      f
-        (Printf.sprintf "arena: %.1f MiB of warm weights resident (shared)"
-           (float_of_int (used * 8) /. (1024.0 *. 1024.0)))
-  | _ -> ());
-  { arena; entries }
+  List.map
+    (fun name ->
+      (match log with
+      | Some f -> f (Printf.sprintf "loading model %s" name)
+      | None -> ());
+      (name, load_one ?log name))
+    names
 
-let find t name = List.assoc_opt name t.entries
-let names t = List.map fst t.entries
-let arena t = t.arena
+let find t name = List.assoc_opt name t
+let names t = List.map fst t

@@ -5,27 +5,15 @@
     startup, then pre-forks workers that inherit every loaded structure
     read-only through fork's copy-on-write pages. The digest (weights
     file hash) keys the result cache, so a retrained model can never
-    serve stale verdicts.
-
-    Loading also runs the affine-fusion pre-pass ({!Fuse}) on each
-    lowered program (safe here: the service protocol carries no per-op
-    fault spec, and on zoo architectures fusion is a structural no-op,
-    so cached digests are unchanged) and lands every program parameter
-    in a {!Tensor.Shm} arena created before the workers fork — one
-    MAP_SHARED weight snapshot addressed by (offset, dims) descriptors,
-    shared by all workers, on the same transport the zero-copy job
-    dispatch uses. [DEEPT_NO_SHM=1] skips the arena entirely. *)
+    serve stale verdicts. *)
 
 type entry = {
   zoo : Zoo.entry;
   model : Nn.Model.t;
   corpus : Text.Corpus.t;
-  program : Ir.program;  (** lowered and affine-fused *)
+  program : Ir.program;  (** [Nn.Model.to_ir model] *)
   digest : string;  (** hex digest of the weights file *)
   test_len : int;  (** test-set size, for index validation at admission *)
-  resident : (string * Tensor.Shm.mat_desc) list;
-      (** program parameters landed in the arena (empty when shm is
-          disabled or the arena filled up) *)
 }
 
 type t
@@ -36,7 +24,3 @@ val load : ?log:(string -> unit) -> string list -> t
 
 val find : t -> string -> entry option
 val names : t -> string list
-
-val arena : t -> Tensor.Shm.t option
-(** The pre-fork weight arena ([None] under [DEEPT_NO_SHM=1] or with no
-    models loaded). Workers forked after {!load} share its pages. *)

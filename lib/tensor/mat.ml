@@ -204,11 +204,34 @@ let fill m v = Array.fill m.data 0 (Array.length m.data) v
 
 (* ---------------- matrix products ----------------
 
-   The kernel bodies live in [Mat_kern], generated from the single
-   shared source kern_body.inc (the Bigarray backend compiles the same
-   text — see the header comment there for the loop structure and the
-   bit-identity argument). This module adds the shape checks, the
-   output allocation and the [Dpool] row sharding:
+   Three kernels compute the same sums in the same order (ascending over
+   the inner dimension), so their results are bit-identical on finite
+   data and certification verdicts do not depend on which one ran:
+
+   - [naive_into]: the original i-k-j kernel, kept verbatim as the
+     reference implementation and as the [MAT_NAIVE=1] escape hatch.
+   - blocked: a register-tiled kernel (2 output rows x 4 output columns
+     accumulated in registers over the full inner dimension) that does
+     ~1 load per multiply-add where the naive kernel does a load and a
+     store of the output per multiply-add.
+   - blocked + column restriction: the same kernel driven only over the
+     live column intervals of a band occupancy ([with_jtiles ?cols]).
+     Each output element is still one full-k ascending dot product, so
+     which tiles run cannot change a computed bit; skipped outputs keep
+     the +0.0 the buffer was allocated with, which equals the dense
+     result exactly when the left operand is finite (callers gate on
+     that — see DESIGN.md section 14).
+
+   All kernels skip zero left-hand entries exactly like the original
+   naive kernel: this keeps genuine sparsity in the coefficient blocks
+   cheap, and — more importantly — preserves the annihilation semantics
+   a zero weight must have even against an infinite coefficient
+   (0 * inf is NaN in IEEE, but a zero weight means the input provably
+   does not contribute). The skip is always on the same operand, so
+   blocked and naive results agree bit-for-bit on infinities too.
+
+   The entry points below the kernels add the shape checks, the output
+   allocation and the [Dpool] row sharding:
 
    - blocked + pool: the blocked kernel sharded over disjoint output-row
      ranges on a [Dpool]. Chunk boundaries depend only on the problem
@@ -223,15 +246,291 @@ let fill m v = Array.fill m.data 0 (Array.length m.data) v
      [MAT_NAIVE=1] escape hatch ignores [?cols] and computes the dense
      product — same bits, by the same argument. *)
 
+(* Unchecked loads and stores for the kernel loops. The kernels go
+   through these one-line accessors on purpose, not through
+   [Array.unsafe_get]/[unsafe_set] spelled inline: both forms inline, but
+   ocamlopt compiles them differently. With the accessors each indexed
+   load or store addresses through one lea; written inline, every index
+   becomes mov/add/shl, and [naive_into]'s accumulate is emitted with
+   its addends swapped, which changes which NaN survives a NaN + NaN. *)
+let bget (b : float array) i = Array.unsafe_get b i
+let bset (b : float array) i v = Array.unsafe_set b i v
+
+let use_naive =
+  match Sys.getenv_opt "MAT_NAIVE" with
+  | None | Some "" | Some "0" -> false
+  | Some _ -> true
+
+(* Columns are processed in tiles of this many output columns: the tile
+   of [b] ([k] rows x [jtile] columns, ~23 KB at k = 24) stays in L1
+   across every row of the output instead of being re-streamed from L2/L3
+   once per row pair. Tiling only reorders {e which} outputs are computed
+   when — each output is still one full-[k] ascending dot product — so it
+   cannot change a bit of the result. *)
+let jtile = 120
+
 (* i-k-j loop order: the inner loop walks both [b] and [out] contiguously. *)
+let naive_into ~m ~k ~n (a : float array) (b : float array)
+    (out : float array) =
+  for i = 0 to m - 1 do
+    let arow = i * k and orow = i * n in
+    for p = 0 to k - 1 do
+      let aip = bget a (arow + p) in
+      if aip <> 0.0 then begin
+        let brow = p * n in
+        for j = 0 to n - 1 do
+          bset out (orow + j) (bget out (orow + j) +. (aip *. bget b (brow + j)))
+        done
+      end
+    done
+  done
+
+(* One output row of A.B with 4-column register accumulators, restricted
+   to columns [jlo, jhi). Also the remainder path of the 2-row tile: the
+   per-row arithmetic is identical (ascending p, one accumulator per
+   output), which is what keeps blocked results independent of row-range
+   boundaries. *)
+let mm_row ~k ~n (a : float array) (b : float array) (out : float array) i
+    ~jlo ~jhi =
+  let a0 = i * k and o0 = i * n in
+  let j = ref jlo in
+  while !j + 3 < jhi do
+    let j0 = !j in
+    let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+    for p = 0 to k - 1 do
+      let x = bget a (a0 + p) in
+      if x <> 0.0 then begin
+        let br = (p * n) + j0 in
+        s0 := !s0 +. (x *. bget b br);
+        s1 := !s1 +. (x *. bget b (br + 1));
+        s2 := !s2 +. (x *. bget b (br + 2));
+        s3 := !s3 +. (x *. bget b (br + 3))
+      end
+    done;
+    bset out (o0 + j0) !s0;
+    bset out (o0 + j0 + 1) !s1;
+    bset out (o0 + j0 + 2) !s2;
+    bset out (o0 + j0 + 3) !s3;
+    j := j0 + 4
+  done;
+  while !j < jhi do
+    let j0 = !j in
+    let s = ref 0.0 in
+    for p = 0 to k - 1 do
+      let x = bget a (a0 + p) in
+      if x <> 0.0 then s := !s +. (x *. bget b ((p * n) + j0))
+    done;
+    bset out (o0 + j0) !s;
+    incr j
+  done
+
+(* Blocked A.B restricted to output rows [r0, r1) and columns [jlo, jhi):
+   a 2x4 register tile over full-k dot products, with single-row and
+   narrow-column remainder paths that accumulate in the same
+   (ascending p) order. *)
+let mm_rows ~k ~n (a : float array) (b : float array) (out : float array) r0 r1
+    ~jlo ~jhi =
+  let i = ref r0 in
+  while !i + 1 < r1 do
+    let i0 = !i in
+    let a0 = i0 * k and a1 = (i0 + 1) * k in
+    let o0 = i0 * n and o1 = (i0 + 1) * n in
+    let j = ref jlo in
+    while !j + 3 < jhi do
+      let j0 = !j in
+      let s00 = ref 0.0 and s01 = ref 0.0 and s02 = ref 0.0 and s03 = ref 0.0 in
+      let s10 = ref 0.0 and s11 = ref 0.0 and s12 = ref 0.0 and s13 = ref 0.0 in
+      for p = 0 to k - 1 do
+        let x0 = bget a (a0 + p) in
+        let x1 = bget a (a1 + p) in
+        let br = (p * n) + j0 in
+        let b0 = bget b br in
+        let b1 = bget b (br + 1) in
+        let b2 = bget b (br + 2) in
+        let b3 = bget b (br + 3) in
+        if x0 <> 0.0 then begin
+          s00 := !s00 +. (x0 *. b0);
+          s01 := !s01 +. (x0 *. b1);
+          s02 := !s02 +. (x0 *. b2);
+          s03 := !s03 +. (x0 *. b3)
+        end;
+        if x1 <> 0.0 then begin
+          s10 := !s10 +. (x1 *. b0);
+          s11 := !s11 +. (x1 *. b1);
+          s12 := !s12 +. (x1 *. b2);
+          s13 := !s13 +. (x1 *. b3)
+        end
+      done;
+      bset out (o0 + j0) !s00;
+      bset out (o0 + j0 + 1) !s01;
+      bset out (o0 + j0 + 2) !s02;
+      bset out (o0 + j0 + 3) !s03;
+      bset out (o1 + j0) !s10;
+      bset out (o1 + j0 + 1) !s11;
+      bset out (o1 + j0 + 2) !s12;
+      bset out (o1 + j0 + 3) !s13;
+      j := j0 + 4
+    done;
+    while !j < jhi do
+      let j0 = !j in
+      let s0 = ref 0.0 and s1 = ref 0.0 in
+      for p = 0 to k - 1 do
+        let bv = bget b ((p * n) + j0) in
+        let x0 = bget a (a0 + p) in
+        let x1 = bget a (a1 + p) in
+        if x0 <> 0.0 then s0 := !s0 +. (x0 *. bv);
+        if x1 <> 0.0 then s1 := !s1 +. (x1 *. bv)
+      done;
+      bset out (o0 + j0) !s0;
+      bset out (o1 + j0) !s1;
+      incr j
+    done;
+    i := i0 + 2
+  done;
+  if !i < r1 then mm_row ~k ~n a b out !i ~jlo ~jhi
+
+(* A^T.B restricted to output rows [r0, r1) and columns [jlo, jhi)
+   (a is k x m, read with stride m): same 2x4 tile, same ascending-p
+   accumulation, no transpose copy. *)
+let mm_ta_rows ~k ~m ~n (a : float array) (b : float array)
+    (out : float array) r0 r1 ~jlo ~jhi =
+  let row1 i0 =
+    let o0 = i0 * n in
+    let j = ref jlo in
+    while !j + 3 < jhi do
+      let j0 = !j in
+      let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+      for p = 0 to k - 1 do
+        let x = bget a ((p * m) + i0) in
+        if x <> 0.0 then begin
+          let br = (p * n) + j0 in
+          s0 := !s0 +. (x *. bget b br);
+          s1 := !s1 +. (x *. bget b (br + 1));
+          s2 := !s2 +. (x *. bget b (br + 2));
+          s3 := !s3 +. (x *. bget b (br + 3))
+        end
+      done;
+      bset out (o0 + j0) !s0;
+      bset out (o0 + j0 + 1) !s1;
+      bset out (o0 + j0 + 2) !s2;
+      bset out (o0 + j0 + 3) !s3;
+      j := j0 + 4
+    done;
+    while !j < jhi do
+      let j0 = !j in
+      let s = ref 0.0 in
+      for p = 0 to k - 1 do
+        let x = bget a ((p * m) + i0) in
+        if x <> 0.0 then s := !s +. (x *. bget b ((p * n) + j0))
+      done;
+      bset out (o0 + j0) !s;
+      incr j
+    done
+  in
+  let i = ref r0 in
+  while !i + 1 < r1 do
+    let i0 = !i in
+    let o0 = i0 * n and o1 = (i0 + 1) * n in
+    let j = ref jlo in
+    while !j + 3 < jhi do
+      let j0 = !j in
+      let s00 = ref 0.0 and s01 = ref 0.0 and s02 = ref 0.0 and s03 = ref 0.0 in
+      let s10 = ref 0.0 and s11 = ref 0.0 and s12 = ref 0.0 and s13 = ref 0.0 in
+      for p = 0 to k - 1 do
+        let ar = (p * m) + i0 in
+        let x0 = bget a ar in
+        let x1 = bget a (ar + 1) in
+        let br = (p * n) + j0 in
+        let b0 = bget b br in
+        let b1 = bget b (br + 1) in
+        let b2 = bget b (br + 2) in
+        let b3 = bget b (br + 3) in
+        if x0 <> 0.0 then begin
+          s00 := !s00 +. (x0 *. b0);
+          s01 := !s01 +. (x0 *. b1);
+          s02 := !s02 +. (x0 *. b2);
+          s03 := !s03 +. (x0 *. b3)
+        end;
+        if x1 <> 0.0 then begin
+          s10 := !s10 +. (x1 *. b0);
+          s11 := !s11 +. (x1 *. b1);
+          s12 := !s12 +. (x1 *. b2);
+          s13 := !s13 +. (x1 *. b3)
+        end
+      done;
+      bset out (o0 + j0) !s00;
+      bset out (o0 + j0 + 1) !s01;
+      bset out (o0 + j0 + 2) !s02;
+      bset out (o0 + j0 + 3) !s03;
+      bset out (o1 + j0) !s10;
+      bset out (o1 + j0 + 1) !s11;
+      bset out (o1 + j0 + 2) !s12;
+      bset out (o1 + j0 + 3) !s13;
+      j := j0 + 4
+    done;
+    while !j < jhi do
+      let j0 = !j in
+      let s0 = ref 0.0 and s1 = ref 0.0 in
+      for p = 0 to k - 1 do
+        let ar = (p * m) + i0 in
+        let bv = bget b ((p * n) + j0) in
+        let x0 = bget a ar in
+        let x1 = bget a (ar + 1) in
+        if x0 <> 0.0 then s0 := !s0 +. (x0 *. bv);
+        if x1 <> 0.0 then s1 := !s1 +. (x1 *. bv)
+      done;
+      bset out (o0 + j0) !s0;
+      bset out (o1 + j0) !s1;
+      incr j
+    done;
+    i := i0 + 2
+  done;
+  if !i < r1 then row1 !i
+
+(* A.B^T restricted to output rows [r0, r1) and columns [jlo, jhi): both
+   operands are walked along contiguous rows, so no transpose copy of [b]
+   is needed (the tile of [b] here is [jhi - jlo] contiguous rows). *)
+let mm_tb_rows ~k ~n (a : float array) (b : float array) (out : float array)
+    r0 r1 ~jlo ~jhi =
+  for i = r0 to r1 - 1 do
+    let a0 = i * k and o0 = i * n in
+    for j = jlo to jhi - 1 do
+      let b0 = j * k in
+      let s = ref 0.0 in
+      for p = 0 to k - 1 do
+        let x = bget a (a0 + p) in
+        if x <> 0.0 then s := !s +. (x *. bget b (b0 + p))
+      done;
+      bset out (o0 + j) !s
+    done
+  done
+
+(* Drive a row-range kernel over the column tiles: tile loop outside,
+   rows inside, so one [b] tile serves every row before the next tile is
+   streamed in. With [cols] (sorted live column intervals from a
+   [Bands.t]), only tiles inside the intervals run and dead output
+   columns keep their allocated +0.0 — the tile-skip path. Per-element
+   accumulation order does not depend on tile boundaries, so unaligned
+   interval starts compute the same bits as the dense sweep. *)
+let with_jtiles ?cols ~n body r0 r1 =
+  let sweep lo hi =
+    let jlo = ref lo in
+    while !jlo < hi do
+      let jhi = min hi (!jlo + jtile) in
+      body r0 r1 ~jlo:!jlo ~jhi;
+      jlo := jhi
+    done
+  in
+  match cols with
+  | None -> sweep 0 n
+  | Some ivs -> List.iter (fun (lo, hi) -> sweep (max 0 lo) (min n hi)) ivs
+
 let matmul_naive a b =
   if a.cols <> b.rows then invalid_arg "Mat.matmul: inner dimension mismatch";
   let m = a.rows and k = a.cols and n = b.cols in
   let out = Array.make (m * n) 0.0 in
-  Mat_kern.naive_into ~m ~k ~n a.data b.data out;
+  naive_into ~m ~k ~n a.data b.data out;
   { rows = m; cols = n; data = out }
-
-let use_naive = Mat_kern.use_naive
 
 (* Below this many multiply-adds the pool dispatch overhead outweighs the
    parallel win; the blocked kernel runs on the calling domain. *)
@@ -263,8 +562,7 @@ let matmul ?pool ?cols a b =
     let m = a.rows and k = a.cols and n = b.cols in
     let out = Array.make (m * n) 0.0 in
     with_rows ?pool ~rows:m ~row_work:(k * n) (fun r0 r1 ->
-        Mat_kern.with_jtiles ?cols ~n (Mat_kern.mm_rows ~k ~n a.data b.data out)
-          r0 r1);
+        with_jtiles ?cols ~n (mm_rows ~k ~n a.data b.data out) r0 r1);
     { rows = m; cols = n; data = out }
   end
 
@@ -275,9 +573,7 @@ let matmul_ta ?pool ?cols a b =
     let m = a.cols and k = a.rows and n = b.cols in
     let out = Array.make (m * n) 0.0 in
     with_rows ?pool ~rows:m ~row_work:(k * n) (fun r0 r1 ->
-        Mat_kern.with_jtiles ?cols ~n
-          (Mat_kern.mm_ta_rows ~k ~m ~n a.data b.data out)
-          r0 r1);
+        with_jtiles ?cols ~n (mm_ta_rows ~k ~m ~n a.data b.data out) r0 r1);
     { rows = m; cols = n; data = out }
   end
 
@@ -288,8 +584,7 @@ let matmul_tb ?pool ?cols a b =
     let m = a.rows and k = a.cols and n = b.rows in
     let out = Array.make (m * n) 0.0 in
     with_rows ?pool ~rows:m ~row_work:(k * n) (fun r0 r1 ->
-        Mat_kern.with_jtiles ?cols ~n (Mat_kern.mm_tb_rows ~k ~n a.data b.data out)
-          r0 r1);
+        with_jtiles ?cols ~n (mm_tb_rows ~k ~n a.data b.data out) r0 r1);
     { rows = m; cols = n; data = out }
   end
 

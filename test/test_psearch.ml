@@ -385,16 +385,6 @@ let test_pooled_reduction_bits () =
   check_bits "reduced eps" serial.Z.eps.Mat.data pooled.Z.eps.Mat.data;
   Dpool.shutdown pool
 
-(* --- escape hatch; runs last, the env var stays set for the process --- *)
-
-let test_env_escape_hatch () =
-  let vit = Nn.Model.to_ir (tiny_vit 70) in
-  let rng = Rng.create 73 in
-  let x = Mat.random_gaussian rng 4 5 0.5 in
-  Unix.putenv "DEEPT_NO_PREFIX_SHARE" "1";
-  Helpers.check_true "DEEPT_NO_PREFIX_SHARE disables sharing"
-    (C.search_prefix (multi_probe ()) vit ~p:Lp.L2 x ~word:1 = None)
-
 let () =
   Alcotest.run "psearch"
     [
@@ -432,6 +422,4 @@ let () =
           Alcotest.test_case "pooled reduction bits" `Quick
             test_pooled_reduction_bits;
         ] );
-      ( "escape hatch",
-        [ Alcotest.test_case "env var" `Quick test_env_escape_hatch ] );
     ]

@@ -1,10 +1,9 @@
 (* Sparsity-aware zonotope kernels: the Bands occupancy algebra, the
    tile-skipping matmul kernels' bit-identity contract, dead-symbol
-   compaction (standalone and through decorrelate / branch refinement),
-   the Banded shared-memory transport (round-trips, SIGKILL-mid-batch
-   arena reclaim) and the report oracles: child processes running the
-   exact same queries under DEEPT_NO_SPARSE=1 and under MAT_NAIVE=1
-   must each print a bit-identical report. Also reachable as
+   compaction (standalone and through decorrelate / branch refinement)
+   and the report oracles: child processes running the exact same
+   queries under DEEPT_NO_SPARSE=1 and under MAT_NAIVE=1 must each
+   print a bit-identical report. Also reachable as
    `dune build @sparse`. *)
 
 open Tensor
@@ -194,19 +193,7 @@ let test_cols_kernels_bit_identity () =
       let at = Mat.transpose a in
       bits_equal_mats (label ^ " ta cols") dense (Mat.matmul_ta ~cols:live at b);
       let bt = Mat.transpose b in
-      bits_equal_mats (label ^ " tb cols") dense (Mat.matmul_tb ~cols:live a bt);
-      check_true (label ^ " bigmat cols")
-        (Bigmat.equal_bits_mat
-           (Bigmat.matmul ~cols:live (Bigmat.of_mat a) (Bigmat.of_mat b))
-           dense);
-      check_true (label ^ " bigmat ta cols")
-        (Bigmat.equal_bits_mat
-           (Bigmat.matmul_ta ~cols:live (Bigmat.of_mat at) (Bigmat.of_mat b))
-           dense);
-      check_true (label ^ " bigmat tb cols")
-        (Bigmat.equal_bits_mat
-           (Bigmat.matmul_tb ~cols:live (Bigmat.of_mat a) (Bigmat.of_mat bt))
-           dense))
+      bits_equal_mats (label ^ " tb cols") dense (Mat.matmul_tb ~cols:live a bt))
     cols_shapes
 
 (* Same contract through a domain pool; runs in the final "pooled"
@@ -380,179 +367,6 @@ let test_restrict_minted_column_is_live () =
     Alcotest.(check int) "compaction keeps the live minted column"
       (Z.num_eps child)
       (Z.num_eps (Z.compact child))
-  end
-
-(* ---------------- Banded shared-memory transport ---------------- *)
-
-let test_shm_banded_roundtrip () =
-  if not (Shm.available ()) then ()
-  else begin
-    let a = Shm.create ~floats:4096 in
-    let rng = Rng.create 77 in
-    let live = [ (0, 3); (10, 14) ] in
-    let m = banded_right rng 8 20 live in
-    (* a signed dead zero: unpacking must canonicalize it to +0.0 *)
-    m.Mat.data.(5) <- -0.0;
-    let d = Shm.pack_mat ~threshold:0 ~cols:live a m in
-    (match d with
-    | Shm.Banded { rows; cols; intervals; _ } ->
-        check_true "banded shape" (rows = 8 && cols = 20 && intervals = live)
-    | Shm.Inline _ | Shm.Block _ -> Alcotest.fail "expected a Banded descriptor");
-    Alcotest.(check int) "desc_floats counts only live columns" (8 * 7)
-      (Shm.desc_floats d);
-    let u = Shm.unpack_mat a d in
-    check_true "unpacked dims" (Mat.dims u = (8, 20));
-    (* live columns bit-identical; dead ones canonical +0.0 *)
-    let zero_bits = Int64.bits_of_float 0.0 in
-    for i = 0 to 7 do
-      for j = 0 to 19 do
-        let got = Int64.bits_of_float u.Mat.data.((i * 20) + j) in
-        let want =
-          if List.exists (fun (lo, hi) -> lo <= j && j < hi) live then
-            Int64.bits_of_float m.Mat.data.((i * 20) + j)
-          else zero_bits
-        in
-        if got <> want then Alcotest.failf "entry (%d, %d) wrong" i j
-      done
-    done;
-    check_true "view_mat scatters the same values"
-      (Bigmat.equal_bits_mat (Shm.view_mat a d) u);
-    Shm.free_mat a d;
-    check_true "free restores the arena" (Shm.avail a = Shm.capacity a);
-    (* full-width occupancy keeps the plain Block encoding *)
-    (match Shm.pack_mat ~threshold:0 ~cols:[ (0, 20) ] a m with
-    | Shm.Block _ as d -> Shm.free_mat a d
-    | Shm.Inline _ | Shm.Banded _ ->
-        Alcotest.fail "full-width cols should stay a Block");
-    (* malformed intervals are rejected *)
-    List.iter
-      (fun bad ->
-        match Shm.pack_mat ~threshold:0 ~cols:bad a m with
-        | _ -> Alcotest.failf "bad intervals accepted"
-        | exception Invalid_argument _ -> ())
-      [ [ (10, 14); (0, 3) ]; [ (0, 5); (4, 8) ]; [ (-1, 2) ]; [ (18, 22) ] ]
-  end
-
-(* A zonotope whose eps block rides the Banded encoding: occupancy set,
-   dead columns zero (one of them -0.0). *)
-let banded_zono rng ~nv ~ne ~live =
-  let center = Mat.random_gaussian rng 1 nv 0.5 in
-  let eps = banded_right rng nv ne live in
-  eps.Mat.data.(ne - 1) <- -0.0;
-  Z.make ~p:Lp.Linf ~center ~phi:(Mat.create nv 0) ~eps
-  |> Z.with_eps_occ
-       (Bands.of_bands
-          (List.map (fun (lo, hi) -> band ~cols:(lo, hi) ~rows:(0, nv)) live))
-
-let test_xfer_banded_roundtrip () =
-  if not (Shm.available ()) || not Bands.enabled then ()
-  else begin
-    let arena = Shm.create ~floats:65536 in
-    let rng = Rng.create 88 in
-    let live = [ (0, 40); (100, 120) ] in
-    let z = banded_zono rng ~nv:32 ~ne:128 ~live in
-    let d = Deept.Xfer.pack_zono ~arena ~threshold:0 z in
-    (match d.Deept.Xfer.eps with
-    | Shm.Banded { intervals; _ } ->
-        check_true "eps shipped banded" (intervals = live)
-    | Shm.Inline _ | Shm.Block _ ->
-        Alcotest.fail "sparse eps should ride the Banded encoding");
-    Alcotest.(check int) "only live eps floats in the arena" (32 * 60)
-      (Shm.desc_floats d.Deept.Xfer.eps);
-    let u = Deept.Xfer.unpack_zono ~arena d in
-    bits_equal_mats "bounds lo" (Z.bounds z).Interval.Imat.lo
-      (Z.bounds u).Interval.Imat.lo;
-    bits_equal_mats "bounds hi" (Z.bounds z).Interval.Imat.hi
-      (Z.bounds u).Interval.Imat.hi;
-    check_true "occupancy rode along"
-      (Bands.col_intervals ~cols:128 u.Z.eps_occ
-      = Bands.col_intervals ~cols:128 z.Z.eps_occ);
-    (* dead -0.0 canonicalized, live bits preserved *)
-    check_true "dead -0.0 unpacked as +0.0"
-      (Int64.bits_of_float u.Z.eps.Mat.data.(127) = Int64.bits_of_float 0.0);
-    Deept.Xfer.free_zono arena d;
-    check_true "arena whole again" (Shm.avail arena = Shm.capacity arena)
-  end
-
-let test_banded_sigkill_drill () =
-  if not (Shm.available ()) || not Bands.enabled then ()
-  else begin
-    let model = Helpers.tiny_model 3 in
-    let program = Nn.Model.to_ir model in
-    let x = Nn.Model.embed_tokens model [| 1; 2; 3; 4 |] in
-    let nv = Mat.rows x * Mat.cols x in
-    let live = [ (0, 200); (1000, 1200) ] in
-    let jobs =
-      List.init 3 (fun i ->
-          let rng = Rng.create (190 + i) in
-          let eps = Mat.create nv 4200 in
-          List.iter
-            (fun (lo, hi) ->
-              for v = 0 to nv - 1 do
-                for j = lo to hi - 1 do
-                  eps.Mat.data.((v * 4200) + j) <- Rng.uniform rng (-5e-4) 5e-4
-                done
-              done)
-            live;
-          let z =
-            Z.make ~p:Lp.Linf ~center:(Mat.copy x) ~phi:(Mat.create nv 0) ~eps
-            |> Z.with_eps_occ
-                 (Bands.of_bands
-                    (List.map
-                       (fun (lo, hi) -> band ~cols:(lo, hi) ~rows:(0, nv))
-                       live))
-          in
-          (i, z))
-    in
-    let arena = Shm.create ~floats:(1 lsl 20) in
-    let packed =
-      List.map
-        (fun (id, z) -> (id, Deept.Xfer.pack_zono ~arena ~threshold:0 z))
-        jobs
-    in
-    List.iter
-      (fun (id, d) ->
-        match d.Deept.Xfer.eps with
-        | Shm.Banded _ -> ()
-        | Shm.Inline _ | Shm.Block _ ->
-            Alcotest.failf "job %d eps did not ride the Banded encoding" id)
-      packed;
-    (* Job 1's worker dies by SIGKILL mid-batch. Only the parent owns
-       the allocator, so the death cannot corrupt the arena. *)
-    let worker id desc =
-      if id = 1 then Unix.kill (Unix.getpid ()) Sys.sigkill;
-      Deept.Certify.certify_margin C.fast program
-        (Deept.Xfer.unpack_zono ~arena desc)
-        ~true_class:0
-    in
-    let pool = C.pool ~workers:2 ~max_retries:0 () in
-    let rs = Deept.Supervisor.run ~pool ~worker packed in
-    List.iter
-      (fun r ->
-        match (r.Deept.Supervisor.job, r.Deept.Supervisor.outcome) with
-        | 1, Ok _ -> Alcotest.fail "killed job reported success"
-        | 1, Error _ -> ()
-        | _, Ok _ -> ()
-        | j, Error _ -> Alcotest.failf "job %d failed unexpectedly" j)
-      rs;
-    List.iter (fun (_, d) -> Deept.Xfer.free_zono arena d) packed;
-    check_true "arena fully reclaimed after SIGKILL"
-      (Shm.avail arena = Shm.capacity arena);
-    (* The surviving margins equal the Marshal-transport ones bitwise. *)
-    List.iter
-      (fun r ->
-        if r.Deept.Supervisor.job <> 1 then
-          match r.Deept.Supervisor.outcome with
-          | Ok m ->
-              let z = List.assoc r.Deept.Supervisor.job jobs in
-              let base =
-                Deept.Certify.certify_margin C.fast program z ~true_class:0
-              in
-              if Int64.bits_of_float m <> Int64.bits_of_float base then
-                Alcotest.failf "job %d margin differs from Marshal path"
-                  r.Deept.Supervisor.job
-          | Error _ -> ())
-      rs
   end
 
 (* ---------------- dense-vs-sparse oracle ---------------- *)
@@ -753,15 +567,6 @@ let () =
               Alcotest.test_case "restrict-minted column live" `Quick
                 test_restrict_minted_column_is_live;
             ] );
-          ( "transport",
-            [
-              Alcotest.test_case "shm banded roundtrip" `Quick
-                test_shm_banded_roundtrip;
-              Alcotest.test_case "xfer banded roundtrip" `Quick
-                test_xfer_banded_roundtrip;
-              Alcotest.test_case "banded sigkill drill" `Slow
-                test_banded_sigkill_drill;
-            ] );
           ( "oracle",
             [
               Alcotest.test_case "report sparse = DEEPT_NO_SPARSE" `Slow
@@ -769,8 +574,9 @@ let () =
               Alcotest.test_case "report blocked = MAT_NAIVE" `Slow
                 test_report_identical_mat_naive;
             ] );
-          (* Domain-spawning tests last: Unix.fork (the transport drill,
-             Psearch.fork_wave) refuses to run once any domain exists. *)
+          (* Domain-spawning tests last: Unix.fork (Psearch.fork_wave in
+             "branch compaction serial = fork") refuses to run once any
+             domain exists. *)
           ( "pooled",
             [
               Alcotest.test_case "?cols bit identity (dpool)" `Quick
