@@ -1,16 +1,18 @@
-(* Reproducible benchmark of the radius search: sequential bisection
-   (--probes 1, bit-identical to the committed pins) vs the speculative
-   parallel grid search (Psearch, fork-based probe workers) on the
-   recorded sst_3 model — the paper's headline measurement loop.
+(* Reproducible benchmark of the radius search: the sequential
+   margin-guided search (--probes 1, on bisection's grid, reproducing
+   the committed pins) vs the speculative parallel grid search (Psearch,
+   fork-based probe workers) on the recorded sst_3 model — the paper's
+   headline measurement loop.
 
      dune exec bench/radius.exe -- --data data            # table on stdout
      dune exec bench/radius.exe -- --data data --json     # + BENCH_radius.json
      dune exec bench/radius.exe -- --data data --probes 8 # wider grid arm
 
    Both arms search the same input (test sentence 0, word 1, l2 ball,
-   iters = 10): the grid arm must return a radius that certifies and a
-   final bracket at most as wide as the sequential one, or the benchmark
-   exits non-zero — the gate guards correctness as well as wall-clock.
+   iters = 10): the sequential arm must return the pinned radius, and
+   the grid arm a radius that certifies with a final bracket at most as
+   wide as the sequential one, or the benchmark exits non-zero — the
+   gate guards correctness as well as wall-clock.
    Wall-clock is the minimum of [rounds] full searches (the search is
    seconds long and CPU-bound, so 2 rounds suffice to shed one-off
    scheduler noise). When a previous BENCH_radius.json exists it is
@@ -18,9 +20,11 @@
    runs. *)
 
 (* Sequential (probes = 1) certified radius of the benchmark input,
-   captured from the pre-Psearch implementation. Exact dyadic rational
-   from the bisection — compared bit-for-bit: any drift means the
-   default search path is no longer the committed algorithm. *)
+   captured from the pre-Psearch bisection. It is a point of
+   bisection's dyadic grid, which the margin-guided search also lands
+   on where certification is monotone (here with 0 + 7 probes instead
+   of bisection's 1 + 10) — compared bit-for-bit: any drift means the
+   default search no longer returns bisection's radius. *)
 let pinned_seq_radius = 0.1474609375
 
 type arm = {

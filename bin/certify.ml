@@ -110,8 +110,10 @@ let apply_domains ~jobs ?(probes = 1) domains cfg =
 let probes_arg =
   let doc =
     "Concurrent radius-search probes per refinement round. 1 (the \
-     default) is the sequential bisection, bit-identical to prior \
-     releases; N > 1 forks N probe processes per round and splits the \
+     default) is the sequential search on bisection's grid, which places \
+     each probe by the certified margins of earlier ones and returns \
+     bisection's radius wherever certification is monotone in the \
+     radius; N > 1 forks N probe processes per round and splits the \
      bracket N+1 ways, reaching bisection precision in exponentially \
      fewer rounds. Radii from N > 1 may differ from the sequential ones \
      only by probing different grids — every reported radius still comes \
@@ -286,20 +288,14 @@ let radius_search data name index sentence word p verifier refine domains
         Deept.Config.with_refine (Some Deept.Config.default_refine) cfg
       else cfg
     in
-    (* Multi-probe and refined searches go through the reporting API so
-       the probe budget, final bracket and refined radius can be shown;
-       the headline line is the same either way. *)
+    (* DeepT searches go through the reporting API so the probe budget,
+       final bracket and refined radius can be shown. *)
     let deept base =
-      if probes <= 1 && not refine then
-        ( Deept.Certify.certified_radius (deept_cfg base) program ~p x ~word
-            ~true_class:label (),
-          None )
-      else
-        let r =
-          Deept.Certify.certified_radius_v (deept_cfg base) program ~p x ~word
-            ~true_class:label ()
-        in
-        (r.Deept.Certify.radius, Some r)
+      let r =
+        Deept.Certify.certified_radius_v (deept_cfg base) program ~p x ~word
+          ~true_class:label ()
+      in
+      (r.Deept.Certify.radius, Some r)
     in
     let r, rep =
       match verifier with
@@ -316,15 +312,22 @@ let radius_search data name index sentence word p verifier refine domains
     in
     Printf.printf "certified radius: %.6g\n" r;
     (match rep with
-    | Some rep when probes > 1 ->
+    | Some rep ->
         let good, bad = rep.Deept.Certify.bracket in
-        Printf.printf
-          "search: %d probes/round, %d bracket + %d bisect probes in %d \
-           round(s), final bracket [%.6g, %s)\n"
-          probes rep.Deept.Certify.bracket_probes
-          rep.Deept.Certify.bisect_probes rep.Deept.Certify.rounds good
-          (if bad = infinity then "inf" else Printf.sprintf "%.6g" bad)
-    | _ -> ());
+        let bad = if bad = infinity then "inf" else Printf.sprintf "%.6g" bad in
+        if probes > 1 then
+          Printf.printf
+            "search: %d probes/round, %d bracket + %d bisect probes in %d \
+             round(s), final bracket [%.6g, %s)\n"
+            probes rep.Deept.Certify.bracket_probes
+            rep.Deept.Certify.bisect_probes rep.Deept.Certify.rounds good bad
+        else
+          Printf.printf
+            "search: margin-guided, %d bracket + %d refine probes, final \
+             bracket [%.6g, %s)\n"
+            rep.Deept.Certify.bracket_probes rep.Deept.Certify.bisect_probes
+            good bad
+    | None -> ());
     (match rep with
     | Some { Deept.Certify.refined_radius = Some rr; _ } ->
         Printf.printf "refined radius: %.6g%s\n" rr

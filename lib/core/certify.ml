@@ -20,30 +20,34 @@ let margin (out : Zonotope.t) ~true_class =
   done;
   !best
 
+(* One propagation read as the typed verdict and the margin it was
+   decided on ([nan] when the propagation raised). *)
+let verdict_margin ?prefix cfg program region ~true_class =
+  match Propagate.run ?prefix cfg program region with
+  | out ->
+      let m = margin out ~true_class in
+      let v =
+        if Float.is_nan m then Verdict.Unknown Verdict.Numerical_fault
+        else if m = neg_infinity then Verdict.Unknown Verdict.Unbounded
+        else if m > 0.0 then Verdict.Certified
+        else Verdict.Unknown Verdict.Imprecise
+      in
+      (v, m)
+  | exception Zonotope.Unbounded -> (Verdict.Unknown Verdict.Unbounded, nan)
+  | exception Verdict.Abort r -> (Verdict.Unknown r, nan)
+
 let certify_margin ?prefix cfg program region ~true_class =
   (* An Unbounded abstraction (overflowed exponential at an absurd radius)
      or an aborted propagation (budget, poison) simply cannot be
      certified. *)
-  match Propagate.run ?prefix cfg program region with
-  | out ->
-      let m = margin out ~true_class in
-      if Float.is_nan m then neg_infinity else m
-  | exception Zonotope.Unbounded -> neg_infinity
-  | exception Verdict.Abort _ -> neg_infinity
+  let _, m = verdict_margin ?prefix cfg program region ~true_class in
+  if Float.is_nan m then neg_infinity else m
 
 let certify ?prefix cfg program region ~true_class =
   certify_margin ?prefix cfg program region ~true_class > 0.0
 
 let certify_v ?prefix cfg program region ~true_class =
-  match Propagate.run ?prefix cfg program region with
-  | out ->
-      let m = margin out ~true_class in
-      if Float.is_nan m then Verdict.Unknown Verdict.Numerical_fault
-      else if m = neg_infinity then Verdict.Unknown Verdict.Unbounded
-      else if m > 0.0 then Verdict.Certified
-      else Verdict.Unknown Verdict.Imprecise
-  | exception Zonotope.Unbounded -> Verdict.Unknown Verdict.Unbounded
-  | exception Verdict.Abort r -> Verdict.Unknown r
+  fst (verdict_margin ?prefix cfg program region ~true_class)
 
 (* ---------------- radius search ---------------- *)
 
@@ -120,19 +124,6 @@ let scale_vals r vals =
           z')
     vals
 
-let certified_radius cfg program ~p x ~word ~true_class ?hi ?(iters = 10) () =
-  let search = cfg.Config.search in
-  let shared = search_prefix cfg program ~p x ~word in
-  let certifies radius =
-    radius > 0.0
-    &&
-    let prefix =
-      Option.map (fun (vals, len) -> (scale_vals radius vals, len)) shared
-    in
-    certify ?prefix cfg program (Region.lp_ball ~p x ~word ~radius) ~true_class
-  in
-  max_radius ?hi ~iters ~search certifies
-
 type radius_report = {
   radius : float;
   bracket : float * float;
@@ -180,27 +171,37 @@ let refine_edge (cfg : Config.t) program ~p x ~word ~true_class (good, bad) =
         end
       end
 
-let certified_radius_v cfg program ~p x ~word ~true_class ?hi ?(iters = 10) ()
-    =
+(* The DeepT radius search: each probe is one propagation, whose margin
+   goes to the search with its verdict. *)
+let radius_search cfg program ~p x ~word ~true_class ?hi ~iters () =
   let search = cfg.Config.search in
   let shared = search_prefix cfg program ~p x ~word in
   let probe radius =
-    if radius <= 0.0 then Psearch.Bad
+    if radius <= 0.0 then Psearch.Bad nan
     else begin
       let prefix =
         Option.map (fun (vals, len) -> (scale_vals radius vals, len)) shared
       in
       match
-        certify_v ?prefix cfg program
+        verdict_margin ?prefix cfg program
           (Region.lp_ball ~p x ~word ~radius)
           ~true_class
       with
-      | Verdict.Certified -> Psearch.Good
-      | Verdict.Falsified | Verdict.Unknown Verdict.Imprecise -> Psearch.Bad
-      | Verdict.Unknown r -> Psearch.Faulted r
+      | Verdict.Certified, m -> Psearch.Good m
+      | (Verdict.Falsified | Verdict.Unknown Verdict.Imprecise), m ->
+          Psearch.Bad m
+      | Verdict.Unknown r, _ -> Psearch.Faulted r
     end
   in
-  let r = run_search ?hi ~iters ~search probe in
+  run_search ?hi ~iters ~search probe
+
+let certified_radius cfg program ~p x ~word ~true_class ?hi ?(iters = 10) () =
+  let r = radius_search cfg program ~p x ~word ~true_class ?hi ~iters () in
+  r.Psearch.radius
+
+let certified_radius_v cfg program ~p x ~word ~true_class ?hi ?(iters = 10) ()
+    =
+  let r = radius_search cfg program ~p x ~word ~true_class ?hi ~iters () in
   let refined_radius =
     refine_edge cfg program ~p x ~word ~true_class
       (r.Psearch.good, r.Psearch.bad)

@@ -39,14 +39,18 @@ val max_radius :
   ?lo:float -> ?hi:float -> ?iters:int -> ?search:Config.search ->
   (float -> bool) -> float
 (** [max_radius certifies] searches the largest radius accepted by the
-    monotone predicate [certifies] via {!Psearch}: starting from [hi]
-    (default 0.5, doubled up to 3 times while certified), then [iters]
-    (default 10) bisection steps between the bracketing values. Returns
-    the largest radius known to certify (0 if even tiny radii fail).
+    monotone predicate [certifies] via {!Psearch}, on the grid of
+    [iters] (default 10) bisection steps over [[0, hi]] (default
+    [hi = 0.5]), or over [[good, bad]] once [hi] certified and the
+    bracket grew (doubled up to 3 times while certified). A boolean
+    predicate reports no margins, so the sequential search bisects; it
+    probes [hi] only after [hi/2] certified. Returns the largest radius
+    known to certify (0 if even tiny radii fail), bit-identical to
+    bisection's whenever [certifies] is monotone.
 
     [search] (default {!Config.default_search}) selects the executor:
-    [probes = 1] is the sequential bisection above, bit-identical to the
-    pre-{!Psearch} implementation; [probes = n > 1] evaluates [n]
+    [probes = 1] is the sequential search above; [probes = n > 1]
+    evaluates [n]
     deterministic radii per round concurrently on the configured
     backend, converging by [1/(n+1)] per round instead of [1/2].
 
@@ -60,8 +64,10 @@ val certified_radius :
   Config.t -> Ir.program -> p:Lp.t -> Tensor.Mat.t -> word:int ->
   true_class:int -> ?hi:float -> ?iters:int -> unit -> float
 (** The paper's main measurement: the largest ℓp radius around one
-    word's embedding that certifies (bracket search over {!certify},
-    driven by [cfg.search]). For multi-probe searches on models with an
+    word's embedding that certifies. It is the [radius] of the search
+    {!certified_radius_v} runs, without the refinement. Each probe is
+    one propagation; with [cfg.search.probes = 1] its margin places the
+    next probe ({!Psearch.Sequential}). For multi-probe searches on models with an
     affine prefix, the prefix is propagated once at unit radius and
     rescaled per probe ({!Zonotope.scale_coeffs}) unless
     [cfg.search.share_prefix] is off or a fault is injected. *)
@@ -72,10 +78,12 @@ type radius_report = {
       (** final [(good, bad)] bracket; [bad = infinity] when even the
           growth cap certified *)
   bracket_probes : int;
-      (** propagations spent establishing the initial bracket
-          (sequential: the up-to-4 doubling probes; grid: wave-0 plus
-          growth waves) *)
-  bisect_probes : int;  (** propagations spent refining the bracket *)
+      (** propagations at [hi] and the growth points past it
+          (sequential: up to 4, spent only after the grid midpoint
+          [hi/2] certified; grid: wave 0 plus growth waves) *)
+  bisect_probes : int;
+      (** propagations at grid points inside the bracket (sequential:
+          the first midpoint included) *)
   rounds : int;
       (** concurrent refinement rounds (0 for the sequential executor,
           whose probes are all counted individually) *)
@@ -96,7 +104,8 @@ type radius_report = {
 val certified_radius_v :
   Config.t -> Ir.program -> p:Lp.t -> Tensor.Mat.t -> word:int ->
   true_class:int -> ?hi:float -> ?iters:int -> unit -> radius_report
-(** Like {!certified_radius} but over {!certify_v}, reporting the final
+(** Like {!certified_radius} but with each probe's typed verdict
+    ({!certify_v}'s), reporting the final
     bracket, the probe budget split by phase, and which probes faulted
     instead of silently treating them as "not robust". When
     [cfg.refine] is set, a few branch-and-bound probes run at the

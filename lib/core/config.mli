@@ -111,8 +111,11 @@ val pool :
 (** {1 Radius search: speculative parallel probes}
 
     Policy for {!Certify.max_radius}'s bracket search. With [probes = 1]
-    the search is the classic sequential bisection (bit-identical to
-    every committed pin). With [probes = n > 1] each round splits the
+    the search is sequential on bisection's grid and places each probe
+    by the margins of the earlier ones ({!Psearch.Sequential}): it
+    returns bisection's radius wherever certification is monotone in
+    the radius, and every committed pin. With [probes = n > 1] each
+    round splits the
     current bracket into [n+1] deterministic subintervals and evaluates
     the [n] interior radii concurrently — see {!Psearch}. *)
 
@@ -130,8 +133,8 @@ type probe_backend =
 
 type search = {
   probes : int;
-      (** concurrent interior probes per round (≥ 1); 1 = sequential
-          bisection, bit-identical to the pre-search-engine code *)
+      (** concurrent interior probes per round (≥ 1); 1 = the
+          sequential margin-guided search *)
   rounds : int option;
       (** grid rounds after bracketing; [None] picks the smallest count
           whose final width is at most sequential bisection's *)
@@ -212,8 +215,9 @@ type t = {
           explicit one is set. A sink is a closure: leave it [None] in
           configs that cross the {!Supervisor} Marshal boundary. *)
   search : search;
-      (** radius-search policy (default {!default_search} = sequential
-          bisection). Plain data, safe across the Marshal boundary. *)
+      (** radius-search policy (default {!default_search} = the
+          sequential search). Plain data, safe across the Marshal
+          boundary. *)
   refine : refine option;
       (** branch-and-bound refinement policy for the ladder's upward
           direction (default [None] = refinement off, pre-refinement

@@ -1,28 +1,36 @@
-(** Speculative parallel bracket search over a monotone radius predicate
-    — the engine behind {!Certify.max_radius} (DESIGN.md §9).
+(** Bracket search over a monotone radius predicate — the engine
+    behind {!Certify.max_radius} (DESIGN.md §9).
 
     The radius search is a bracket refinement: maintain [good] (largest
     radius known to certify) and [bad] (smallest known to fail) and
-    shrink [bad - good]. Sequential bisection probes one radius per
-    step; the {!Grid} executor probes [n] deterministic radii per round
-    {e concurrently} and folds the outcomes {b in radius order} — the
-    new bracket is the last point of the leading all-Good prefix and the
-    first non-Good point — so the result depends only on the probed
-    radii and the predicate, never on which probe finished first.
-    Convergence per round goes from [1/2] to [1/(n+1)].
+    shrink [bad - good] on bisection's dyadic grid. The {!Sequential}
+    executor probes one radius at a time and places each probe by the
+    margins the probes report; the {!Grid} executor probes [n]
+    deterministic radii per round {e concurrently} and folds the
+    outcomes {b in radius order} — the new bracket is the last point of
+    the leading all-Good prefix and the first non-Good point — so the
+    result depends only on the probed radii and the predicate, never on
+    which probe finished first. Convergence per round goes from [1/2]
+    to [1/(n+1)].
 
     Determinism contract: for a fixed (deterministic) probe, the
     sequence of probed radii and the returned bracket are identical
-    across runners and across runs; [Grid 1] is bit-for-bit the
-    sequential bisection. *)
+    across runners and across runs. [Grid 1] is bit-for-bit float
+    bisection, the reference the sequential search is tested against:
+    on a monotone predicate both return the same [radius], [good] and
+    [bad]. *)
 
 type outcome =
-  | Good  (** the radius certified *)
-  | Bad  (** clean not-certified *)
+  | Good of float
+      (** the radius certified; the payload is the probe's margin lower
+          bound ([> 0]), or [nan] when the probe does not know it *)
+  | Bad of float
+      (** clean not-certified, with the margin ([<= 0]) or [nan] *)
   | Faulted of Verdict.unknown_reason
       (** the probe aborted (budget, collapse, dead worker); treated as
-          [Bad] for the bracket — a fault can never certify — but
-          reported so callers can flag the radius as pessimistic *)
+          [Bad nan] for the bracket — a fault can never certify and its
+          margin is ignored — but reported so callers can flag the
+          radius as pessimistic *)
 
 type probe = float -> outcome
 
@@ -34,18 +42,46 @@ type runner = probe -> float array -> outcome array
 
 type executor =
   | Sequential
-      (** probe-for-probe identical to the pre-engine
-          [Certify.max_radius]: up to 4 bracket-growth probes, then
-          [iters] bisections. Never calls the runner. *)
+      (** Margin-guided search on bisection's grid; never calls the
+          runner. It probes only the points of the [2^iters]-step grid
+          over the bracket ([[lo, hi]], or [[good, bad]] after growth),
+          each computed by bisection's own midpoint recursion, so every
+          probed radius is a float bisection could have probed.
+          - {b Lazy hi.} The first probe is the grid midpoint
+            [0.5 *. (lo +. hi)]. [hi] is probed only if it certifies;
+            then growth probes [2hi], [4hi], [8hi] until one fails, as
+            bisection's bracket does. With [iters = 0] there is no
+            midpoint and growth starts at [hi].
+          - {b Next point.} Regula falsi between the two bracket
+            margins, rounded to the nearest grid index inside the open
+            bracket; an end kept twice in a row has its margin halved
+            (Illinois). It bisects instead when a bracket margin is not
+            finite ([lo] unprobed, [nan] from {!probe_of}, faults) or
+            when the last two probes did not halve the bracket.
+          - {b Stop} when a certified grid point (or [lo]) and a failed
+            one are adjacent.
+
+          On a monotone predicate the result is bit-identical to
+          [Grid 1]'s: the largest certified grid point. Otherwise it
+          may differ, but [radius] is still a probed, certified point
+          (or [lo]). Worst case, with [iters >= 1]: at most 4
+          [bracket_probes] and [3 * iters - 1] [bisect_probes]
+          (bisection spends up to 4 and [iters]); the bracket halves at
+          least once in every three refinement probes. *)
   | Grid of int
       (** [Grid n]: each round splits the bracket into [n + 1]
           subintervals and evaluates the [n] interior radii as one
-          runner wave. [Grid 1] degenerates to bisection (the midpoint
-          is the sequential [0.5 *. (good +. bad)] exactly). *)
+          runner wave. Margins are not used. [Grid 1] degenerates to
+          bisection: [hi], growth, then [iters] midpoints
+          [0.5 *. (good +. bad)]. *)
 
 type stats = {
-  bracket_probes : int;  (** probes spent establishing [good, bad) *)
-  bisect_probes : int;  (** probes spent refining the bracket *)
+  bracket_probes : int;
+      (** probes at [hi] and the growth points past it ([Grid]: wave 0
+          and growth waves) *)
+  bisect_probes : int;
+      (** probes at grid points inside the bracket ([Sequential]: with
+          the first midpoint) *)
   rounds : int;  (** refinement rounds (0 for [Sequential]) *)
   faulted : (float * Verdict.unknown_reason) list;
       (** faulted probes in launch order; nonempty means [radius] may be
@@ -61,7 +97,8 @@ type result = {
 
 val probe_of : (float -> bool) -> probe
 (** Wraps a boolean predicate, mapping {!Verdict.Abort} and
-    {!Zonotope.Unbounded} to [Faulted]. *)
+    {!Zonotope.Unbounded} to [Faulted]. Its margins are [nan], so the
+    sequential search bisects (with the lazy [hi]). *)
 
 (** {1 Generic wave runners}
 
@@ -118,9 +155,10 @@ val search :
     the monotone predicate. Defaults: [lo = 0], [hi = 0.5],
     [iters = 10], [exec = Sequential], [runner = serial_runner].
 
-    [iters] is the sequential bisection count; grid executors derive
-    their round count from it (smallest count whose final width is at
-    most sequential bisection's) unless [rounds] overrides it.
+    [iters] is bisection's step count: the final bracket is one step of
+    the [2^iters]-step grid. Grid executors derive their round count
+    from it (smallest count whose final width is at most bisection's)
+    unless [rounds] overrides it.
 
     @raise Invalid_argument on an empty or non-finite initial bracket,
-    negative [iters], or [Grid n] with [n < 1]. *)
+    [iters] outside [[0, 60]], or [Grid n] with [n < 1]. *)

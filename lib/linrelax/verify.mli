@@ -74,8 +74,9 @@ val certified_radius :
     [budget] counts as not-certified ({!Deept.Certify.max_radius}'s
     fault handling), so the search still terminates. [trace] is
     installed on every probe, so one {!Profile} collector absorbs the
-    whole search. [search] selects the probe executor (default:
-    sequential bisection); the relaxation pass has no affine-prefix
+    whole search. [search] selects the probe executor (default: the
+    sequential search, which bisects here because the probe reports
+    no margin); the relaxation pass has no affine-prefix
     amortization, so only the concurrency leg applies.
 
     Caveat: the relaxation's certified-at-radius predicate is only

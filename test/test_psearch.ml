@@ -1,5 +1,5 @@
 (* Speculative parallel radius search (Psearch) and its satellites: the
-   grid executor's bit-identity with sequential bisection, runner
+   margin-guided sequential search against Grid 1 (bisection), runner
    agreement (serial / fork / domain-pool), probe accounting, fault
    containment, affine-prefix amortization, the early-exit
    contains_sample and the pooled noise-symbol reduction. *)
@@ -23,44 +23,214 @@ let check_bits msg (a : float array) (b : float array) =
         Alcotest.failf "%s: index %d: %.17g <> %.17g" msg i x b.(i))
     a
 
+(* Margin models for the threshold predicate below: what a probe at [r]
+   reports when the threshold is [t]. The verdict never depends on it. *)
+let no_margin _ _ = nan
+let linear t r = t -. r
+
+(* the zoo's shape: linear near the edge, saturated away from it *)
+let saturating t r = Float.max (-9.0) (Float.min 9.0 (40.0 *. (t -. r)))
+
+(* the right sign, a magnitude in (0, 10] drawn from a hash of [r] *)
+let random_magnitude t r =
+  let st = Random.State.make [| Hashtbl.hash (Int64.bits_of_float r) |] in
+  let m = 10.0 -. Random.State.float st 10.0 in
+  if r <= t then m else -.m
+
+(* the right sign, magnitudes that pull every estimate to the
+   certified end: only the stall rule keeps the bracket halving *)
+let adversarial t r = if r <= t then 1e-9 else -1e9
+
+let margin_models =
+  [
+    ("none", no_margin);
+    ("linear", linear);
+    ("saturating", saturating);
+    ("random magnitude", random_magnitude);
+    ("adversarial", adversarial);
+  ]
+
 (* The canonical monotone predicate: certified iff r <= t. *)
-let threshold t r = if r <= t then P.Good else P.Bad
+let threshold ?(margin = no_margin) t r =
+  if r <= t then P.Good (margin t r) else P.Bad (margin t r)
 
 (* Thresholds covering every bracket shape: immediate failure, failure
    inside [lo, hi], growth by 1..3 doublings, and never-failing. *)
 let thresholds = [ 0.0; 0.137; 0.25; 0.3; 0.41; 0.4999; 0.7; 1.3; 2.9; 5.0 ]
 
-(* --- grid n = 1 degenerates to sequential bisection, probe-for-probe - *)
+(* Bisection as the search did it before the engine: up to 4 growth
+   probes (hi, 2hi, 4hi, 8hi) until one fails, then [iters] midpoints. *)
+let bisection ~iters certifies =
+  let good = ref 0.0 and bad = ref infinity and r = ref 0.5 in
+  (try
+     for _ = 0 to 3 do
+       if certifies !r then begin
+         good := !r;
+         r := !r *. 2.0
+       end
+       else begin
+         bad := !r;
+         raise Exit
+       end
+     done
+   with Exit -> ());
+  if !bad <> infinity then
+    for _ = 1 to iters do
+      let mid = 0.5 *. (!good +. !bad) in
+      if certifies mid then good := mid else bad := mid
+    done;
+  (!good, !bad)
+
+(* [probe] recording its radii; the second function returns them in
+   probe order *)
+let traced probe =
+  let trace = ref [] in
+  let probe r =
+    trace := r :: !trace;
+    probe r
+  in
+  (probe, fun () -> Array.of_list (List.rev !trace))
+
+let probes (r : P.result) =
+  r.P.stats.P.bracket_probes + r.P.stats.P.bisect_probes
+
+(* --- grid n = 1 is bisection, probe-for-probe; sequential agrees ----- *)
 
 let test_grid1_bit_identical () =
   List.iter
     (fun t ->
-      let seq_probes = ref [] and grid_probes = ref [] in
-      let probe trace r =
-        trace := r :: !trace;
-        threshold t r
-      in
-      let seq = P.search ~iters:10 ~exec:P.Sequential (probe seq_probes) in
-      let grid = P.search ~iters:10 ~exec:(P.Grid 1) (probe grid_probes) in
+      let bis_probe, bis_probes = traced (fun r -> r <= t) in
+      let good, bad = bisection ~iters:10 bis_probe in
+      let grid_probe, grid_probes = traced (threshold t) in
+      let grid = P.search ~iters:10 ~exec:(P.Grid 1) grid_probe in
       check_bits
         (Printf.sprintf "t=%g probed radii" t)
-        (Array.of_list (List.rev !seq_probes))
-        (Array.of_list (List.rev !grid_probes));
-      same_float (Printf.sprintf "t=%g radius" t) seq.P.radius grid.P.radius;
-      same_float (Printf.sprintf "t=%g good" t) seq.P.good grid.P.good;
-      same_float (Printf.sprintf "t=%g bad" t) seq.P.bad grid.P.bad)
+        (bis_probes ()) (grid_probes ());
+      same_float (Printf.sprintf "t=%g grid good" t) good grid.P.good;
+      same_float (Printf.sprintf "t=%g grid bad" t) bad grid.P.bad;
+      let seq = P.search ~iters:10 ~exec:P.Sequential (threshold t) in
+      same_float (Printf.sprintf "t=%g radius" t) grid.P.radius seq.P.radius;
+      same_float (Printf.sprintf "t=%g good" t) grid.P.good seq.P.good;
+      same_float (Printf.sprintf "t=%g bad" t) grid.P.bad seq.P.bad)
     thresholds
+
+(* --- the margin-guided search against Grid 1 -------------------------- *)
+
+(* The documented worst case of the sequential search. *)
+let within_bound ~iters (r : P.result) =
+  r.P.stats.P.bracket_probes <= 4
+  && r.P.stats.P.bisect_probes <= max 0 ((3 * iters) - 1)
+
+let test_sequential_vs_grid1 () =
+  List.iter
+    (fun (name, margin) ->
+      List.iter
+        (fun iters ->
+          let seq_total = ref 0 and grid_total = ref 0 in
+          List.iter
+            (fun t ->
+              let case = Printf.sprintf "%s iters=%d t=%g" name iters t in
+              let probe, probed = traced (threshold ~margin t) in
+              let seq = P.search ~iters ~exec:P.Sequential probe in
+              let grid = P.search ~iters ~exec:(P.Grid 1) (threshold t) in
+              same_float (case ^ " radius") grid.P.radius seq.P.radius;
+              same_float (case ^ " good") grid.P.good seq.P.good;
+              same_float (case ^ " bad") grid.P.bad seq.P.bad;
+              if not (within_bound ~iters seq) then
+                Alcotest.failf "%s: %d + %d probes over the bound" case
+                  seq.P.stats.P.bracket_probes seq.P.stats.P.bisect_probes;
+              (* every probe lies on bisection's grid (multiples of
+                 2^-11 at iters = 10) *)
+              if iters = 10 then
+                Array.iter
+                  (fun r ->
+                    if not (Float.is_integer (r *. 2048.0)) then
+                      Alcotest.failf "%s: probe %h is off the grid" case r)
+                  (probed ());
+              seq_total := !seq_total + probes seq;
+              grid_total := !grid_total + probes grid)
+            thresholds;
+          (* a margin that tracks the distance to the edge saves probes *)
+          if iters = 10 && (name = "linear" || name = "saturating") then
+            if !seq_total >= !grid_total then
+              Alcotest.failf "%s: %d sequential probes, not fewer than %d" name
+                !seq_total !grid_total)
+        [ 0; 1; 2; 5; 10 ])
+    margin_models
+
+(* Certified, failed, certified, failed at grid points 300..303 of the
+   1024-step grid over [0, 0.5]: whatever the search returns must be a
+   probed certified point whose grid successor was probed and failed. *)
+let test_non_monotone () =
+  let index r = int_of_float (r *. 2048.0) in
+  List.iter
+    (fun (name, margin) ->
+      let probed = ref [] in
+      let probe r =
+        let k = index r in
+        let ok = k <= 300 || k = 302 in
+        let t = if ok then r +. 1e-4 else r -. 1e-4 in
+        probed := (r, ok) :: !probed;
+        if ok then P.Good (margin t r) else P.Bad (margin t r)
+      in
+      let res = P.search ~iters:10 ~exec:P.Sequential probe in
+      let was r ok = List.mem (r, ok) !probed in
+      Helpers.check_true (name ^ ": radius probed Good")
+        (was res.P.radius true);
+      Helpers.check_true (name ^ ": bad probed Bad") (was res.P.bad false);
+      Helpers.check_true (name ^ ": bad is the next grid point")
+        (index res.P.bad = index res.P.radius + 1);
+      Helpers.check_true (name ^ ": radius at an edge")
+        (List.mem (index res.P.radius) [ 300; 302 ]))
+    margin_models
+
+(* A faulted probe carries no margin: the search takes the same steps as
+   when those probes report Bad with an unknown margin. *)
+let test_faulted_margins_ignored () =
+  let faulty r = r > 0.2 && r < 0.35 in
+  let run as_fault =
+    let probe, probed =
+      traced (fun r ->
+          if faulty r then as_fault r else threshold ~margin:linear 0.3 r)
+    in
+    let res = P.search ~iters:10 ~exec:P.Sequential probe in
+    (res, probed ())
+  in
+  let f, f_probed = run (fun _ -> P.Faulted Deept.Verdict.Timeout) in
+  let b, b_probed = run (fun _ -> P.Bad nan) in
+  check_bits "same probes" b_probed f_probed;
+  same_float "same radius" b.P.radius f.P.radius;
+  Helpers.check_true "faults recorded" (f.P.stats.P.faulted <> []);
+  Helpers.check_true "radius below the fault zone" (f.P.radius <= 0.2)
 
 (* --- probe accounting: bracket vs refinement split, round counts ----- *)
 
 let test_probe_accounting () =
-  (* hi = 0.5 fails immediately: 1 bracket probe, iters bisections *)
+  (* t = 0.3 with no margins: the midpoint 0.25 certifies, hi = 0.5
+     fails (1 bracket probe), then 9 bisections: 1 + 10 *)
   let seq = P.search ~iters:10 ~exec:P.Sequential (threshold 0.3) in
   Helpers.check_true "seq bracket probes"
     (seq.P.stats.P.bracket_probes = 1);
   Helpers.check_true "seq bisect probes" (seq.P.stats.P.bisect_probes = 10);
   Helpers.check_true "seq rounds" (seq.P.stats.P.rounds = 0);
   Helpers.check_true "seq no faults" (seq.P.stats.P.faulted = []);
+  (* t = 0.2: the midpoint fails, so hi is never probed *)
+  let lazy_hi = P.search ~iters:10 ~exec:P.Sequential (threshold 0.2) in
+  Helpers.check_true "lazy hi bracket probes"
+    (lazy_hi.P.stats.P.bracket_probes = 0);
+  Helpers.check_true "lazy hi bisect probes"
+    (lazy_hi.P.stats.P.bisect_probes = 10);
+  (* t = 0.3 with margin t - r: 0.25 (+0.05) and 0.5 (-0.2) interpolate
+     to grid point 614.4 -> 614 = 0.2998046875 (certified); the next
+     estimate rounds back to 614 and is clamped to 615 (failed) *)
+  let lin =
+    P.search ~iters:10 ~exec:P.Sequential (threshold ~margin:linear 0.3)
+  in
+  Helpers.check_true "linear bracket probes"
+    (lin.P.stats.P.bracket_probes = 1);
+  Helpers.check_true "linear bisect probes" (lin.P.stats.P.bisect_probes = 3);
+  same_float "linear radius" 0.2998046875 lin.P.radius;
+  same_float "linear bad" 0.30029296875 lin.P.bad;
   (* grid 4, wave-0 brackets [0.25, 0.375): rounds from the width target
      2^10 with the n-times-narrower wave-0 credit: 4 * 5^4 >= 1024 *)
   let g4 = P.search ~iters:10 ~exec:(P.Grid 4) (threshold 0.3) in
@@ -75,12 +245,20 @@ let test_probe_accounting () =
   (* all-Good predicate: growth stops once [good] reaches 8 * hi, but a
      wide wave may speculate past the sequential cap (n = 4 doubles four
      times in one wave); grid 1 stops exactly where sequential does *)
-  let unb = P.search ~iters:10 ~exec:(P.Grid 4) (fun _ -> P.Good) in
+  let unb = P.search ~iters:10 ~exec:(P.Grid 4) (fun _ -> P.Good nan) in
   Helpers.check_true "unbounded bad" (unb.P.bad = infinity);
   same_float "grid4 unbounded radius" 8.0 unb.P.radius;
   Helpers.check_true "unbounded rounds" (unb.P.stats.P.rounds = 0);
-  let unb1 = P.search ~iters:10 ~exec:(P.Grid 1) (fun _ -> P.Good) in
-  same_float "grid1 unbounded radius = 8 * hi" 4.0 unb1.P.radius
+  let unb1 = P.search ~iters:10 ~exec:(P.Grid 1) (fun _ -> P.Good nan) in
+  same_float "grid1 unbounded radius = 8 * hi" 4.0 unb1.P.radius;
+  (* the sequential search probes the midpoint before growing: 1 + 4 *)
+  let unb_seq =
+    P.search ~iters:10 ~exec:P.Sequential (fun _ -> P.Good nan)
+  in
+  same_float "seq unbounded radius = 8 * hi" 4.0 unb_seq.P.radius;
+  Helpers.check_true "seq unbounded probes"
+    (unb_seq.P.stats.P.bracket_probes = 4
+    && unb_seq.P.stats.P.bisect_probes = 1)
 
 (* --- the grid bracket is always correct and at most sequential's ----- *)
 
@@ -311,7 +489,7 @@ let test_small3_pins () =
     Helpers.check_float ~tol:0.0 "sequential pin" 0.181640625
       (C.certified_radius Deept.Config.fast program ~p:Lp.L2 x ~word:1
          ~true_class:label ());
-    (* Grid 1 probes the same radii, so the same pin, bit-for-bit *)
+    (* Grid 1 is bisection: the same pin, bit-for-bit *)
     let g1 = P.search ~iters:10 ~exec:(P.Grid 1) (P.probe_of certifies) in
     Helpers.check_float ~tol:0.0 "grid-1 pin" 0.181640625 g1.P.radius;
     (* a real multi-probe search: certifies, bracket at most sequential's *)
@@ -392,6 +570,11 @@ let () =
         [
           Alcotest.test_case "grid 1 = sequential" `Quick
             test_grid1_bit_identical;
+          Alcotest.test_case "sequential vs grid 1 under margins" `Quick
+            test_sequential_vs_grid1;
+          Alcotest.test_case "non-monotone predicate" `Quick test_non_monotone;
+          Alcotest.test_case "faulted margins ignored" `Quick
+            test_faulted_margins_ignored;
           Alcotest.test_case "probe accounting" `Quick test_probe_accounting;
           Alcotest.test_case "grid bracket dominates" `Quick
             test_grid_bracket_dominates;

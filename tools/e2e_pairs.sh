@@ -11,7 +11,9 @@
 # procedure does: an odd seed runs this tree first, an even seed the
 # parent. Each run's standard output goes to
 # OUT_DIR/{A,B}/<workload>.<seed>.json. Then this tree's compare.exe
-# rates B against A, and the script exits with its status.
+# rates B against A, the script reports for each workload and seed
+# whether A's and B's `digest` lines match and how many differ, and it
+# exits with compare's status.
 #
 # SEEDS and WORKLOADS are words; a quoted list ("1 2 3") works too. A
 # run that exits non-zero is reported on stderr and left for compare to
@@ -71,4 +73,28 @@ done
 status=0
 (cd "$here" && dune exec --root . --display=quiet ./bench/e2e/compare.exe -- \
   --spec BENCHMARK.json "$out/A" "$out/B") || status=$?
+
+# digest_of FILE: the hash on a run's digest line, or "missing"
+digest_of() {
+  local d
+  d=$(grep -m1 '^digest ' "$1" 2>/dev/null) || true
+  echo "${d##*: }" | grep . || echo missing
+}
+
+differ=0
+total=0
+for w in "${workloads[@]}"; do
+  for seed in "${seeds[@]}"; do
+    a=$(digest_of "$out/A/$w.$seed.json")
+    b=$(digest_of "$out/B/$w.$seed.json")
+    total=$((total + 1))
+    if [ "$a" != missing ] && [ "$a" = "$b" ]; then
+      echo "digest $w seed $seed: same"
+    else
+      differ=$((differ + 1))
+      echo "digest $w seed $seed: differs (A $a, B $b)"
+    fi
+  done
+done
+echo "digests: $differ of $total differ"
 exit "$status"
