@@ -1,10 +1,9 @@
 (* Reproducible benchmark of the zonotope matmul kernels: the seed serial
-   kernel vs the register-blocked kernel vs blocked + domain-parallel,
-   plus the column-restricted (tile-skipping) kernel on sparse operands.
+   kernel vs the register-blocked kernel, plus the column-restricted
+   (tile-skipping) kernel on sparse operands.
 
      dune exec bench/kernels.exe --             # table on stdout
      dune exec bench/kernels.exe -- --json      # + writes BENCH_kernels.json
-     dune exec bench/kernels.exe -- --domains 8 # pool size for the parallel row
 
    The shapes below were recorded from a real propagation
    (`certify t1 --model sst_3`, seq len 9, d_model 24, 3 layers) by
@@ -19,7 +18,7 @@
      stable softmax computes those entries on the fly instead; the row
      stays as a generic product with a short inner dimension;
    - value centers are tiny 9 x 24 by 24 x 24 products, kept as a
-     below-threshold control (the parallel row must not regress them).
+     small-product control.
 
    The sparse rows measure what column-block liveness buys on the
    late-pipeline shapes where decorrelation and branch compaction leave
@@ -93,10 +92,9 @@ type row = {
   shape : shape;
   serial_ns : float;   (* the seed kernel: matmul_naive (+ transpose for ta) *)
   blocked_ns : float;
-  parallel_ns : float;
 }
 
-let measure ~pool (s : shape) =
+let measure (s : shape) =
   let rng = Rng.create 0x5eed in
   let a =
     if s.ta then Mat.random_uniform rng s.k s.m 1.0
@@ -107,20 +105,13 @@ let measure ~pool (s : shape) =
     if s.ta then Mat.matmul_naive (Mat.transpose a) b else Mat.matmul_naive a b
   in
   let blocked () = if s.ta then Mat.matmul_ta a b else Mat.matmul a b in
-  let parallel () =
-    if s.ta then Mat.matmul_ta ~pool a b else Mat.matmul ~pool a b
-  in
-  (* The three kernels must agree bit-for-bit before being timed. *)
-  let reference = serial () in
-  List.iter
-    (fun (name, f) ->
-      if not (Mat.equal reference (f ())) then (
-        Printf.eprintf "kernels: %s kernel diverges on %s\n%!" name s.label;
-        exit 4))
-    [ ("blocked", blocked); ("parallel", parallel) ];
-  match time_interleaved [ serial; blocked; parallel ] with
-  | [ serial_ns; blocked_ns; parallel_ns ] ->
-      { shape = s; serial_ns; blocked_ns; parallel_ns }
+  (* The two kernels must agree bit-for-bit before being timed. *)
+  if not (Mat.equal (serial ()) (blocked ())) then begin
+    Printf.eprintf "kernels: blocked kernel diverges on %s\n%!" s.label;
+    exit 4
+  end;
+  match time_interleaved [ serial; blocked ] with
+  | [ serial_ns; blocked_ns ] -> { shape = s; serial_ns; blocked_ns }
   | _ -> assert false
 
 (* --- sparsity-aware (tile-skipping) kernels ---------------------------- *)
@@ -190,14 +181,12 @@ let measure_sparse ((s : shape), live) =
 let geomean xs =
   exp (List.fold_left (fun acc x -> acc +. log x) 0.0 xs /. float_of_int (List.length xs))
 
-(* Every row carries the machine's core count, like bench/radius.ml: a
-   snapshot from a 1-core container is honest about why its parallel
-   numbers look the way they do. *)
+(* Every row carries the machine's core count, like bench/radius.ml. *)
 let json_of_row ~cores r =
   Printf.sprintf
-    "{\"name\":\"%s\",\"ta\":%b,\"m\":%d,\"k\":%d,\"n\":%d,\"serial_ns\":%.1f,\"blocked_ns\":%.1f,\"parallel_ns\":%.1f,\"cores\":%d}"
+    "{\"name\":\"%s\",\"ta\":%b,\"m\":%d,\"k\":%d,\"n\":%d,\"serial_ns\":%.1f,\"blocked_ns\":%.1f,\"cores\":%d}"
     r.shape.label r.shape.ta r.shape.m r.shape.k r.shape.n r.serial_ns
-    r.blocked_ns r.parallel_ns cores
+    r.blocked_ns cores
 
 let json_of_sparse ~cores r =
   Printf.sprintf
@@ -225,39 +214,30 @@ let write_json path lines =
   Printf.printf "wrote %s\n" path
 
 let () =
-  let domains = ref 4 in
   let json = ref false in
   let out = ref "BENCH_kernels.json" in
   Arg.parse
     [
-      ("--domains", Arg.Set_int domains, "N  pool size for the parallel row (default 4)");
       ("--json", Arg.Set json, "  write the results to --out as JSON");
       ("--out", Arg.Set_string out, "PATH  JSON output path (default BENCH_kernels.json)");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "kernels [--domains N] [--json] [--out PATH]";
+    "kernels [--json] [--out PATH]";
   (* A larger minor heap keeps the timings kernel-dominated: every call
      allocates its output matrix, and with the default 256 KB minor heap
-     the measurement would mostly be minor collections (which, with idle
-     pool domains, also involve multi-domain barriers). *)
+     the measurement would mostly be minor collections. *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
   let cores = Domain.recommended_domain_count () in
-  let pool = Dpool.create !domains in
-  Printf.printf "matmul kernels, %d-domain pool (%d recommended on this machine)\n\n"
-    !domains cores;
-  Printf.printf "%-26s %12s %12s %12s %9s %9s\n" "shape" "serial ns" "blocked ns"
-    "block+par ns" "x blocked" "x par";
-  let rows = List.map (measure ~pool) shapes in
+  Printf.printf "matmul kernels (%d recommended domains on this machine)\n\n" cores;
+  Printf.printf "%-26s %12s %12s %9s\n" "shape" "serial ns" "blocked ns" "x blocked";
+  let rows = List.map measure shapes in
   List.iter
     (fun r ->
-      Printf.printf "%-26s %12.0f %12.0f %12.0f %8.2fx %8.2fx\n" r.shape.label
-        r.serial_ns r.blocked_ns r.parallel_ns (r.serial_ns /. r.blocked_ns)
-        (r.serial_ns /. r.parallel_ns))
+      Printf.printf "%-26s %12.0f %12.0f %8.2fx\n" r.shape.label r.serial_ns
+        r.blocked_ns (r.serial_ns /. r.blocked_ns))
     rows;
-  let sp_blocked = geomean (List.map (fun r -> r.serial_ns /. r.blocked_ns) rows) in
-  let sp_par = geomean (List.map (fun r -> r.serial_ns /. r.parallel_ns) rows) in
-  Printf.printf "\ngeomean speedup: blocked %.2fx, blocked+parallel %.2fx\n"
-    sp_blocked sp_par;
+  Printf.printf "\ngeomean speedup: blocked %.2fx\n"
+    (geomean (List.map (fun r -> r.serial_ns /. r.blocked_ns) rows));
   let sparse_rows = List.map measure_sparse sparse_shapes in
   Printf.printf "\n%-26s %8s %12s %12s %9s\n" "sparse (tile-skipping)" "density"
     "dense ns" "sparse ns" "x sparse";
@@ -269,5 +249,4 @@ let () =
   if !json then
     write_json !out
       (List.map (json_of_row ~cores) rows
-      @ List.map (json_of_sparse ~cores) sparse_rows);
-  Dpool.shutdown pool
+      @ List.map (json_of_sparse ~cores) sparse_rows)

@@ -87,7 +87,9 @@ let profile_arg =
 
 let domains_arg =
   let doc =
-    "OCaml domains sharding the zonotope kernels inside each propagation. \
+    "OCaml domains sharding the dot product's row blocks inside each \
+     propagation. That product is where DeepT-Precise spends its time; \
+     every other step runs on one domain, so Fast gains little. \
      Deterministic: verdicts and radii are bit-identical to --domains 1. \
      DeepT verifiers only (CROWN baselines ignore it)."
   in

@@ -150,9 +150,8 @@ let serve data socket models jobs queue_cap retry_hint deadline hard_deadline
   (* Same oversubscription warning `certify` prints for its jobs x
      probes x domains product. A daemon worker runs 1 probe on 1 domain
      only until a refine=1 request lands on it: Brefine's split wave
-     then fans the worker out to a pool of concurrent branch evaluators
-     (forked processes or domains, by probe backend) sized exactly as
-     Brefine.wave_of sizes its dpool from Config.default_refine — so
+     then fans the worker out to concurrent branch evaluators (forked
+     processes), bounded by Config.default_refine's branch budget — so
      the honest worst case is jobs x that fan-out, not jobs x 1 x 1. *)
   let avail = Domain.recommended_domain_count () in
   let refine_fanout =

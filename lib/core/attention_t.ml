@@ -1,12 +1,11 @@
 open Tensor
 
 let apply ~(cfg : Config.t) ~precise ctx (att : Ir.attention) x =
-  let pool = Zonotope.ctx_pool ctx in
   let adk = Mat.cols att.wq and adv = Mat.cols att.wv in
   let dk = adk / att.heads and dv = adv / att.heads in
-  let q = Zonotope.linear_map ?pool x att.wq att.bq in
-  let k = Zonotope.linear_map ?pool x att.wk att.bk in
-  let v = Zonotope.linear_map ?pool x att.wv att.bv in
+  let q = Zonotope.linear_map x att.wq att.bq in
+  let k = Zonotope.linear_map x att.wk att.bk in
+  let v = Zonotope.linear_map x att.wv att.bv in
   let scale = 1.0 /. sqrt (float_of_int dk) in
   let order = cfg.Config.order in
   let heads =
@@ -25,4 +24,4 @@ let apply ~(cfg : Config.t) ~precise ctx (att : Ir.attention) x =
         Dot.matmul_zz ~precise ~order ctx p vh)
   in
   if heads = [] then invalid_arg "Attention_t.apply: no heads";
-  Zonotope.linear_map ?pool (Zonotope.hcat_values heads) att.wo att.bo
+  Zonotope.linear_map (Zonotope.hcat_values heads) att.wo att.bo

@@ -39,15 +39,6 @@ let wave_of (cfg : Config.t) : wave =
   | Config.Fork_probes ->
       Psearch.fork_wave ~crash:(fun r ->
           { bverdict = Verdict.Unknown r; props = 0; bdepth = 0 })
-  | Config.Domain_probes -> (
-      match
-        Propagate.shared_pool
-          (match cfg.Config.refine with
-          | Some r -> max 2 (min 16 r.Config.max_branches)
-          | None -> 2)
-      with
-      | Some dp -> Psearch.dpool_wave dp
-      | None -> Psearch.serial_wave)
 
 (* Certify.margin with the adversary remembered: the smallest margin
    lower bound over classes j ≠ t, and that argmin class (the losing
@@ -136,8 +127,8 @@ let fit_k cap budget =
    *serially*. Only the first split wave of a refinement may run on a
    parallel wave runner; everything below is sequential inside its
    branch, so a branch's result (and therefore the whole tree's) is a
-   pure function of (cfg, program, region) — bit-identical across
-   serial, fork and domain-pool runners. *)
+   pure function of (cfg, program, region) — bit-identical across the
+   serial and fork runners. *)
 let rec eval_branch (cfg : Config.t) program ~true_class region ~budget
     ~depth_left =
   match Propagate.run cfg program region with

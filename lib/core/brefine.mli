@@ -20,7 +20,7 @@
     produce — and therefore never flip — a [Falsified].
 
     {b Determinism.} The first split wave may run on any of
-    {!Psearch}'s wave runners (serial / fork / domain pool); every
+    {!Psearch}'s wave runners (serial / fork); every
     deeper re-split runs serially inside its branch with a budget share
     fixed before the wave launches, so the refinement's outcome is a
     pure function of (config, program, region) — bit-identical across

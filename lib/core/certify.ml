@@ -58,10 +58,6 @@ let runner_of (s : Config.search) =
   match s.Config.probe_backend with
   | Config.Serial_probes -> Psearch.serial_runner
   | Config.Fork_probes -> Psearch.fork_runner
-  | Config.Domain_probes -> (
-      match Propagate.shared_pool s.Config.probes with
-      | Some dp -> Psearch.dpool_runner dp
-      | None -> Psearch.serial_runner)
 
 (* Validation kept here (with the historical messages) rather than in
    Psearch so hardening tests keep pinning the same errors. *)

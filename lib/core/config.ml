@@ -62,7 +62,7 @@ let pool ?(workers = default_pool.workers) ?hard_deadline_s
     max_backoff_s;
   }
 
-type probe_backend = Fork_probes | Domain_probes | Serial_probes
+type probe_backend = Fork_probes | Serial_probes
 
 type search = {
   probes : int;
@@ -150,7 +150,6 @@ let with_refine r cfg = { cfg with refine = r }
 
 let probe_backend_name = function
   | Fork_probes -> "fork"
-  | Domain_probes -> "domain"
   | Serial_probes -> "serial"
 
 let variant_name = function Fast -> "fast" | Precise -> "precise" | Combined -> "combined"

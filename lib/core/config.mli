@@ -124,9 +124,6 @@ type probe_backend =
       (** one forked process per interior radius, reusing the
           {!Supervisor} marshalling plumbing (default; robust to probe
           crashes, no shared state) *)
-  | Domain_probes
-      (** one thread per probe over the shared {!Tensor.Dpool} — for
-          [--jobs 1] runs where forking is undesirable *)
   | Serial_probes
       (** evaluate the grid left-to-right in-process — deterministic
           reference backend, used by tests and as the fallback *)
@@ -203,10 +200,13 @@ type t = {
   budget : budget;  (** resource limits enforced per-op (default: none) *)
   fault : fault_spec option;  (** deterministic fault injection hook *)
   domains : int;
-      (** OCaml domains sharding the hot kernels {e inside} one
-          propagation (default 1 = serial). Results are bit-identical
-          for every value; see {!Tensor.Dpool}. Independent of
-          {!pool}.workers, which forks whole processes across inputs. *)
+      (** OCaml domains sharding the dot product's row blocks
+          ({!Dot.matmul_zz}) {e inside} one propagation (default 1 =
+          serial). That product is where DeepT-Precise spends its time;
+          every other transformer runs on one domain. Results are
+          bit-identical for every value; see {!Tensor.Dpool}.
+          Independent of {!pool}.workers, which forks whole processes
+          across inputs. *)
   trace : Interp.sink option;
       (** per-op trace sink fed by the interpreter's event stream
           (default [None] = silent). {!Profile} collectors and the

@@ -282,12 +282,14 @@ let cascade_term ~order ~p1 ~p2 ~k ~m ?occ_a ?occ_b (ga : Mat.t) (gb : Mat.t) =
 
    The work is split into row blocks: each block writes only its own
    output rows with the same arithmetic, so sharding the blocks over the
-   pool cannot change a bit of the result. The dot product dominates
-   propagation cost, and without an intra-op poll one large product
-   could overrun the wall-clock budget between Propagate's per-op
-   checkpoints, so the cooperative deadline is polled once per block in
-   each pass; an expired deadline raises inside the block and the pool
-   cancels the remaining ones via its atomic failure flag. *)
+   pool cannot change a bit of the result. This is the one pooled site
+   of a propagation: the Precise ε·ε bound inside the blocks is where
+   DeepT-Precise spends its time (DESIGN.md §7). The dot product
+   dominates propagation cost, and without an intra-op poll one large
+   product could overrun the wall-clock budget between Propagate's
+   per-op checkpoints, so the cooperative deadline is polled once per
+   block in each pass; an expired deadline raises inside the block and
+   the pool cancels the remaining ones via its atomic failure flag. *)
 let matmul_zz ?(precise = false) ?(order = Config.Linf_first) ctx
     (a : Zonotope.t) (b : Zonotope.t) =
   if a.Zonotope.vcols <> b.Zonotope.vrows then
@@ -310,7 +312,7 @@ let matmul_zz ?(precise = false) ?(order = Config.Linf_first) ctx
   let nv = n * m in
   let center = Mat.matmul ca cb in
   let phi =
-    Mat.of_array ~rows:nv ~cols:ep (Mat.matmul ?pool ca (wide ~k ~m b.Zonotope.phi)).Mat.data
+    Mat.of_array ~rows:nv ~cols:ep (Mat.matmul ca (wide ~k ~m b.Zonotope.phi)).Mat.data
   in
   let eps_left =
     let cols =
@@ -318,7 +320,7 @@ let matmul_zz ?(precise = false) ?(order = Config.Linf_first) ctx
         Some (Bands.repeat_intervals ~times:m ~cols:ee b_occ)
       else None
     in
-    Mat.matmul ?pool ?cols ca (wide ~k ~m b.Zonotope.eps)
+    Mat.matmul ?cols ca (wide ~k ~m b.Zonotope.eps)
   in
   let phi_phi = cascade_term ~order ~p1:p ~p2:p ~k ~m a.Zonotope.phi b.Zonotope.phi in
   let phi_eps =
@@ -440,13 +442,8 @@ let mul_zz ?(precise = false) ?(order = Config.Linf_first) ctx (a : Zonotope.t)
   let phi = Mat.create nv ep in
   let eps_aff = Mat.create nv ee in
   let rad = Array.make nv 0.0 in
-  (* Each variable [v] writes only its own slices of phi/eps/center/rad,
-     so sharding the variable range over the pool is bit-deterministic.
-     The deadline is polled once per 64-variable chunk, matching the
-     serial poll cadence. *)
-  let var_range ~start ~stop =
-    Zonotope.check_deadline ctx;
-    for v = start to stop - 1 do
+  Zonotope.check_deadline ctx;
+  for v = 0 to nv - 1 do
     let c1 = a.Zonotope.center.Mat.data.(v) and c2 = b.Zonotope.center.Mat.data.(v) in
     for t = 0 to ep - 1 do
       phi.Mat.data.((v * ep) + t) <-
@@ -465,12 +462,7 @@ let mul_zz ?(precise = false) ?(order = Config.Linf_first) ctx (a : Zonotope.t)
     let mid, r = mid_rad itv in
     center.Mat.data.(v) <- center.Mat.data.(v) +. mid;
     rad.(v) <- r
-    done
-  in
-  (match Zonotope.ctx_pool ctx with
-  | Some pool when Tensor.Dpool.size pool > 1 && nv > 64 ->
-      Tensor.Dpool.run_ranges pool ~n:nv ~chunk:64 var_range
-  | _ -> var_range ~start:0 ~stop:nv);
+  done;
   let fresh = Array.make nv (-1) in
   let n_new = ref 0 in
   Array.iteri

@@ -127,9 +127,8 @@ let apply ctx (z : Zonotope.t) rule =
      matrices; poll the cooperative deadline so a single huge layer cannot
      overrun the budget between Propagate's per-op checkpoints. *)
   Zonotope.check_deadline ctx;
-  let pool = Zonotope.ctx_pool ctx in
   let n = Zonotope.num_vars z in
-  let b = Zonotope.bounds ?pool z in
+  let b = Zonotope.bounds z in
   let cs =
     Array.init n (fun v ->
         let l = b.Imat.lo.Mat.data.(v) and u = b.Imat.hi.Mat.data.(v) in
@@ -165,38 +164,29 @@ let apply ctx (z : Zonotope.t) rule =
      skip dead columns or keep the band structure. *)
   let lambdas_finite = Array.for_all (fun c -> Float.is_finite c.lambda) cs in
   let skip_dead = lambdas_finite && not (Bands.is_full z.Zonotope.eps_occ) in
-  (* Each variable touches only its own coefficient rows, so the scaling
-     loop shards over the pool with bit-identical results; the deadline
-     is polled once per chunk. *)
-  let var_range ~start ~stop =
-    Zonotope.check_deadline ctx;
-    for v = start to stop - 1 do
-      let c = cs.(v) in
-      center.Mat.data.(v) <- scaled c.lambda center.Mat.data.(v) +. c.mu;
-      for j = 0 to ep - 1 do
-        phi.Mat.data.((v * ep) + j) <- scaled c.lambda phi.Mat.data.((v * ep) + j)
+  (* Poll again before the scaling loop, which is the op's O(n·w) pass. *)
+  Zonotope.check_deadline ctx;
+  for v = 0 to n - 1 do
+    let c = cs.(v) in
+    center.Mat.data.(v) <- scaled c.lambda center.Mat.data.(v) +. c.mu;
+    for j = 0 to ep - 1 do
+      phi.Mat.data.((v * ep) + j) <- scaled c.lambda phi.Mat.data.((v * ep) + j)
+    done;
+    if skip_dead then
+      List.iter
+        (fun (jlo, jhi) ->
+          for j = jlo to jhi - 1 do
+            eps.Mat.data.((v * w) + j) <-
+              scaled c.lambda z.Zonotope.eps.Mat.data.((v * old_w) + j)
+          done)
+        (Bands.row_intervals ~lo:v ~hi:(v + 1) ~cols:old_w z.Zonotope.eps_occ)
+    else
+      for j = 0 to old_w - 1 do
+        eps.Mat.data.((v * w) + j) <-
+          scaled c.lambda z.Zonotope.eps.Mat.data.((v * old_w) + j)
       done;
-      if skip_dead then
-        List.iter
-          (fun (jlo, jhi) ->
-            for j = jlo to jhi - 1 do
-              eps.Mat.data.((v * w) + j) <-
-                scaled c.lambda z.Zonotope.eps.Mat.data.((v * old_w) + j)
-            done)
-          (Bands.row_intervals ~lo:v ~hi:(v + 1) ~cols:old_w
-             z.Zonotope.eps_occ)
-      else
-        for j = 0 to old_w - 1 do
-          eps.Mat.data.((v * w) + j) <-
-            scaled c.lambda z.Zonotope.eps.Mat.data.((v * old_w) + j)
-        done;
-      if fresh.(v) >= 0 then eps.Mat.data.((v * w) + base + fresh.(v)) <- c.beta
-    done
-  in
-  (match pool with
-  | Some p when Dpool.size p > 1 && n * (ep + w + 1) >= 32_768 ->
-      Dpool.run_ranges p ~n ~chunk:64 var_range
-  | _ -> var_range ~start:0 ~stop:n);
+    if fresh.(v) >= 0 then eps.Mat.data.((v * w) + base + fresh.(v)) <- c.beta
+  done;
   let occ =
     if lambdas_finite then
       Bands.union z.Zonotope.eps_occ

@@ -61,7 +61,6 @@ module Domain = struct
   type state = {
     cfg : Config.t;
     ctx : Zonotope.ctx;
-    pool : Tensor.Dpool.t option;
     total_layers : int;
     mutable layer : int;
   }
@@ -71,10 +70,10 @@ module Domain = struct
   let name = "zonotope"
 
   let transfer st ~op_index:_ (op : Ir.op) ~get ~set =
-    let { cfg; ctx; pool; total_layers; _ } = st in
+    let { cfg; ctx; total_layers; _ } = st in
     try
       match op with
-      | Ir.Linear { src; w; b } -> Zonotope.linear_map ?pool (get src) w b
+      | Ir.Linear { src; w; b } -> Zonotope.linear_map (get src) w b
       | Ir.Relu src -> Elementwise.relu ctx (get src)
       | Ir.Tanh src -> Elementwise.tanh_ ctx (get src)
       | Ir.Add (a, b) -> Zonotope.add (get a) (get b)
@@ -148,15 +147,13 @@ let state_of ~t0 (cfg : Config.t) (p : Ir.program) input =
      that the per-op checkpoints only enforce between ops. *)
   Zonotope.set_deadline ctx
     (Option.map (fun l -> t0 +. l) cfg.Config.budget.Config.time_limit_s);
-  (* Arm the domain pool the same way: transformers that can shard their
-     hot loops pick it up from the ctx, with bit-identical results. *)
-  let pool = shared_pool cfg.Config.domains in
-  Zonotope.set_pool ctx pool;
+  (* Arm the domain pool the same way: the dot product's row blocks pick
+     it up from the ctx, with bit-identical results. *)
+  Zonotope.set_pool ctx (shared_pool cfg.Config.domains);
   ignore (Zonotope.alloc_eps ctx (Zonotope.num_eps input));
   {
     Domain.cfg;
     ctx;
-    pool;
     total_layers = Ir.depth_of_kind p "self_attention";
     layer = 0;
   }

@@ -81,9 +81,6 @@ val use_precise : Config.t -> layer:int -> total:int -> bool
 val apply_fault : Config.fault_spec -> Zonotope.t -> unit
 val poison_scan : Zonotope.t -> [ `Finite | `Nan | `Inf ]
 
-val shared_pool : int -> Tensor.Dpool.t option
-(** The per-(pid, size) cached domain pool backing [Config.domains]. *)
-
 val abort_of : Interp.abort -> exn
 (** Maps interpreter checkpoint aborts to {!Verdict.Abort} — [Timeout],
     [Symbol_budget] and [Numerical_fault] respectively. Shared by every

@@ -90,18 +90,6 @@ let fork_wave ~crash f n =
       out
   end
 
-(* Thread-per-index over a shared domain pool — for --jobs 1 runs where
-   forking whole processes is undesirable. Each chunk is one evaluation;
-   results land in caller-indexed slots, so completion order is
-   irrelevant. *)
-let dpool_wave dp f n =
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n None in
-    Tensor.Dpool.run_chunks dp ~nchunks:n (fun i -> out.(i) <- Some (f i));
-    Array.map (function Some r -> r | None -> assert false) out
-  end
-
 (* ---------------- probe runners ---------------- *)
 
 let serial_runner probe radii =
@@ -116,9 +104,6 @@ let fork_runner probe radii =
     ~crash:(fun reason -> Faulted reason)
     (fun i -> probe radii.(i))
     (Array.length radii)
-
-let dpool_runner dp probe radii =
-  dpool_wave dp (fun i -> probe radii.(i)) (Array.length radii)
 
 (* ---------------- the search ---------------- *)
 

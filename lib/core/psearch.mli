@@ -119,11 +119,6 @@ val fork_wave : crash:(Verdict.unknown_reason -> 'r) -> 'r wave
     Degrades to {!serial_wave} while any {!Tensor.Dpool} has live
     worker domains (the runtime forbids forking then). *)
 
-val dpool_wave : Tensor.Dpool.t -> 'r wave
-(** Thread-per-index over a shared domain pool; results land in
-    caller-indexed slots. Nested pool use inside [f] degrades to serial
-    (the pool's reentrancy guard). *)
-
 val serial_runner : runner
 (** Left-to-right in-process evaluation — the deterministic reference
     backend and the [Sequential] executor's implicit behavior. *)
@@ -135,12 +130,6 @@ val fork_runner : runner
     closure is inherited by [fork], not marshalled. Degrades to
     {!serial_runner} while any {!Tensor.Dpool} has live worker domains
     (the runtime forbids forking then). *)
-
-val dpool_runner : Tensor.Dpool.t -> runner
-(** Thread-per-probe over a shared domain pool — for single-process
-    runs. Nested pool use inside a probe degrades to serial (the pool's
-    reentrancy guard), so prefer {!fork_runner} when probes themselves
-    shard over domains. *)
 
 val search :
   ?lo:float ->

@@ -1,15 +1,6 @@
 open Tensor
 
-(* Same threshold as the Zonotope kernels: below ~32k coefficient reads
-   the pool dispatch overhead dominates the O(nv·w) scan. *)
-let par_threshold = 32_768
-
-(* Shard over symbol {e columns}: each column's score accumulates in the
-   same v-ascending order as the serial scan, and distinct chunks write
-   distinct [s.(j)] slots — bit-identical for every pool size. (Sharding
-   over variables would need per-chunk partial sums whose final
-   combination reassociates the float additions.) *)
-let scores ?pool (z : Zonotope.t) =
+let scores (z : Zonotope.t) =
   let nv = Zonotope.num_vars z and w = Zonotope.num_eps z in
   let s = Array.make w 0.0 in
   let data = z.Zonotope.eps.Mat.data in
@@ -17,24 +8,15 @@ let scores ?pool (z : Zonotope.t) =
      accumulates [abs (±0.0) = +0.0] there, leaving the initial 0.0 —
      skipping them is unconditionally bit-identical. *)
   let live = Bands.col_intervals ~cols:w z.Zonotope.eps_occ in
-  let body start stop =
-    for v = 0 to nv - 1 do
-      let base = v * w in
-      List.iter
-        (fun (lo, hi) ->
-          for j = max lo start to min hi stop - 1 do
-            s.(j) <- s.(j) +. Float.abs (Array.unsafe_get data (base + j))
-          done)
-        live
-    done
-  in
-  (match pool with
-  | Some p when Dpool.size p > 1 && nv * w >= par_threshold ->
-      let balance = 2 * Dpool.size p in
-      Dpool.run_ranges p ~n:w
-        ~chunk:(max ((w + balance - 1) / balance) 1)
-        (fun ~start ~stop -> body start stop)
-  | _ -> body 0 w);
+  for v = 0 to nv - 1 do
+    let base = v * w in
+    List.iter
+      (fun (lo, hi) ->
+        for j = lo to hi - 1 do
+          s.(j) <- s.(j) +. Float.abs (Array.unsafe_get data (base + j))
+        done)
+      live
+  done;
   s
 
 (* [top_k_indices s k] selects the [k] indices of [s] with the highest
@@ -108,16 +90,13 @@ let decorrelate_min_k ctx (z : Zonotope.t) k =
     z
   end
   else begin
-    let pool = Zonotope.ctx_pool ctx in
-    let s = scores ?pool z in
+    let s = scores z in
     let keep = top_k_indices s k in
     let dropped = Array.make w true in
     Array.iter (fun j -> dropped.(j) <- false) keep;
     let nv = Zonotope.num_vars z in
-    (* Per-variable folded mass of the dropped symbols. Sharded over
-       variables: each v folds in the serial j-ascending order and chunks
-       write disjoint [fold.(v)] slots, so the result is bit-identical
-       for every pool size. *)
+    (* Per-variable folded mass of the dropped symbols, each v folded in
+       j-ascending order. *)
     let fold = Array.make nv 0.0 in
     let data = z.Zonotope.eps.Mat.data in
     (* Dead columns contribute [abs (±0.0)] to the fold — skipping them
@@ -125,26 +104,17 @@ let decorrelate_min_k ctx (z : Zonotope.t) k =
     let live_row v =
       Bands.row_intervals ~lo:v ~hi:(v + 1) ~cols:w z.Zonotope.eps_occ
     in
-    let fold_body start stop =
-      for v = start to stop - 1 do
-        let base = v * w in
-        let acc = ref 0.0 in
-        List.iter
-          (fun (lo, hi) ->
-            for j = lo to hi - 1 do
-              if dropped.(j) then acc := !acc +. Float.abs data.(base + j)
-            done)
-          (live_row v);
-        fold.(v) <- !acc
-      done
-    in
-    (match pool with
-    | Some p when Dpool.size p > 1 && nv * w >= par_threshold ->
-        let balance = 2 * Dpool.size p in
-        Dpool.run_ranges p ~n:nv
-          ~chunk:(max ((nv + balance - 1) / balance) 1)
-          (fun ~start ~stop -> fold_body start stop)
-    | _ -> fold_body 0 nv);
+    for v = 0 to nv - 1 do
+      let base = v * w in
+      let acc = ref 0.0 in
+      List.iter
+        (fun (lo, hi) ->
+          for j = lo to hi - 1 do
+            if dropped.(j) then acc := !acc +. Float.abs data.(base + j)
+          done)
+        (live_row v);
+      fold.(v) <- !acc
+    done;
     let fresh = Array.make nv (-1) in
     let n_new = ref 0 in
     Array.iteri

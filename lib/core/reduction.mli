@@ -17,15 +17,11 @@ val decorrelate_min_k : Zonotope.ctx -> Zonotope.t -> int -> Zonotope.t
     [k + num_vars z] ε symbols and resets the context's symbol counter
     to the new width. [k = 0] folds every symbol (pure interval
     decorrelation); a negative [k] is an error. The O(nv·w) score and
-    fold scans are sharded over the context's domain pool
-    ({!Zonotope.ctx_pool}) when one is set — bit-identical for every
-    pool size (columns accumulate in serial order; chunks write disjoint
-    slots). *)
+    fold scans run on the calling domain. *)
 
-val scores : ?pool:Tensor.Dpool.t -> Zonotope.t -> float array
-(** The heuristic importance score [m_j] of each ε symbol. [pool] shards
-    the scan over symbol columns (deterministic: each column accumulates
-    in the same order as the serial scan). *)
+val scores : Zonotope.t -> float array
+(** The heuristic importance score [m_j] of each ε symbol: its column's
+    absolute sum, accumulated in ascending variable order. *)
 
 val top_k_indices : float array -> int -> int array
 (** [top_k_indices s k] returns the indices of the [k] largest entries of

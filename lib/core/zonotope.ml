@@ -174,34 +174,16 @@ let bounds_var z v =
   if Float.is_nan lo || Float.is_nan hi then raise Unbounded;
   Itv.make lo hi
 
-(* Parallelizing threshold, in coefficient reads; below it the pool
-   dispatch overhead dominates. *)
-let par_threshold = 32_768
-
-let bounds ?pool z =
+let bounds z =
   let lo = Mat.create z.vrows z.vcols and hi = Mat.create z.vrows z.vcols in
-  let nv = num_vars z in
-  let width = num_phi z + num_eps z + 1 in
-  let body start stop =
-    for v = start to stop - 1 do
-      let c = z.center.Mat.data.(v) in
-      let a, b = radius_terms z v in
-      let l = c -. a -. b and h = c +. a +. b in
-      if Float.is_nan l || Float.is_nan h then raise Unbounded;
-      lo.Mat.data.(v) <- l;
-      hi.Mat.data.(v) <- h
-    done
-  in
-  (match pool with
-  | Some p when Dpool.size p > 1 && nv * width >= par_threshold ->
-      (* Floor the chunk size at 2 chunks per domain: each claim is a
-         mutex round-trip, and a variable's bounds do not depend on how
-         the range is cut, so load-balance-aware chunks stay exact. *)
-      let balance = 2 * Dpool.size p in
-      Dpool.run_ranges p ~n:nv
-        ~chunk:(max ((nv + balance - 1) / balance) (par_threshold / (8 * width)))
-        (fun ~start ~stop -> body start stop)
-  | _ -> body 0 nv);
+  for v = 0 to num_vars z - 1 do
+    let c = z.center.Mat.data.(v) in
+    let a, b = radius_terms z v in
+    let l = c -. a -. b and h = c +. a +. b in
+    if Float.is_nan l || Float.is_nan h then raise Unbounded;
+    lo.Mat.data.(v) <- l;
+    hi.Mat.data.(v) <- h
+  done;
   Imat.make lo hi
 
 (* ---------------- sampling ---------------- *)
@@ -259,9 +241,7 @@ let pad_eps z w =
 (* ---------------- affine transformers ---------------- *)
 
 (* Apply [block -> w^T . block] to every per-value-row coefficient block.
-   [matmul_ta] fuses the transpose of [w] (no copy per value row) and
-   shards wide blocks — the dominant products of a certification, with
-   the ε width in the thousands by the last layer — over the pool.
+   [matmul_ta] fuses the transpose of [w] (no copy per value row).
 
    [?occ] (the coefficient matrix's band occupancy) lets the kernel
    skip dead column tiles per value row. Gated on the weight being free
@@ -271,8 +251,7 @@ let pad_eps z w =
    [finite * ±0.0] accumulated onto +0.0), while an infinite weight
    would turn [inf * 0.0] into NaN in the dense result — so those fall
    back to the dense sweep. *)
-let map_coeff_blocks ?pool ?occ vrows vcols_in vcols_out (w : Mat.t) (g : Mat.t)
-    =
+let map_coeff_blocks ?occ vrows vcols_in vcols_out (w : Mat.t) (g : Mat.t) =
   let e = Mat.cols g in
   let out = Mat.create (vrows * vcols_out) e in
   if e > 0 then begin
@@ -288,7 +267,7 @@ let map_coeff_blocks ?pool ?occ vrows vcols_in vcols_out (w : Mat.t) (g : Mat.t)
     in
     for i = 0 to vrows - 1 do
       let block = Mat.sub_rows g (i * vcols_in) vcols_in in
-      let mapped = Mat.matmul_ta ?pool ?cols:(cols_for i) w block in
+      let mapped = Mat.matmul_ta ?cols:(cols_for i) w block in
       Array.blit mapped.Mat.data 0 out.Mat.data (i * vcols_out * e)
         (vcols_out * e)
     done
@@ -308,7 +287,7 @@ let scrub_coeff_nan (m : Mat.t) =
     (fun i x -> if Float.is_nan x then m.Mat.data.(i) <- infinity)
     m.Mat.data
 
-let linear_map ?pool z w b =
+let linear_map z w b =
   if Mat.rows w <> z.vcols then invalid_arg "Zonotope.linear_map: shape mismatch";
   if Array.length b <> Mat.cols w then invalid_arg "Zonotope.linear_map: bias";
   let vcols = Mat.cols w in
@@ -317,9 +296,9 @@ let linear_map ?pool z w b =
       vrows = z.vrows;
       vcols;
       p = z.p;
-      center = Mat.add_row_broadcast (Mat.matmul ?pool z.center w) b;
-      phi = map_coeff_blocks ?pool z.vrows z.vcols vcols w z.phi;
-      eps = map_coeff_blocks ?pool ~occ:z.eps_occ z.vrows z.vcols vcols w z.eps;
+      center = Mat.add_row_broadcast (Mat.matmul z.center w) b;
+      phi = map_coeff_blocks z.vrows z.vcols vcols w z.phi;
+      eps = map_coeff_blocks ~occ:z.eps_occ z.vrows z.vcols vcols w z.eps;
       (* the map mixes variables only within a value row, so bands
          survive at value-row granularity; an infinite weight can smear
          NaN/inf anywhere, so that path forgets the structure *)

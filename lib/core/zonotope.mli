@@ -54,11 +54,12 @@ val check_deadline : ctx -> unit
     domains: the deadline is read-only while transformers run. *)
 
 val set_pool : ctx -> Tensor.Dpool.t option -> unit
-(** [set_pool ctx (Some p)] makes the heavy transformers shard their
-    hot loops over the domain pool [p]. Chunk boundaries depend only on
-    problem sizes, so results are bit-identical to the serial run
-    (see {!Tensor.Dpool}). [None] (the default) keeps everything on the
-    calling domain. *)
+(** [set_pool ctx (Some p)] shards the row blocks of {!Dot.matmul_zz},
+    the dot product that dominates DeepT-Precise, over the domain pool
+    [p]. Each block writes its own output rows with the serial
+    arithmetic, so results are bit-identical to the serial run (see
+    {!Tensor.Dpool}). Every other transformer runs on the calling
+    domain. [None] (the default) keeps the dot product there too. *)
 
 val ctx_pool : ctx -> Tensor.Dpool.t option
 (** The pool armed by {!set_pool}, if any. *)
@@ -106,10 +107,8 @@ val num_eps : t -> int
 
 (** {1 Concrete bounds (Theorem 1)} *)
 
-val bounds : ?pool:Tensor.Dpool.t -> t -> Interval.Imat.t
-(** Tight per-variable interval bounds: [c ± (‖α‖_q + ‖β‖₁)].
-    Shards the per-variable norm loop over [pool] when given and the
-    coefficient matrices are large enough. *)
+val bounds : t -> Interval.Imat.t
+(** Tight per-variable interval bounds: [c ± (‖α‖_q + ‖β‖₁)]. *)
 
 val bounds_var : t -> int -> Interval.Itv.t
 (** Bounds of one flat variable index. *)
@@ -135,7 +134,7 @@ val instantiate : t -> phi:float array -> eps:float array -> Tensor.Mat.t
 
 (** {1 Exact affine transformers (Theorem 2)} *)
 
-val linear_map : ?pool:Tensor.Dpool.t -> t -> Tensor.Mat.t -> float array -> t
+val linear_map : t -> Tensor.Mat.t -> float array -> t
 (** [linear_map x w b] abstracts the row-wise affine map [x·w + b]. *)
 
 val add : t -> t -> t

@@ -9,8 +9,8 @@
       domain happens to claim which chunk.
    2. Spawn-once: domains are spawned at [create] and parked on a
       condition variable between jobs. Per-job cost is one broadcast and
-      one atomic counter, cheap enough for the many small-to-medium
-      matrix products certification performs.
+      one atomic counter, cheap enough to run once per dot product of a
+      propagation.
    3. Cooperative cancellation: the first chunk to raise (a cooperative
       deadline poll, an [Unbounded] bound) stores its exception in an
       atomic; the remaining chunks are claimed but skipped, and the
@@ -139,8 +139,8 @@ let run_chunks pool ~nchunks f =
       f c
     done
   else if not (Atomic.compare_and_set pool.active false true) then
-    (* nested parallel region (e.g. a matrix product inside a chunk of a
-       parallel dot-product): run serially, the outer job owns the pool *)
+    (* nested (or concurrent) parallel region: run serially, the job
+       already running owns the pool *)
     for c = 0 to nchunks - 1 do
       f c
     done
@@ -168,17 +168,4 @@ let run_chunks pool ~nchunks f =
     Mutex.unlock pool.mutex;
     Atomic.set pool.active false;
     match Atomic.get j.failed with Some e -> raise e | None -> ()
-  end
-
-(* Split [n] items into deterministic fixed-size chunks and run
-   [f ~start ~stop] over them (half-open ranges). The chunk size is part
-   of the caller's contract: it fixes the work decomposition regardless
-   of pool size. *)
-let run_ranges pool ~n ~chunk f =
-  if n > 0 then begin
-    if chunk < 1 then invalid_arg "Dpool.run_ranges: chunk < 1";
-    let nchunks = (n + chunk - 1) / chunk in
-    run_chunks pool ~nchunks (fun c ->
-        let start = c * chunk in
-        f ~start ~stop:(min n (start + chunk)))
   end

@@ -42,8 +42,3 @@ val run_chunks : t -> nchunks:int -> (int -> unit) -> unit
     each exactly once, distributed over the pool. Serial (in chunk
     order, on the calling domain) when the pool has size 1, there is a
     single chunk, or the call is nested inside a running chunk. *)
-
-val run_ranges : t -> n:int -> chunk:int -> (start:int -> stop:int -> unit) -> unit
-(** [run_ranges p ~n ~chunk f] covers [0, n) with half-open ranges of
-    [chunk] items (the last one ragged) and runs [f ~start ~stop] on
-    each. *)

@@ -230,21 +230,16 @@ let fill m v = Array.fill m.data 0 (Array.length m.data) v
    does not contribute). The skip is always on the same operand, so
    blocked and naive results agree bit-for-bit on infinities too.
 
-   The entry points below the kernels add the shape checks, the output
-   allocation and the [Dpool] row sharding:
-
-   - blocked + pool: the blocked kernel sharded over disjoint output-row
-     ranges on a [Dpool]. Chunk boundaries depend only on the problem
-     size, and every output row is computed by exactly one chunk with
-     the same arithmetic, so pool size cannot change a single bit.
-   - [?cols] restricts the computed output columns to the given sorted
-     live intervals (a [Bands] occupancy's view of the right operand);
-     skipped columns keep the +0.0 of the fresh output buffer. Callers
-     pass it only when the skipped columns are provably zero in the
-     dense result too (left operand finite, right-operand columns dead),
-     which keeps the sparse and dense paths bit-identical. The
-     [MAT_NAIVE=1] escape hatch ignores [?cols] and computes the dense
-     product — same bits, by the same argument. *)
+   The entry points below the kernels add the shape checks and the
+   output allocation, and run the row kernel over every output row.
+   [?cols] restricts the computed output columns to the given sorted
+   live intervals (a [Bands] occupancy's view of the right operand);
+   skipped columns keep the +0.0 of the fresh output buffer. Callers
+   pass it only when the skipped columns are provably zero in the dense
+   result too (left operand finite, right-operand columns dead), which
+   keeps the sparse and dense paths bit-identical. The [MAT_NAIVE=1]
+   escape hatch ignores [?cols] and computes the dense product — same
+   bits, by the same argument. *)
 
 (* Unchecked loads and stores for the kernel loops. The kernels go
    through these one-line accessors on purpose, not through
@@ -532,68 +527,42 @@ let matmul_naive a b =
   naive_into ~m ~k ~n a.data b.data out;
   { rows = m; cols = n; data = out }
 
-(* Below this many multiply-adds the pool dispatch overhead outweighs the
-   parallel win; the blocked kernel runs on the calling domain. *)
-let par_threshold = 32_768
-
-(* Row-chunking: ~[par_threshold/8] multiply-adds per chunk (so wide
-   products split into single-row chunks and narrow ones into fat row
-   bands), floored so a job never splits into more than 2 chunks per
-   domain — each chunk claim is a mutex round-trip, and on heavily
-   oversubscribed machines that dispatch overhead would otherwise eat
-   the blocked kernel's win. Every output row is computed entirely by
-   one chunk with the same arithmetic, so chunk boundaries (and hence
-   the pool size) cannot change a bit of the result. *)
-let with_rows ?pool ~rows ~row_work body =
-  match pool with
-  | Some p when Dpool.size p > 1 && rows * row_work >= par_threshold ->
-      let balance = 2 * Dpool.size p in
-      let chunk =
-        max ((rows + balance - 1) / balance)
-          ((par_threshold / 8 / max 1 row_work) + 1)
-      in
-      Dpool.run_ranges p ~n:rows ~chunk (fun ~start ~stop -> body start stop)
-  | _ -> body 0 rows
-
-let matmul ?pool ?cols a b =
+let matmul ?cols a b =
   if a.cols <> b.rows then invalid_arg "Mat.matmul: inner dimension mismatch";
   if use_naive then matmul_naive a b
   else begin
     let m = a.rows and k = a.cols and n = b.cols in
     let out = Array.make (m * n) 0.0 in
-    with_rows ?pool ~rows:m ~row_work:(k * n) (fun r0 r1 ->
-        with_jtiles ?cols ~n (mm_rows ~k ~n a.data b.data out) r0 r1);
+    with_jtiles ?cols ~n (mm_rows ~k ~n a.data b.data out) 0 m;
     { rows = m; cols = n; data = out }
   end
 
-let matmul_ta ?pool ?cols a b =
+let matmul_ta ?cols a b =
   if a.rows <> b.rows then invalid_arg "Mat.matmul_ta: inner dimension mismatch";
   if use_naive then matmul_naive (transpose a) b
   else begin
     let m = a.cols and k = a.rows and n = b.cols in
     let out = Array.make (m * n) 0.0 in
-    with_rows ?pool ~rows:m ~row_work:(k * n) (fun r0 r1 ->
-        with_jtiles ?cols ~n (mm_ta_rows ~k ~m ~n a.data b.data out) r0 r1);
+    with_jtiles ?cols ~n (mm_ta_rows ~k ~m ~n a.data b.data out) 0 m;
     { rows = m; cols = n; data = out }
   end
 
-let matmul_tb ?pool ?cols a b =
+let matmul_tb ?cols a b =
   if a.cols <> b.cols then invalid_arg "Mat.matmul_tb: inner dimension mismatch";
   if use_naive then matmul_naive a (transpose b)
   else begin
     let m = a.rows and k = a.cols and n = b.rows in
     let out = Array.make (m * n) 0.0 in
-    with_rows ?pool ~rows:m ~row_work:(k * n) (fun r0 r1 ->
-        with_jtiles ?cols ~n (mm_tb_rows ~k ~n a.data b.data out) r0 r1);
+    with_jtiles ?cols ~n (mm_tb_rows ~k ~n a.data b.data out) 0 m;
     { rows = m; cols = n; data = out }
   end
 
-let gemm ?pool ?(ta = false) ?(tb = false) a b =
+let gemm ?(ta = false) ?(tb = false) a b =
   match (ta, tb) with
-  | false, false -> matmul ?pool a b
-  | true, false -> matmul_ta ?pool a b
-  | false, true -> matmul_tb ?pool a b
-  | true, true -> matmul_tb ?pool (transpose a) b
+  | false, false -> matmul a b
+  | true, false -> matmul_ta a b
+  | false, true -> matmul_tb a b
+  | true, true -> matmul_tb (transpose a) b
 
 let mat_vec m v =
   if Array.length v <> m.cols then invalid_arg "Mat.mat_vec: size mismatch";

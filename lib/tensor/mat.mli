@@ -117,13 +117,11 @@ val fill : t -> float -> unit
 
 (** {1 Linear algebra} *)
 
-val matmul : ?pool:Dpool.t -> ?cols:(int * int) list -> t -> t -> t
+val matmul : ?cols:(int * int) list -> t -> t -> t
 (** [matmul a b] with a: m x k, b: k x n gives m x n. Runs the
-    register-blocked kernel, sharded over disjoint output-row chunks on
-    [pool] when given and the product is large enough; results are
-    bit-identical to {!matmul_naive} on finite data regardless of pool
-    size. [MAT_NAIVE=1] in the environment forces the naive kernel
-    (read once at startup).
+    register-blocked kernel on the calling domain; results are
+    bit-identical to {!matmul_naive} on finite data. [MAT_NAIVE=1] in
+    the environment forces the naive kernel (read once at startup).
 
     [cols] (sorted half-open intervals, typically
     [Bands.col_intervals]) restricts the computed output columns: tiles
@@ -140,16 +138,16 @@ val matmul_naive : t -> t -> t
     baseline of [bench/kernels.ml] and the oracle of the kernel
     equivalence property tests. *)
 
-val matmul_ta : ?pool:Dpool.t -> ?cols:(int * int) list -> t -> t -> t
+val matmul_ta : ?cols:(int * int) list -> t -> t -> t
 (** [matmul_ta a b] = [matmul (transpose a) b] without materializing the
     transpose: a: k x m, b: k x n gives m x n. [cols] as in {!matmul}. *)
 
-val matmul_tb : ?pool:Dpool.t -> ?cols:(int * int) list -> t -> t -> t
+val matmul_tb : ?cols:(int * int) list -> t -> t -> t
 (** [matmul_tb a b] = [matmul a (transpose b)] without materializing the
     transpose: a: m x k, b: n x k gives m x n. [cols] as in {!matmul}
     (dead columns here are all-zero rows of [b]). *)
 
-val gemm : ?pool:Dpool.t -> ?ta:bool -> ?tb:bool -> t -> t -> t
+val gemm : ?ta:bool -> ?tb:bool -> t -> t -> t
 (** General matrix product with optional operand transposes, fused into
     the blocked kernels (no transpose copies except for [ta && tb]). *)
 

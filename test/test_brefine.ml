@@ -214,14 +214,6 @@ let test_cross_runner_identity () =
       cfg program region ~true_class:pred
   in
   Helpers.check_true "serial = fork (full report)" (serial = forked);
-  (match Deept.Propagate.shared_pool 4 with
-  | None -> ()
-  | Some dp ->
-      let pooled =
-        B.certify_v ~wave:(Deept.Psearch.dpool_wave dp) cfg program region
-          ~true_class:pred
-      in
-      Helpers.check_true "serial = dpool (full report)" (serial = pooled));
   (* the default runner selection agrees too, whatever backend cfg asks
      for: the branch tree is a pure function of (cfg-modulo-backend,
      program, region) *)
@@ -232,7 +224,7 @@ let test_cross_runner_identity () =
       in
       let r = B.certify_v cfg_b program region ~true_class:pred in
       Helpers.check_true "backend-selected runner agrees" (r = serial))
-    [ C.Serial_probes; C.Fork_probes; C.Domain_probes ];
+    [ C.Serial_probes; C.Fork_probes ];
   Helpers.check_true "refinement never returns Falsified"
     (serial.B.verdict <> V.Falsified)
 

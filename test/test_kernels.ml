@@ -1,11 +1,11 @@
-(* The parallel kernel layer: bit-identity of the blocked and
-   domain-parallel matmul kernels against the seed serial kernel, the
-   determinism contract of Dpool, pool-parallel abstract transformers vs
-   their serial runs, the batched self-attention kernels (dot product,
-   stable softmax, softmax-sum refinement, stacking) against their
-   per-pair / per-output references, the partial top-k selection against
-   the full-sort reference, and cooperative deadline preemption inside
-   the pooled transformers. Also reachable as `dune build @kernels`. *)
+(* The kernel layer: bit-identity of the blocked matmul kernels against
+   the seed serial kernel, the determinism contract of Dpool, the pooled
+   dot-product row blocks vs their serial run, the batched
+   self-attention kernels (dot product, stable softmax, softmax-sum
+   refinement, stacking) against their per-pair / per-output references,
+   the partial top-k selection against the full-sort reference, and
+   cooperative deadline preemption inside the transformers. Also
+   reachable as `dune build @kernels`. *)
 
 open Tensor
 module Z = Deept.Zonotope
@@ -25,16 +25,14 @@ let bits_equal_mat msg (a : Mat.t) (b : Mat.t) =
 
 (* --- matmul kernels --------------------------------------------------- *)
 
-(* Naive, blocked and blocked+parallel must agree bit-for-bit on every
-   shape, including degenerate ones (empty, single row/col) and shapes
-   that are not multiples of the register tile or the column tile. *)
+(* Naive and blocked must agree bit-for-bit on every shape, including
+   degenerate ones (empty, single row/col) and shapes that are not
+   multiples of the register tile or the column tile. *)
 let matmul_shapes =
   [ (0, 3, 4); (3, 0, 4); (3, 4, 0); (1, 1, 1); (1, 7, 129); (5, 1, 1);
     (2, 4, 8); (7, 13, 121); (24, 24, 344); (9, 17, 240); (33, 5, 2) ]
 
 let test_matmul_bit_identity () =
-  let pool = Dpool.create ~force:true 2 in
-  Fun.protect ~finally:(fun () -> Dpool.shutdown pool) @@ fun () ->
   let rng = Rng.create 31 in
   List.iter
     (fun (m, k, n) ->
@@ -43,22 +41,17 @@ let test_matmul_bit_identity () =
       let label = Printf.sprintf "%dx%dx%d" m k n in
       let reference = Mat.matmul_naive a b in
       bits_equal_mat (label ^ " blocked") reference (Mat.matmul a b);
-      bits_equal_mat (label ^ " parallel") reference (Mat.matmul ~pool a b);
       let at = Mat.transpose a and bt = Mat.transpose b in
       bits_equal_mat (label ^ " ta") reference (Mat.matmul_ta at b);
-      bits_equal_mat (label ^ " ta par") reference (Mat.matmul_ta ~pool at b);
       bits_equal_mat (label ^ " tb") reference (Mat.matmul_tb a bt);
-      bits_equal_mat (label ^ " tb par") reference (Mat.matmul_tb ~pool a bt);
       bits_equal_mat (label ^ " gemm tt") reference
-        (Mat.gemm ~pool ~ta:true ~tb:true at bt))
+        (Mat.gemm ~ta:true ~tb:true at bt))
     matmul_shapes
 
 (* The naive kernel skips zero left-hand entries, so a zero weight
    annihilates even an infinite coefficient (instead of producing
    0 * inf = NaN). The blocked kernels must preserve that. *)
 let test_matmul_zero_times_inf () =
-  let pool = Dpool.create ~force:true 2 in
-  Fun.protect ~finally:(fun () -> Dpool.shutdown pool) @@ fun () ->
   let a = Mat.of_rows [| [| 1.0; 0.0; -2.0 |] |] in
   let b =
     Mat.of_rows [| [| 1.0; 2.0 |]; [| infinity; neg_infinity |]; [| 3.0; 4.0 |] |]
@@ -67,7 +60,6 @@ let test_matmul_zero_times_inf () =
   Helpers.check_true "reference is finite"
     (Array.for_all Float.is_finite reference.Mat.data);
   bits_equal_mat "0*inf blocked" reference (Mat.matmul a b);
-  bits_equal_mat "0*inf parallel" reference (Mat.matmul ~pool a b);
   bits_equal_mat "0*inf ta" reference (Mat.matmul_ta (Mat.transpose a) b)
 
 (* --- Dpool ------------------------------------------------------------ *)
@@ -82,18 +74,6 @@ let test_dpool_covers_each_chunk_once () =
     (fun c a ->
       if Atomic.get a <> 1 then
         Alcotest.failf "chunk %d ran %d times" c (Atomic.get a))
-    hits;
-  (* run_ranges covers [0, n) exactly once with ragged tail. *)
-  let n = 97 in
-  let hits = Array.init n (fun _ -> Atomic.make 0) in
-  Dpool.run_ranges pool ~n ~chunk:8 (fun ~start ~stop ->
-      for i = start to stop - 1 do
-        Atomic.incr hits.(i)
-      done);
-  Array.iteri
-    (fun i a ->
-      if Atomic.get a <> 1 then
-        Alcotest.failf "index %d covered %d times" i (Atomic.get a))
     hits
 
 exception Boom
@@ -119,7 +99,7 @@ let test_dpool_nested_call_is_serial () =
       Dpool.run_chunks pool ~nchunks:3 (fun _ -> Atomic.incr inner_ran));
   Helpers.check_true "nested chunks all ran" (Atomic.get inner_ran = 12)
 
-(* --- pooled abstract transformers vs serial --------------------------- *)
+(* --- the pooled dot product vs serial ---------------------------------- *)
 
 let zonotope_fields_equal msg (a : Z.t) (b : Z.t) =
   bits_equal_mat (msg ^ ": center") a.Z.center b.Z.center;
@@ -148,17 +128,7 @@ let test_matmul_zz_pool_matches_serial () =
   let serial, serial_syms = run None in
   let pooled, pooled_syms = run (Some pool) in
   Helpers.check_true "same symbol count" (serial_syms = pooled_syms);
-  zonotope_fields_equal "matmul_zz" serial pooled;
-  let run_mul pool_opt =
-    let rng = Rng.create 0xe1e in
-    let x = Helpers.random_zonotope ~vrows:9 ~vcols:11 ~ep:3 ~ee:5 rng in
-    let y = Helpers.random_zonotope ~vrows:9 ~vcols:11 ~ep:3 ~ee:5 rng in
-    let ctx = Z.ctx () in
-    ignore (Z.alloc_eps ctx 5);
-    Z.set_pool ctx pool_opt;
-    Deept.Dot.mul_zz ctx x y
-  in
-  zonotope_fields_equal "mul_zz" (run_mul None) (run_mul (Some pool))
+  zonotope_fields_equal "matmul_zz" serial pooled
 
 (* End-to-end determinism: a full certification with domains=4 must give
    the exact margin of the serial run (the CI determinism gate). *)
@@ -894,7 +864,7 @@ let test_decorrelate_bounds_unchanged () =
        >= exact.Interval.Imat.hi.Mat.data.(v) -. 1e-12)
   done
 
-(* --- cooperative deadline polls in the pooled transformers ------------ *)
+(* --- cooperative deadline polls inside the transformers ---------------- *)
 
 let expired ctx = Z.set_deadline ctx (Some (Unix.gettimeofday () -. 1.0))
 

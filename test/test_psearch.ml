@@ -1,8 +1,8 @@
 (* Speculative parallel radius search (Psearch) and its satellites: the
    margin-guided sequential search against Grid 1 (bisection), runner
-   agreement (serial / fork / domain-pool), probe accounting, fault
-   containment, affine-prefix amortization, the early-exit
-   contains_sample and the pooled noise-symbol reduction. *)
+   agreement (serial / fork, and fork's fallback while domains are
+   live), probe accounting, fault containment, affine-prefix
+   amortization and the early-exit contains_sample. *)
 
 open Tensor
 module P = Deept.Psearch
@@ -315,7 +315,7 @@ let test_faulted_probes () =
    Ordering matters: the fork tests run before anything spawns worker
    domains (the runtime forbids fork afterwards, and fork_runner would
    silently degrade to serial — these tests must exercise real forks).
-   The dpool comparison runs later; serial is the common reference. *)
+   The degraded-fork case runs last; serial is the common reference. *)
 
 let compare_runner name runner t =
   let reference = P.search ~iters:8 ~exec:(P.Grid 3) (threshold t) in
@@ -331,14 +331,13 @@ let test_fork_runner_agrees () =
   Helpers.check_true "no domains yet" (not (Dpool.domains_active ()));
   List.iter (compare_runner "fork" P.fork_runner) [ 0.3; 0.7 ]
 
-let test_dpool_runner_agrees () =
+(* with live domains, fork_runner degrades to serial instead of the
+   runtime's "fork while domains run" crash *)
+let test_fork_degrades_with_live_domains () =
   let dp = Dpool.create ~force:true 4 in
-  List.iter (compare_runner "dpool" (P.dpool_runner dp)) [ 0.3; 0.7 ];
-  (* with live domains, fork_runner degrades to serial instead of the
-     runtime's "fork while domains run" crash *)
+  Fun.protect ~finally:(fun () -> Dpool.shutdown dp) @@ fun () ->
   Helpers.check_true "domains live" (Dpool.domains_active ());
-  compare_runner "fork-degraded" P.fork_runner 0.3;
-  Dpool.shutdown dp
+  compare_runner "fork-degraded" P.fork_runner 0.3
 
 (* a probe process that dies is a Faulted outcome, not a crash of the
    search: the fold treats it as "bad" and the bracket stays correct *)
@@ -541,28 +540,6 @@ let test_contains_sample_equiv () =
     Helpers.check_true "sample contained" (Z.contains_sample z s)
   done
 
-(* --- satellite: pooled reduction is bit-identical to serial ----------- *)
-
-let test_pooled_reduction_bits () =
-  let rng = Rng.create 95 in
-  (* nv * w = 1024 * 40 >= the 32k parallel threshold, so the pool engages *)
-  let z = Helpers.random_zonotope ~vrows:32 ~vcols:32 ~ep:2 ~ee:40 rng in
-  let pool = Dpool.create ~force:true 4 in
-  Helpers.check_true "forced pool is parallel" (Dpool.size pool > 1);
-  check_bits "pooled scores" (Deept.Reduction.scores z)
-    (Deept.Reduction.scores ~pool z);
-  let reduce pool =
-    let ctx = Z.ctx () in
-    Z.set_pool ctx pool;
-    ignore (Z.alloc_eps ctx (Z.num_eps z));
-    Deept.Reduction.decorrelate_min_k ctx z 8
-  in
-  let serial = reduce None and pooled = reduce (Some pool) in
-  check_bits "reduced center" serial.Z.center.Mat.data pooled.Z.center.Mat.data;
-  check_bits "reduced phi" serial.Z.phi.Mat.data pooled.Z.phi.Mat.data;
-  check_bits "reduced eps" serial.Z.eps.Mat.data pooled.Z.eps.Mat.data;
-  Dpool.shutdown pool
-
 let () =
   Alcotest.run "psearch"
     [
@@ -586,8 +563,8 @@ let () =
             test_fork_runner_agrees;
           Alcotest.test_case "fork crash contained" `Quick
             test_fork_crash_contained;
-          Alcotest.test_case "dpool agrees with serial" `Quick
-            test_dpool_runner_agrees;
+          Alcotest.test_case "fork degrades with live domains" `Quick
+            test_fork_degrades_with_live_domains;
         ] );
       ( "amortization",
         [
@@ -602,7 +579,5 @@ let () =
         [
           Alcotest.test_case "contains_sample early exit" `Quick
             test_contains_sample_equiv;
-          Alcotest.test_case "pooled reduction bits" `Quick
-            test_pooled_reduction_bits;
         ] );
     ]

@@ -196,22 +196,6 @@ let test_cols_kernels_bit_identity () =
       bits_equal_mats (label ^ " tb cols") dense (Mat.matmul_tb ~cols:live a bt))
     cols_shapes
 
-(* Same contract through a domain pool; runs in the final "pooled"
-   suite (after every fork-based test — see serial_l2_report). *)
-let test_cols_kernels_pooled () =
-  let rng = Rng.create 556 in
-  let pool = Dpool.create ~force:true 2 in
-  Fun.protect ~finally:(fun () -> Dpool.shutdown pool) @@ fun () ->
-  List.iter
-    (fun ((m, k, n), live) ->
-      let a = Mat.random_gaussian rng m k 1.0 in
-      let b = banded_right rng k n live in
-      bits_equal_mats
-        (Printf.sprintf "%dx%dx%d cols pool" m k n)
-        (Mat.matmul a b)
-        (Mat.matmul ~pool ~cols:live a b))
-    cols_shapes
-
 (* ---------------- dead-symbol compaction ---------------- *)
 
 (* Zero the listed eps columns of z and return it with the matching
@@ -294,11 +278,7 @@ let test_decorrelate_sparse_matches_dense () =
 
 (* Branch refinement on an L2 ball: the branch builder compacts each
    branch after restrict_symbol, and the full report must stay
-   bit-identical across the serial, forked and domain-pool wave
-   runners. The forked leg lives here; the domain-pool leg runs in the
-   final "pooled" suite because OCaml's Unix.fork refuses to run once
-   any domain has been spawned, so every fork-based test must precede
-   every Dpool / shared_pool test in this binary. *)
+   bit-identical across the serial and forked wave runners. *)
 let imprecise_l2_query () =
   let program = Helpers.tiny_program ~layers:2 43 in
   let x = Mat.random_gaussian (Rng.create 143) 3 (Ir.out_dim program 0) 0.7 in
@@ -340,18 +320,6 @@ let test_branch_compaction_fork () =
       program region ~true_class:pred
   in
   check_true "serial = fork (full report)" (serial = forked)
-
-let test_branch_compaction_dpool () =
-  let program, region, pred, serial = serial_l2_report () in
-  match Deept.Propagate.shared_pool 4 with
-  | None -> ()
-  | Some dp ->
-      let pooled =
-        Deept.Brefine.certify_v ~wave:(Deept.Psearch.dpool_wave dp)
-          (C.with_refine (Some C.default_refine) C.fast)
-          program region ~true_class:pred
-      in
-      check_true "serial = dpool (full report)" (serial = pooled)
 
 (* restrict_symbol itself: the minted eps column is live (one-hot band),
    so compaction keeps it; widths are unchanged. *)
@@ -573,15 +541,5 @@ let () =
                 test_report_identical_no_sparse;
               Alcotest.test_case "report blocked = MAT_NAIVE" `Slow
                 test_report_identical_mat_naive;
-            ] );
-          (* Domain-spawning tests last: Unix.fork (Psearch.fork_wave in
-             "branch compaction serial = fork") refuses to run once any
-             domain exists. *)
-          ( "pooled",
-            [
-              Alcotest.test_case "?cols bit identity (dpool)" `Quick
-                test_cols_kernels_pooled;
-              Alcotest.test_case "branch compaction serial = dpool" `Quick
-                test_branch_compaction_dpool;
             ] );
         ]

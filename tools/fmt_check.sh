@@ -28,7 +28,7 @@ while IFS= read -r f; do
     echo "fmt: $f: missing final newline" >&2
     fail=1
   fi
-done < <(find lib bin bench test -name '*.ml' -o -name '*.mli' | sort)
+done < <(find lib bin bench test examples -name '*.ml' -o -name '*.mli' | sort)
 
 if command -v ocamlformat >/dev/null 2>&1; then
   while IFS= read -r f; do
@@ -36,7 +36,7 @@ if command -v ocamlformat >/dev/null 2>&1; then
       echo "fmt: $f: ocamlformat --check failed" >&2
       fail=1
     fi
-  done < <(find lib bin bench test -name '*.ml' -o -name '*.mli' | sort)
+  done < <(find lib bin bench test examples -name '*.ml' -o -name '*.mli' | sort)
 fi
 
 if [ "$fail" -eq 0 ]; then
