@@ -13,10 +13,8 @@
    the gate passes trivially. *)
 
 (* Default for the kernel bench, whose single-process timings are
-   stable. Gates over fork-based benchmarks (the radius search) pass a
-   wider --tolerance: on a machine with fewer cores than probes the
-   forked workers time-share, and their wall-clock swings far more
-   between runs than any in-process kernel. *)
+   stable. The radius and service gates pass a wider --tolerance
+   (bench/dune says why for each). *)
 let tolerance = ref 0.25
 
 (* Timing fields compared when present; lower is better for all,

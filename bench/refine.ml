@@ -83,15 +83,12 @@ let () =
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "refine [--data DIR] [--models LIST] [--json] [--out PATH]";
   Zoo.data_dir := !data;
-  let base_cfg =
-    (* serial probes and serial branch waves: in-process, scheduler-free
-       timings *)
-    Deept.Config.with_search
-      (Deept.Config.search ~probe_backend:Deept.Config.Serial_probes ())
-      Deept.Config.precise
-  in
+  let base_cfg = Deept.Config.precise in
   let refine_cfg =
-    Deept.Config.with_refine (Some Deept.Config.default_refine) base_cfg
+    (* serial branch waves: in-process, scheduler-free timings *)
+    Deept.Config.with_refine
+      (Some (Deept.Config.refine ~waves:Deept.Config.Serial_waves ()))
+      base_cfg
   in
   (* ℓ∞ balls: every noise symbol is an independent ε, so a symbol split
      is an exact partition and branch-and-bound genuinely recovers

@@ -96,32 +96,17 @@ let domains_arg =
   Arg.(value & opt int 1 & info [ "domains"; "d" ] ~doc)
 
 (* Domain parallelism composes multiplicatively with the forked worker
-   pool of `batch` and with the forked probe processes of the radius
-   search: each of the [jobs] processes runs [probes] concurrent probes,
-   and every probe spawns its own [domains]-sized pool. Warn when that
-   oversubscribes the machine — it only slows things down. *)
-let apply_domains ~jobs ?(probes = 1) domains cfg =
+   pool of `batch`: each of the [jobs] processes spawns its own
+   [domains]-sized pool. Warn when that oversubscribes the machine — it
+   only slows things down. *)
+let apply_domains ~jobs domains cfg =
   let avail = Domain.recommended_domain_count () in
-  if jobs * probes * domains > avail then
+  if jobs * domains > avail then
     Printf.eprintf
-      "certify: warning: %d job(s) x %d probe(s) x %d domain(s) \
-       oversubscribes the %d recommended domain(s) on this machine\n%!"
-      jobs probes domains avail;
+      "certify: warning: %d job(s) x %d domain(s) oversubscribes the %d \
+       recommended domain(s) on this machine\n%!"
+      jobs domains avail;
   Deept.Config.with_domains domains cfg
-
-let probes_arg =
-  let doc =
-    "Concurrent radius-search probes per refinement round. 1 (the \
-     default) is the sequential search on bisection's grid, which places \
-     each probe by the certified margins of earlier ones and returns \
-     bisection's radius wherever certification is monotone in the \
-     radius; N > 1 forks N probe processes per round and splits the \
-     bracket N+1 ways, reaching bisection precision in exponentially \
-     fewer rounds. Radii from N > 1 may differ from the sequential ones \
-     only by probing different grids — every reported radius still comes \
-     from a propagation that certified."
-  in
-  Arg.(value & opt int 1 & info [ "probes" ] ~doc)
 
 let refine_arg =
   let doc =
@@ -263,7 +248,7 @@ let t1_cmd =
 (* --- radius ----------------------------------------------------------- *)
 
 let radius_search data name index sentence word p verifier refine domains
-    probes profile =
+    profile =
   if refine && (verifier = Crown_baf || verifier = Crown_backward) then begin
     prerr_endline
       "certify: --refine is a DeepT engine feature (use deept-fast or \
@@ -280,12 +265,8 @@ let radius_search data name index sentence word p verifier refine domains
   Printf.printf "sentence: %s\n" (Text.Corpus.sentence c toks);
   if pred <> label then Printf.printf "misclassified even without perturbation\n"
   else begin
-    let search = Deept.Config.search ~probes () in
     let deept_cfg base =
-      let cfg =
-        Deept.Config.with_search search
-          (wrap (apply_domains ~jobs:1 ~probes domains base))
-      in
+      let cfg = wrap (apply_domains ~jobs:1 domains base) in
       if refine then
         Deept.Config.with_refine (Some Deept.Config.default_refine) cfg
       else cfg
@@ -305,11 +286,11 @@ let radius_search data name index sentence word p verifier refine domains
       | Deept_precise -> deept Deept.Config.precise
       | Crown_baf ->
           ( Linrelax.Verify.certified_radius ~verifier:Linrelax.Verify.Baf
-              ?trace ~search program ~p x ~word ~true_class:label (),
+              ?trace program ~p x ~word ~true_class:label (),
             None )
       | Crown_backward ->
           ( Linrelax.Verify.certified_radius ~verifier:Linrelax.Verify.Backward
-              ?trace ~search program ~p x ~word ~true_class:label (),
+              ?trace program ~p x ~word ~true_class:label (),
             None )
     in
     Printf.printf "certified radius: %.6g\n" r;
@@ -317,18 +298,11 @@ let radius_search data name index sentence word p verifier refine domains
     | Some rep ->
         let good, bad = rep.Deept.Certify.bracket in
         let bad = if bad = infinity then "inf" else Printf.sprintf "%.6g" bad in
-        if probes > 1 then
-          Printf.printf
-            "search: %d probes/round, %d bracket + %d bisect probes in %d \
-             round(s), final bracket [%.6g, %s)\n"
-            probes rep.Deept.Certify.bracket_probes
-            rep.Deept.Certify.bisect_probes rep.Deept.Certify.rounds good bad
-        else
-          Printf.printf
-            "search: margin-guided, %d bracket + %d refine probes, final \
-             bracket [%.6g, %s)\n"
-            rep.Deept.Certify.bracket_probes rep.Deept.Certify.bisect_probes
-            good bad
+        Printf.printf
+          "search: margin-guided, %d bracket + %d refine probes, final \
+           bracket [%.6g, %s)\n"
+          rep.Deept.Certify.bracket_probes rep.Deept.Certify.bisect_probes good
+          bad
     | None -> ());
     (match rep with
     | Some { Deept.Certify.refined_radius = Some rr; _ } ->
@@ -351,7 +325,7 @@ let radius_cmd =
     Term.(
       const radius_search $ data_arg $ model_arg $ index_arg $ sentence_arg
       $ word_arg $ norm_arg $ verifier_arg $ refine_arg $ domains_arg
-      $ probes_arg $ profile_arg)
+      $ profile_arg)
 
 (* --- t2 --------------------------------------------------------------- *)
 
@@ -513,7 +487,7 @@ let crash_sentence_arg =
 
 let batch data name count word p radius verifier refine deadline budget fault
     fault_rungs jobs journal_path resume_path max_retries grace hard_deadline
-    mem_limit fault_sentence crash_sentence domains probes =
+    mem_limit fault_sentence crash_sentence domains =
   setup data;
   let entry, model = load name in
   let c = Zoo.corpus_of entry.Zoo.corpus in
@@ -535,10 +509,8 @@ let batch data name count word p radius verifier refine deadline budget fault
   in
   let cfg =
     let cfg =
-      Deept.Config.with_search
-        (Deept.Config.search ~probes ())
-        (apply_domains ~jobs ~probes domains
-           (Deept.Config.with_budget ?deadline ?max_eps:budget base))
+      apply_domains ~jobs domains
+        (Deept.Config.with_budget ?deadline ?max_eps:budget base)
     in
     match fault with
     | None -> cfg
@@ -738,7 +710,7 @@ let batch_cmd =
       $ fault_arg
       $ fault_rungs_arg $ jobs_arg $ journal_arg $ resume_arg
       $ max_retries_arg $ grace_arg $ hard_deadline_arg $ mem_limit_arg
-      $ fault_sentence_arg $ crash_sentence_arg $ domains_arg $ probes_arg)
+      $ fault_sentence_arg $ crash_sentence_arg $ domains_arg)
 
 let () =
   let info = Cmd.info "certify" ~doc:"DeepT robustness certification CLI." in

@@ -148,19 +148,19 @@ let serve data socket models jobs queue_cap retry_hint deadline hard_deadline
       ~max_backoff_s:max_backoff ()
   in
   (* Same oversubscription warning `certify` prints for its jobs x
-     probes x domains product. A daemon worker runs 1 probe on 1 domain
-     only until a refine=1 request lands on it: Brefine's split wave
-     then fans the worker out to concurrent branch evaluators (forked
-     processes), bounded by Config.default_refine's branch budget — so
-     the honest worst case is jobs x that fan-out, not jobs x 1 x 1. *)
+     domains product. A daemon worker runs on 1 domain only until a
+     refine=1 request lands on it: Brefine's split wave then fans the
+     worker out to concurrent branch evaluators (forked processes),
+     bounded by Config.default_refine's branch budget — so the honest
+     worst case is jobs x that fan-out, not jobs x 1. *)
   let avail = Domain.recommended_domain_count () in
   let refine_fanout =
     max 2 (min 16 Deept.Config.default_refine.Deept.Config.max_branches)
   in
   if jobs > avail then
     Printf.eprintf
-      "certifyd: warning: %d daemon worker(s) x 1 probe(s) x 1 domain(s) \
-       oversubscribes the %d recommended domain(s) on this machine\n%!"
+      "certifyd: warning: %d daemon worker(s) x 1 domain(s) oversubscribes \
+       the %d recommended domain(s) on this machine\n%!"
       jobs avail
   else if jobs * refine_fanout > avail then
     Printf.eprintf

@@ -22,7 +22,7 @@ open Tensor
    Certified or report Unknown, never flip to Falsified. *)
 
 type branch_eval = { bverdict : Verdict.t; props : int; bdepth : int }
-type wave = branch_eval Psearch.wave
+type wave = (int -> branch_eval) -> int -> branch_eval array
 
 type report = {
   verdict : Verdict.t;
@@ -33,12 +33,66 @@ type report = {
 
 let no_split verdict = { verdict; split = []; branches = 0; depth = 0 }
 
-let wave_of (cfg : Config.t) : wave =
-  match cfg.Config.search.Config.probe_backend with
-  | Config.Serial_probes -> Psearch.serial_wave
-  | Config.Fork_probes ->
-      Psearch.fork_wave ~crash:(fun r ->
-          { bverdict = Verdict.Unknown r; props = 0; bdepth = 0 })
+(* ---------------- wave runners ---------------- *)
+
+(* A wave evaluates branches [f 0 .. f (n-1)] and returns the results in
+   branch order. [f] is deterministic and its result plain data, so it
+   may cross the Marshal boundary of a fork. *)
+
+let serial_wave f n =
+  if n = 0 then [||]
+  else begin
+    (* explicit ascending loop: the evaluation order is part of the
+       determinism contract, not an Array.init implementation detail *)
+    let out = Array.make n (f 0) in
+    for i = 1 to n - 1 do
+      out.(i) <- f i
+    done;
+    out
+  end
+
+(* One forked process per branch over the Supervisor plumbing. The work
+   closure is inherited by fork, not marshalled; only the result crosses
+   the pipe. Branches are deterministic, so a crashed worker is not
+   retried: its slot becomes a faulted branch, which the union turns
+   into the refinement's verdict. *)
+let fork_wave f n =
+  let crash r = { bverdict = Verdict.Unknown r; props = 0; bdepth = 0 } in
+  if n = 0 then [||]
+  else if Dpool.domains_active () then
+    (* The OCaml 5 runtime forbids Unix.fork while worker domains are
+       live (a --domains pool): degrade to in-process evaluation rather
+       than crash. *)
+    serial_wave f n
+  else begin
+    (* Forked children inherit buffered stdio; flush now or every worker
+       re-emits the parent's pending output on exit. *)
+    flush stdout;
+    flush stderr;
+    let jobs = List.init n (fun i -> (i, i)) in
+    let pool = Config.pool ~workers:n ~max_retries:0 () in
+    let results = Supervisor.run ~pool ~worker:(fun _ i -> f i) jobs in
+    let out = Array.make n None in
+    List.iter
+      (fun (r : _ Supervisor.job_result) ->
+        out.(r.Supervisor.job) <-
+          Some
+            (match r.Supervisor.outcome with
+            | Ok o -> o
+            | Error fl -> crash (Supervisor.failure_reason fl)))
+      results;
+    Array.map
+      (function Some r -> r | None -> crash Verdict.Worker_crashed)
+      out
+  end
+
+(* A forked branch feeds a copy of the trace sink inside its process,
+   and those events die with it: a traced refinement runs in process so
+   its profile counts every branch. *)
+let wave_of (cfg : Config.t) (r : Config.refine) : wave =
+  match r.Config.waves with
+  | Config.Fork_waves when cfg.Config.trace = None -> fork_wave
+  | Config.Fork_waves | Config.Serial_waves -> serial_wave
 
 (* Certify.margin with the adversary remembered: the smallest margin
    lower bound over classes j ≠ t, and that argmin class (the losing
@@ -143,7 +197,7 @@ let rec eval_branch (cfg : Config.t) program ~true_class region ~budget
         -> (
           match
             split_node cfg program ~true_class region out ~budget ~depth_left
-              ~wave:Psearch.serial_wave
+              ~wave:serial_wave
           with
           | None ->
               {
@@ -213,7 +267,7 @@ let certify_v ?wave (cfg : Config.t) program region ~true_class =
     | Some r -> r
     | None -> invalid_arg "Brefine.certify_v: cfg.refine is None"
   in
-  let wave = match wave with Some w -> w | None -> wave_of cfg in
+  let wave = match wave with Some w -> w | None -> wave_of cfg rcfg in
   match Propagate.run cfg program region with
   | exception Zonotope.Unbounded ->
       no_split (Verdict.Unknown Verdict.Unbounded)

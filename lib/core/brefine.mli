@@ -19,12 +19,11 @@
     order). A branch verdict is margin-only, so refinement can never
     produce — and therefore never flip — a [Falsified].
 
-    {b Determinism.} The first split wave may run on any of
-    {!Psearch}'s wave runners (serial / fork); every
-    deeper re-split runs serially inside its branch with a budget share
-    fixed before the wave launches, so the refinement's outcome is a
-    pure function of (config, program, region) — bit-identical across
-    runners.
+    {b Determinism.} The first split wave runs on {!serial_wave} or
+    {!fork_wave} ([Config.refine.waves]); every deeper re-split runs
+    serially inside its branch with a budget share fixed before the
+    wave launches, so the refinement's outcome is a pure function of
+    (config, program, region) — bit-identical across wave runners.
 
     Branch budget ([Config.refine.max_branches]) counts branch
     propagations across the whole tree; the per-propagation deadline and
@@ -39,7 +38,19 @@ type branch_eval = {
 (** Result of one branch evaluation — plain data, safe across the
     Marshal boundary of a fork wave. *)
 
-type wave = branch_eval Psearch.wave
+type wave = (int -> branch_eval) -> int -> branch_eval array
+(** A wave runner: evaluates branches [f 0 .. f (n-1)] and returns the
+    results in branch order. [f] must be deterministic. *)
+
+val serial_wave : wave
+(** Ascending in-process evaluation — the deterministic reference. *)
+
+val fork_wave : wave
+(** One forked process per branch over the {!Supervisor} plumbing
+    ([max_retries = 0]); a crashed worker's slot is the faulted branch
+    [Unknown reason]. The closure is inherited by [fork], not
+    marshalled. Degrades to {!serial_wave} while any {!Tensor.Dpool}
+    has live worker domains (the runtime forbids forking then). *)
 
 type report = {
   verdict : Verdict.t;
@@ -62,8 +73,9 @@ val certify_v :
 (** [certify_v cfg program region ~true_class] propagates the region
     once; if the margin is imprecise, refines branch-and-bound style
     under [cfg.refine]. [?wave] overrides the first-wave runner (tests:
-    fault injection, cross-runner bit-identity); the default is chosen
-    from [cfg.search.probe_backend] like the radius-probe runners.
+    fault injection, cross-runner bit-identity); the default is
+    [cfg.refine.waves]' runner, or {!serial_wave} whenever [cfg.trace]
+    is set, so that every branch's events reach the sink.
     @raise Invalid_argument when [cfg.refine] is [None]. *)
 
 val certify :
@@ -71,12 +83,18 @@ val certify :
 (** [certify_v] collapsed to "did it certify" — the refined radius-probe
     predicate used by {!Certify.certified_radius}. *)
 
-(**/**)
-
 val losing_margin : Zonotope.t -> true_class:int -> float * int
 (** [(margin lower bound, argmin adversary class)] of an output
-    zonotope; agrees with [Certify.margin] on the bound. Exposed for
-    tests. *)
+    zonotope; ties keep the smaller class index. {!Certify.margin} is
+    its bound. *)
+
+val verdict_of_margin : float -> Verdict.t
+(** The verdict a clean propagation's margin gives: [Certified] when
+    positive, [Unknown Imprecise] when not, [Unknown Unbounded] at
+    [neg_infinity] and [Unknown Numerical_fault] at [nan]. Shared with
+    {!Certify.certify_v}. *)
+
+(**/**)
 
 val rank_symbols :
   Zonotope.t -> Zonotope.t -> true_class:int -> (float * Zonotope.symbol) list

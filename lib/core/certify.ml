@@ -1,24 +1,6 @@
 open Tensor
 
-let margin (out : Zonotope.t) ~true_class =
-  if out.Zonotope.vrows <> 1 then invalid_arg "Certify.margin: output not 1 x C";
-  let c = out.Zonotope.vcols in
-  if true_class < 0 || true_class >= c then invalid_arg "Certify.margin: class";
-  let ct, at, bt = Zonotope.var_affine out true_class in
-  let best = ref infinity in
-  for j = 0 to c - 1 do
-    if j <> true_class then begin
-      let cj, aj, bj = Zonotope.var_affine out j in
-      let alpha = Vecops.sub at aj in
-      (* ε widths can differ between reads only through padding; var_affine
-         returns rows of the same matrix, so they match. *)
-      let beta = Vecops.sub bt bj in
-      let q = Lp.dual out.Zonotope.p in
-      let lb = ct -. cj -. Lp.norm q alpha -. Vecops.l1 beta in
-      if lb < !best then best := lb
-    end
-  done;
-  !best
+let margin out ~true_class = fst (Brefine.losing_margin out ~true_class)
 
 (* One propagation read as the typed verdict and the margin it was
    decided on ([nan] when the propagation raised). *)
@@ -26,13 +8,7 @@ let verdict_margin ?prefix cfg program region ~true_class =
   match Propagate.run ?prefix cfg program region with
   | out ->
       let m = margin out ~true_class in
-      let v =
-        if Float.is_nan m then Verdict.Unknown Verdict.Numerical_fault
-        else if m = neg_infinity then Verdict.Unknown Verdict.Unbounded
-        else if m > 0.0 then Verdict.Certified
-        else Verdict.Unknown Verdict.Imprecise
-      in
-      (v, m)
+      (Brefine.verdict_of_margin m, m)
   | exception Zonotope.Unbounded -> (Verdict.Unknown Verdict.Unbounded, nan)
   | exception Verdict.Abort r -> (Verdict.Unknown r, nan)
 
@@ -51,81 +27,25 @@ let certify_v ?prefix cfg program region ~true_class =
 
 (* ---------------- radius search ---------------- *)
 
-let executor_of (s : Config.search) =
-  if s.Config.probes <= 1 then Psearch.Sequential else Psearch.Grid s.Config.probes
-
-let runner_of (s : Config.search) =
-  match s.Config.probe_backend with
-  | Config.Serial_probes -> Psearch.serial_runner
-  | Config.Fork_probes -> Psearch.fork_runner
-
 (* Validation kept here (with the historical messages) rather than in
    Psearch so hardening tests keep pinning the same errors. *)
-let run_search ?(lo = 0.0) ?(hi = 0.5) ~iters ~(search : Config.search) probe =
+let run_search ?(lo = 0.0) ?(hi = 0.5) ~iters probe =
   if hi <= lo then invalid_arg "Certify.max_radius: hi <= lo";
   if not (Float.is_finite hi && Float.is_finite lo) then
     invalid_arg "Certify.max_radius: bracket must be finite";
-  Psearch.search ~lo ~hi ~iters ?rounds:search.Config.rounds
-    ~exec:(executor_of search) ~runner:(runner_of search) probe
+  Psearch.search ~lo ~hi ~iters probe
 
-let max_radius ?lo ?hi ?(iters = 10) ?(search = Config.default_search) certifies
-    =
+let max_radius ?lo ?hi ?(iters = 10) certifies =
   (* A probe that faults — typed abort or collapsed abstraction — counts as
      "bad": it may shrink the bracket but can never certify, so the search
      always terminates and only ever returns a radius that certified. *)
-  (run_search ?lo ?hi ~iters ~search (Psearch.probe_of certifies)).Psearch.radius
-
-(* Probe amortization: the leading affine prefix (ViT patch embedding) is
-   an exact linear map, so a unit-radius input region propagated once
-   yields, for every probe radius r, the prefix output by rescaling the
-   generator coefficient matrices by r — the center is radius-independent
-   and stays physically shared (Zonotope.scale_coeffs). Engaged only for
-   multi-probe searches: float rescaling is within tolerance of, but not
-   bit-identical to, re-propagation, and the probes = 1 radii are pinned
-   bit-for-bit in the test suite. Disabled under fault injection (the
-   fault must fire inside every probe, and Inject_nan/Inject_inf mutate
-   the op output in place — unsafe on a shared center) and when
-   [cfg.search.share_prefix] is off. *)
-let search_prefix (cfg : Config.t) program ~p x ~word =
-  let s = cfg.Config.search in
-  if
-    s.Config.probes <= 1
-    || (not s.Config.share_prefix)
-    || cfg.Config.fault <> None
-  then None
-  else
-    match Propagate.affine_prefix_len program with
-    | 0 -> None
-    | len -> (
-        match
-          Propagate.run_prefix cfg program
-            (Region.lp_ball ~p x ~word ~radius:1.0)
-            ~len
-        with
-        | vals -> Some (vals, len)
-        | exception _ -> None)
-
-(* Rescale a shared prefix value array to probe radius [r]. Slots beyond
-   the prefix all alias the input zonotope, so scaled values are memoized
-   by physical equality to keep the aliasing (and the work) O(prefix). *)
-let scale_vals r vals =
-  let memo = ref [] in
-  Array.map
-    (fun z ->
-      match List.assq_opt z !memo with
-      | Some z' -> z'
-      | None ->
-          let z' = Zonotope.scale_coeffs r z in
-          memo := (z, z') :: !memo;
-          z')
-    vals
+  (run_search ?lo ?hi ~iters (Psearch.probe_of certifies)).Psearch.radius
 
 type radius_report = {
   radius : float;
   bracket : float * float;
   bracket_probes : int;
   bisect_probes : int;
-  rounds : int;
   faulted_probes : (float * Verdict.unknown_reason) list;
   refined_radius : float option;
 }
@@ -170,26 +90,18 @@ let refine_edge (cfg : Config.t) program ~p x ~word ~true_class (good, bad) =
 (* The DeepT radius search: each probe is one propagation, whose margin
    goes to the search with its verdict. *)
 let radius_search cfg program ~p x ~word ~true_class ?hi ~iters () =
-  let search = cfg.Config.search in
-  let shared = search_prefix cfg program ~p x ~word in
   let probe radius =
     if radius <= 0.0 then Psearch.Bad nan
-    else begin
-      let prefix =
-        Option.map (fun (vals, len) -> (scale_vals radius vals, len)) shared
-      in
+    else
       match
-        verdict_margin ?prefix cfg program
-          (Region.lp_ball ~p x ~word ~radius)
-          ~true_class
+        verdict_margin cfg program (Region.lp_ball ~p x ~word ~radius) ~true_class
       with
       | Verdict.Certified, m -> Psearch.Good m
       | (Verdict.Falsified | Verdict.Unknown Verdict.Imprecise), m ->
           Psearch.Bad m
       | Verdict.Unknown r, _ -> Psearch.Faulted r
-    end
   in
-  run_search ?hi ~iters ~search probe
+  run_search ?hi ~iters probe
 
 let certified_radius cfg program ~p x ~word ~true_class ?hi ?(iters = 10) () =
   let r = radius_search cfg program ~p x ~word ~true_class ?hi ~iters () in
@@ -207,7 +119,6 @@ let certified_radius_v cfg program ~p x ~word ~true_class ?hi ?(iters = 10) ()
     bracket = (r.Psearch.good, r.Psearch.bad);
     bracket_probes = r.Psearch.stats.Psearch.bracket_probes;
     bisect_probes = r.Psearch.stats.Psearch.bisect_probes;
-    rounds = r.Psearch.stats.Psearch.rounds;
     faulted_probes = r.Psearch.stats.Psearch.faulted;
     refined_radius;
   }

@@ -8,7 +8,7 @@
 
 val margin : Zonotope.t -> true_class:int -> float
 (** Lower bound of [min_{j ≠ t} (y_t − y_j)] on an output zonotope of
-    value shape [1 x C]. *)
+    value shape [1 x C] ({!Brefine.losing_margin}'s bound). *)
 
 val certify :
   ?prefix:Zonotope.t array * int ->
@@ -36,23 +36,16 @@ val certify_v :
     counterexamples. *)
 
 val max_radius :
-  ?lo:float -> ?hi:float -> ?iters:int -> ?search:Config.search ->
-  (float -> bool) -> float
+  ?lo:float -> ?hi:float -> ?iters:int -> (float -> bool) -> float
 (** [max_radius certifies] searches the largest radius accepted by the
     monotone predicate [certifies] via {!Psearch}, on the grid of
     [iters] (default 10) bisection steps over [[0, hi]] (default
     [hi = 0.5]), or over [[good, bad]] once [hi] certified and the
     bracket grew (doubled up to 3 times while certified). A boolean
-    predicate reports no margins, so the sequential search bisects; it
-    probes [hi] only after [hi/2] certified. Returns the largest radius
-    known to certify (0 if even tiny radii fail), bit-identical to
+    predicate reports no margins, so the search bisects; it probes
+    [hi] only after [hi/2] certified. Returns the largest radius known
+    to certify (0 if even tiny radii fail), bit-identical to
     bisection's whenever [certifies] is monotone.
-
-    [search] (default {!Config.default_search}) selects the executor:
-    [probes = 1] is the sequential search above; [probes = n > 1]
-    evaluates [n]
-    deterministic radii per round concurrently on the configured
-    backend, converging by [1/(n+1)] per round instead of [1/2].
 
     Robustness guarantees: the bracket must be finite
     ([Invalid_argument] otherwise); a probe that raises
@@ -66,11 +59,8 @@ val certified_radius :
 (** The paper's main measurement: the largest ℓp radius around one
     word's embedding that certifies. It is the [radius] of the search
     {!certified_radius_v} runs, without the refinement. Each probe is
-    one propagation; with [cfg.search.probes = 1] its margin places the
-    next probe ({!Psearch.Sequential}). For multi-probe searches on models with an
-    affine prefix, the prefix is propagated once at unit radius and
-    rescaled per probe ({!Zonotope.scale_coeffs}) unless
-    [cfg.search.share_prefix] is off or a fault is injected. *)
+    one propagation, and its margin places the next probe
+    ({!Psearch.search}). *)
 
 type radius_report = {
   radius : float;  (** largest radius that certified (0 if none) *)
@@ -78,15 +68,11 @@ type radius_report = {
       (** final [(good, bad)] bracket; [bad = infinity] when even the
           growth cap certified *)
   bracket_probes : int;
-      (** propagations at [hi] and the growth points past it
-          (sequential: up to 4, spent only after the grid midpoint
-          [hi/2] certified; grid: wave 0 plus growth waves) *)
+      (** propagations at [hi] and the growth points past it: up to 4,
+          spent only after the grid midpoint [hi/2] certified *)
   bisect_probes : int;
-      (** propagations at grid points inside the bracket (sequential:
-          the first midpoint included) *)
-  rounds : int;
-      (** concurrent refinement rounds (0 for the sequential executor,
-          whose probes are all counted individually) *)
+      (** propagations at grid points inside the bracket, the first
+          midpoint included *)
   faulted_probes : (float * Verdict.unknown_reason) list;
       (** probes that ended in a typed fault rather than a clean
           not-certified, in launch order — nonempty means the radius may
@@ -111,14 +97,6 @@ val certified_radius_v :
     [cfg.refine] is set, a few branch-and-bound probes run at the
     bracket's failing edge afterwards and fill [refined_radius]; the
     plain search (and hence [radius]) is untouched by refinement. *)
-
-val search_prefix :
-  Config.t -> Ir.program -> p:Lp.t -> Tensor.Mat.t -> word:int ->
-  (Zonotope.t array * int) option
-(** The shared unit-radius prefix used by the radius searches: [Some]
-    only when [cfg.search] asks for a multi-probe search with prefix
-    sharing, no fault is injected and the program has a nonempty affine
-    prefix. Exposed for tests. *)
 
 val certify_synonyms :
   Config.t -> Ir.program -> Tensor.Mat.t -> (int * float array list) list ->

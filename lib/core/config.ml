@@ -62,42 +62,23 @@ let pool ?(workers = default_pool.workers) ?hard_deadline_s
     max_backoff_s;
   }
 
-type probe_backend = Fork_probes | Serial_probes
+type waves = Fork_waves | Serial_waves
 
-type search = {
-  probes : int;
-  rounds : int option;
-  share_prefix : bool;
-  probe_backend : probe_backend;
-}
+type refine = { top_k : int; max_branches : int; depth : int; waves : waves }
 
-let default_search =
-  { probes = 1; rounds = None; share_prefix = true; probe_backend = Fork_probes }
-
-let search ?(probes = default_search.probes) ?rounds
-    ?(share_prefix = default_search.share_prefix)
-    ?(probe_backend = default_search.probe_backend) () =
-  if probes < 1 || probes > 64 then
-    invalid_arg "Config.search: need 1 <= probes <= 64";
-  (match rounds with
-  | Some r when r < 1 -> invalid_arg "Config.search: rounds < 1"
-  | _ -> ());
-  { probes; rounds; share_prefix; probe_backend }
-
-type refine = { top_k : int; max_branches : int; depth : int }
-
-let default_refine = { top_k = 2; max_branches = 8; depth = 2 }
+let default_refine =
+  { top_k = 2; max_branches = 8; depth = 2; waves = Fork_waves }
 
 let refine ?(top_k = default_refine.top_k)
     ?(max_branches = default_refine.max_branches)
-    ?(depth = default_refine.depth) () =
+    ?(depth = default_refine.depth) ?(waves = default_refine.waves) () =
   if top_k < 1 || top_k > 6 then
     invalid_arg "Config.refine: need 1 <= top_k <= 6";
   if max_branches < 2 || max_branches > 256 then
     invalid_arg "Config.refine: need 2 <= max_branches <= 256";
   if depth < 1 || depth > 8 then
     invalid_arg "Config.refine: need 1 <= depth <= 8";
-  { top_k; max_branches; depth }
+  { top_k; max_branches; depth; waves }
 
 type t = {
   variant : dot_variant;
@@ -109,7 +90,6 @@ type t = {
   fault : fault_spec option;
   domains : int;
   trace : Interp.sink option;
-  search : search;
   refine : refine option;
 }
 
@@ -124,7 +104,6 @@ let default =
     fault = None;
     domains = 1;
     trace = None;
-    search = default_search;
     refine = None;
   }
 
@@ -145,12 +124,7 @@ let with_domains n cfg =
   { cfg with domains = n }
 
 let with_trace sink cfg = { cfg with trace = sink }
-let with_search s cfg = { cfg with search = s }
 let with_refine r cfg = { cfg with refine = r }
-
-let probe_backend_name = function
-  | Fork_probes -> "fork"
-  | Serial_probes -> "serial"
 
 let variant_name = function Fast -> "fast" | Precise -> "precise" | Combined -> "combined"
 
@@ -188,11 +162,6 @@ let pp ppf c =
   | None -> ());
   if c.domains > 1 then
     Buffer.add_string b (Printf.sprintf ", domains=%d" c.domains);
-  if c.search.probes > 1 then
-    Buffer.add_string b
-      (Printf.sprintf ", probes=%d(%s%s)" c.search.probes
-         (probe_backend_name c.search.probe_backend)
-         (if c.search.share_prefix then "" else ", no-share"));
   (match c.refine with
   | Some r ->
       Buffer.add_string b

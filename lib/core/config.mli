@@ -108,56 +108,6 @@ val pool :
     @raise Invalid_argument on non-positive workers/deadline/memory,
     negative grace/retries/backoff, or [max_backoff_s < backoff_s]. *)
 
-(** {1 Radius search: speculative parallel probes}
-
-    Policy for {!Certify.max_radius}'s bracket search. With [probes = 1]
-    the search is sequential on bisection's grid and places each probe
-    by the margins of the earlier ones ({!Psearch.Sequential}): it
-    returns bisection's radius wherever certification is monotone in
-    the radius, and every committed pin. With [probes = n > 1] each
-    round splits the
-    current bracket into [n+1] deterministic subintervals and evaluates
-    the [n] interior radii concurrently — see {!Psearch}. *)
-
-type probe_backend =
-  | Fork_probes
-      (** one forked process per interior radius, reusing the
-          {!Supervisor} marshalling plumbing (default; robust to probe
-          crashes, no shared state) *)
-  | Serial_probes
-      (** evaluate the grid left-to-right in-process — deterministic
-          reference backend, used by tests and as the fallback *)
-
-type search = {
-  probes : int;
-      (** concurrent interior probes per round (≥ 1); 1 = the
-          sequential margin-guided search *)
-  rounds : int option;
-      (** grid rounds after bracketing; [None] picks the smallest count
-          whose final width is at most sequential bisection's *)
-  share_prefix : bool;
-      (** amortize the affine prefix across probes: propagate it once at
-          unit radius and rescale generator coefficients by [r] per
-          probe ({!Zonotope.scale_coeffs}). Not bit-identical to
-          re-propagation (float rescaling), so tests gate it with a
-          tolerance. Auto-disabled under fault injection. *)
-  probe_backend : probe_backend;
-}
-
-val default_search : search
-(** [probes = 1], automatic rounds, prefix sharing on, fork backend. *)
-
-val search :
-  ?probes:int ->
-  ?rounds:int ->
-  ?share_prefix:bool ->
-  ?probe_backend:probe_backend ->
-  unit ->
-  search
-(** Validating constructor over {!default_search}.
-    @raise Invalid_argument unless [1 <= probes <= 64] and
-    [rounds >= 1] when given. *)
-
 (** {1 Upward refinement: branch-and-bound symbol splitting}
 
     Policy for {!Brefine}'s branch-and-bound refinement — the ladder's
@@ -167,6 +117,14 @@ val search :
     [top_k] strongest symbol ranges in half and re-certifies every
     half-combination. [None] (the default) disables refinement and
     preserves the engine's pre-refinement behavior bit-for-bit. *)
+
+type waves =
+  | Fork_waves
+      (** one forked process per branch of the first split wave
+          ({!Brefine.fork_wave}; the default) *)
+  | Serial_waves
+      (** every branch in process, in branch order
+          ({!Brefine.serial_wave}): scheduler-free timings *)
 
 type refine = {
   top_k : int;
@@ -178,12 +136,20 @@ type refine = {
   depth : int;
       (** maximum nesting of splits: 1 = split once, no recursion on
           still-imprecise branches *)
+  waves : waves;
+      (** how the first split wave runs. Verdicts are bit-identical
+          either way, so it is not part of {!policy_key}. A traced
+          config ([trace <> None]) runs its waves in process whatever
+          this says, since a forked branch's events would die with its
+          process. *)
 }
 
 val default_refine : refine
-(** [top_k = 2], [max_branches = 8], [depth = 2]. *)
+(** [top_k = 2], [max_branches = 8], [depth = 2], fork waves. *)
 
-val refine : ?top_k:int -> ?max_branches:int -> ?depth:int -> unit -> refine
+val refine :
+  ?top_k:int -> ?max_branches:int -> ?depth:int -> ?waves:waves -> unit ->
+  refine
 (** Validating constructor over {!default_refine}.
     @raise Invalid_argument unless [1 <= top_k <= 6],
     [2 <= max_branches <= 256] and [1 <= depth <= 8]. *)
@@ -214,10 +180,6 @@ type t = {
           only a compatibility shim that installs a stderr sink when no
           explicit one is set. A sink is a closure: leave it [None] in
           configs that cross the {!Supervisor} Marshal boundary. *)
-  search : search;
-      (** radius-search policy (default {!default_search} = the
-          sequential search). Plain data, safe across the Marshal
-          boundary. *)
   refine : refine option;
       (** branch-and-bound refinement policy for the ladder's upward
           direction (default [None] = refinement off, pre-refinement
@@ -246,9 +208,6 @@ val with_domains : int -> t -> t
 val with_trace : Interp.sink option -> t -> t
 (** Sets {!t.trace}. *)
 
-val with_search : search -> t -> t
-(** Sets {!t.search}. *)
-
 val with_refine : refine option -> t -> t
 (** Sets {!t.refine}. *)
 
@@ -264,6 +223,5 @@ val policy_key : t -> string
     an answer is produced, not which answer. *)
 
 val variant_name : dot_variant -> string
-val probe_backend_name : probe_backend -> string
 val fault_action_name : fault_action -> string
 val pp : Format.formatter -> t -> unit

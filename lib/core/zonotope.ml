@@ -368,18 +368,6 @@ let scale s z =
     eps_occ;
   }
 
-(* Rescale only the generator coefficients, sharing the center. This is
-   the radius-search amortization primitive: a unit-radius ℓp ball around
-   [x] propagated through an affine prefix has coefficient matrices that
-   are exactly linear in the radius, while the center is radius-
-   independent — so one unit-radius propagation serves every probe.
-   Sharing the center (no copy) is safe because the only center-mutating
-   path, fault injection, disables prefix sharing (see
-   Certify.search_prefix). *)
-let scale_coeffs s z =
-  let eps_occ = if Float.is_finite s then z.eps_occ else Bands.full in
-  { z with phi = Mat.scale s z.phi; eps = Mat.scale s z.eps; eps_occ }
-
 let neg z = scale (-1.0) z
 
 (* ---------------- symbol splitting (branch-and-bound) ---------------- *)

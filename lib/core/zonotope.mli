@@ -144,15 +144,6 @@ val add : t -> t -> t
 val add_const : t -> Tensor.Mat.t -> t
 val scale : float -> t -> t
 
-val scale_coeffs : float -> t -> t
-(** [scale_coeffs s z] rescales only the generator coefficient matrices
-    (φ and ε) by [s], {e sharing} the center matrix with [z]. For a
-    region whose generators were built at unit radius and propagated
-    through an affine prefix, this reconstructs the prefix output at
-    radius [s] without re-propagating — the radius-search amortization
-    primitive ({!Certify}). The shared center must not be mutated;
-    callers that inject faults must not use coefficient sharing. *)
-
 val neg : t -> t
 
 (** {1 Symbol splitting (branch-and-bound refinement)} *)

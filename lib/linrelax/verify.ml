@@ -155,9 +155,9 @@ let certify ~verifier ?baf_steps ?budget ?trace c region ~true_class =
   margin ~verifier ?baf_steps ?budget ?trace c region ~true_class > 0.0
 
 let certified_radius ~verifier ?baf_steps ?budget ?trace ?hi ?(iters = 10)
-    ?search program ~p x ~word ~true_class () =
+    program ~p x ~word ~true_class () =
   let c = compile program ~seq_len:(Mat.rows x) in
-  Deept.Certify.max_radius ?hi ~iters ?search (fun radius ->
+  Deept.Certify.max_radius ?hi ~iters (fun radius ->
       radius > 0.0
       && certify ~verifier ?baf_steps ?budget ?trace c
            (region_word_ball ~p x ~word ~radius)

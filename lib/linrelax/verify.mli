@@ -66,7 +66,6 @@ val certify :
 val certified_radius :
   verifier:verifier -> ?baf_steps:int -> ?budget:Deept.Config.budget ->
   ?trace:Interp.sink -> ?hi:float -> ?iters:int ->
-  ?search:Deept.Config.search ->
   Ir.program -> p:Deept.Lp.t -> Tensor.Mat.t -> word:int -> true_class:int ->
   unit -> float
 (** Bracket search for the largest certified ℓp radius around one word,
@@ -74,18 +73,15 @@ val certified_radius :
     [budget] counts as not-certified ({!Deept.Certify.max_radius}'s
     fault handling), so the search still terminates. [trace] is
     installed on every probe, so one {!Profile} collector absorbs the
-    whole search. [search] selects the probe executor (default: the
-    sequential search, which bisects here because the probe reports
-    no margin); the relaxation pass has no affine-prefix
-    amortization, so only the concurrency leg applies.
+    whole search. The probe reports no margin, so the search bisects.
 
     Caveat: the relaxation's certified-at-radius predicate is only
     {e approximately} monotone — branch choices (crossing-neuron
-    detection) can flip within an ulp near the boundary, so a
-    multi-probe search may settle on a slightly different radius than
-    bisection. Either answer comes from a probe that genuinely
-    certified; the monotonicity assumption in {!Deept.Psearch} is an
-    assumption about the predicate, not a guarantee this relaxation
-    provides at fine scales. *)
+    detection) can flip within an ulp near the boundary, so a search
+    that probed other radii (a margin-guided one) could settle on a
+    slightly different radius than bisection. Either answer comes from
+    a probe that genuinely certified; the monotonicity assumption in
+    {!Deept.Psearch} is an assumption about the predicate, not a
+    guarantee this relaxation provides at fine scales. *)
 
 val default_baf_steps : int

@@ -44,8 +44,8 @@ type t = {
 let size p = p.size
 
 (* Live worker domains across every pool in the process. The OCaml 5
-   runtime forbids [Unix.fork] while other domains are running, so
-   fork-based schedulers (Psearch.fork_runner) consult this to degrade
+   runtime forbids [Unix.fork] while other domains are running, so the
+   fork-based branch wave (Brefine.fork_wave) consults this to degrade
    instead of crashing. *)
 let live_workers = Atomic.make 0
 

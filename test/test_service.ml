@@ -306,6 +306,29 @@ let test_cache_key_discriminates () =
   check_true "keys are single-line"
     (not (String.contains (k { base with P.input = P.Sentence "a\nb" }) '\n'))
 
+(* The config half of every cache key, certifyd's journaled keys
+   included. Fields that change whether an answer is produced, or how
+   it is scheduled, but not which answer, stay out of it: otherwise a
+   restarted daemon would miss every journaled entry. *)
+let test_policy_key_pinned () =
+  let module C = Deept.Config in
+  let refined = C.with_refine (Some C.default_refine) C.fast in
+  List.iter
+    (fun (name, cfg, want) ->
+      let got = C.policy_key cfg in
+      if got <> want then Alcotest.failf "%s: %s <> %s" name got want)
+    [
+      ("fast", C.fast, "fast:olinf:sstable:ss1:k128:rf-");
+      ("fast, refined", refined, "fast:olinf:sstable:ss1:k128:rfk2.b8.d2");
+      ("precise", C.precise, "precise:olinf:sstable:ss1:k96:rf-");
+      ( "fast, refined in serial waves",
+        C.with_refine (Some (C.refine ~waves:C.Serial_waves ())) C.fast,
+        "fast:olinf:sstable:ss1:k128:rfk2.b8.d2" );
+      ( "fast, traced on 2 domains",
+        C.with_domains 2 (C.with_trace (Some ignore) C.fast),
+        "fast:olinf:sstable:ss1:k128:rf-" );
+    ]
+
 let test_cache_store_find () =
   let t = Ca.create () in
   let k = "k1" in
@@ -623,6 +646,7 @@ let () =
         [
           Alcotest.test_case "key discriminates" `Quick
             test_cache_key_discriminates;
+          Alcotest.test_case "policy key pinned" `Quick test_policy_key_pinned;
           Alcotest.test_case "store/find" `Quick test_cache_store_find;
           Alcotest.test_case "absorb from journal" `Quick test_cache_absorb;
         ] );

@@ -301,7 +301,7 @@ let imprecise_l2_query () =
 let serial_l2_report () =
   let program, region, pred = imprecise_l2_query () in
   let serial =
-    Deept.Brefine.certify_v ~wave:Deept.Psearch.serial_wave
+    Deept.Brefine.certify_v ~wave:Deept.Brefine.serial_wave
       (C.with_refine (Some C.default_refine) C.fast)
       program region ~true_class:pred
   in
@@ -312,10 +312,7 @@ let test_branch_compaction_fork () =
   let program, region, pred, serial = serial_l2_report () in
   let module B = Deept.Brefine in
   let forked =
-    B.certify_v
-      ~wave:
-        (Deept.Psearch.fork_wave ~crash:(fun r ->
-             { B.bverdict = V.Unknown r; props = 0; bdepth = 0 }))
+    B.certify_v ~wave:B.fork_wave
       (C.with_refine (Some C.default_refine) C.fast)
       program region ~true_class:pred
   in

@@ -13,9 +13,9 @@
 # to an absolute path and forwarded as --data (benchmarks that load zoo
 # models need it, since the benchmark runs inside the scratch dir). The
 # optional TOLERANCE (a fraction, default check_regress's 0.25) widens
-# the gate for benchmarks whose wall-clock is inherently noisier —
-# fork-based probe workers time-sharing an undersized machine. Any
-# arguments past TOLERANCE are forwarded to the benchmark verbatim (the
+# the gate; the radius and service gates pass one (bench/dune says
+# why). Any arguments past TOLERANCE are forwarded to the benchmark
+# verbatim (the
 # refine gate re-measures a subset of the committed baseline's models;
 # check_regress reports the missing rows as dropped without failing).
 set -eu
