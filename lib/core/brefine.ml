@@ -261,18 +261,25 @@ and split_node (cfg : Config.t) program ~true_class region out ~budget
     Some (verdict, props, d, chosen)
   end
 
-let certify_v ?wave (cfg : Config.t) program region ~true_class =
+let certify_v ?wave ?out (cfg : Config.t) program region ~true_class =
   let rcfg =
     match cfg.Config.refine with
     | Some r -> r
     | None -> invalid_arg "Brefine.certify_v: cfg.refine is None"
   in
   let wave = match wave with Some w -> w | None -> wave_of cfg rcfg in
-  match Propagate.run cfg program region with
-  | exception Zonotope.Unbounded ->
-      no_split (Verdict.Unknown Verdict.Unbounded)
-  | exception Verdict.Abort r -> no_split (Verdict.Unknown r)
-  | out -> (
+  let propagated =
+    match out with
+    | Some out -> Ok out
+    | None -> (
+        match Propagate.run cfg program region with
+        | out -> Ok out
+        | exception Zonotope.Unbounded -> Error Verdict.Unbounded
+        | exception Verdict.Abort r -> Error r)
+  in
+  match propagated with
+  | Error r -> no_split (Verdict.Unknown r)
+  | Ok out -> (
       let m, _ = losing_margin out ~true_class in
       match verdict_of_margin m with
       | Verdict.Unknown Verdict.Imprecise -> (
@@ -286,5 +293,6 @@ let certify_v ?wave (cfg : Config.t) program region ~true_class =
               { verdict = v; split = chosen; branches = props; depth = d })
       | v -> no_split v)
 
-let certify ?wave cfg program region ~true_class =
-  (certify_v ?wave cfg program region ~true_class).verdict = Verdict.Certified
+let certify ?wave ?out cfg program region ~true_class =
+  (certify_v ?wave ?out cfg program region ~true_class).verdict
+  = Verdict.Certified

@@ -65,6 +65,7 @@ type report = {
 
 val certify_v :
   ?wave:wave ->
+  ?out:Zonotope.t ->
   Config.t ->
   Ir.program ->
   Zonotope.t ->
@@ -72,14 +73,22 @@ val certify_v :
   report
 (** [certify_v cfg program region ~true_class] propagates the region
     once; if the margin is imprecise, refines branch-and-bound style
-    under [cfg.refine]. [?wave] overrides the first-wave runner (tests:
-    fault injection, cross-runner bit-identity); the default is
-    [cfg.refine.waves]' runner, or {!serial_wave} whenever [cfg.trace]
-    is set, so that every branch's events reach the sink.
+    under [cfg.refine]. [?out] is that propagation's output when the
+    caller already has it — the region propagated under [cfg]'s
+    precision policy and budget, with no fault armed — and the
+    propagation is skipped; everything from the ranking on is
+    unchanged. {!Engine}'s up walk passes its first rung's output,
+    {!Certify.certified_radius_v} its failing probe's. [?wave]
+    overrides the first-wave runner (tests: fault injection,
+    cross-runner bit-identity); the default is [cfg.refine.waves]'
+    runner, or {!serial_wave} whenever [cfg.trace] is set, so that
+    every branch's events reach the sink.
     @raise Invalid_argument when [cfg.refine] is [None]. *)
 
 val certify :
-  ?wave:wave -> Config.t -> Ir.program -> Zonotope.t -> true_class:int -> bool
+  ?wave:wave ->
+  ?out:Zonotope.t ->
+  Config.t -> Ir.program -> Zonotope.t -> true_class:int -> bool
 (** [certify_v] collapsed to "did it certify" — the refined radius-probe
     predicate used by {!Certify.certified_radius}. *)
 

@@ -2,28 +2,33 @@ open Tensor
 
 let margin out ~true_class = fst (Brefine.losing_margin out ~true_class)
 
-(* One propagation read as the typed verdict and the margin it was
-   decided on ([nan] when the propagation raised). *)
-let verdict_margin ?prefix cfg program region ~true_class =
-  match Propagate.run ?prefix cfg program region with
+(* One propagation read as the typed verdict, the margin it was decided
+   on ([nan] when the propagation raised) and, when it completed, the
+   output zonotope. *)
+let propagation ?from ?on_budget cfg program region ~true_class =
+  match Propagate.run ?from ?on_budget cfg program region with
   | out ->
       let m = margin out ~true_class in
-      (Brefine.verdict_of_margin m, m)
-  | exception Zonotope.Unbounded -> (Verdict.Unknown Verdict.Unbounded, nan)
-  | exception Verdict.Abort r -> (Verdict.Unknown r, nan)
+      (Brefine.verdict_of_margin m, m, Some out)
+  | exception Zonotope.Unbounded -> (Verdict.Unknown Verdict.Unbounded, nan, None)
+  | exception Verdict.Abort r -> (Verdict.Unknown r, nan, None)
 
-let certify_margin ?prefix cfg program region ~true_class =
+let certify_margin cfg program region ~true_class =
   (* An Unbounded abstraction (overflowed exponential at an absurd radius)
      or an aborted propagation (budget, poison) simply cannot be
      certified. *)
-  let _, m = verdict_margin ?prefix cfg program region ~true_class in
+  let _, m, _ = propagation cfg program region ~true_class in
   if Float.is_nan m then neg_infinity else m
 
-let certify ?prefix cfg program region ~true_class =
-  certify_margin ?prefix cfg program region ~true_class > 0.0
+let certify cfg program region ~true_class =
+  certify_margin cfg program region ~true_class > 0.0
 
-let certify_v ?prefix cfg program region ~true_class =
-  fst (verdict_margin ?prefix cfg program region ~true_class)
+let certify_out ?from ?on_budget cfg program region ~true_class =
+  let v, _, out = propagation ?from ?on_budget cfg program region ~true_class in
+  (v, out)
+
+let certify_v cfg program region ~true_class =
+  fst (certify_out cfg program region ~true_class)
 
 (* ---------------- radius search ---------------- *)
 
@@ -64,19 +69,25 @@ type radius_report = {
    the plain one. *)
 let refine_steps = 3
 
-let refine_edge (cfg : Config.t) program ~p x ~word ~true_class (good, bad) =
+let refine_edge (cfg : Config.t) program ~p x ~word ~true_class ?edge_out
+    (good, bad) =
   match cfg.Config.refine with
   | None -> None
   | Some _ ->
       if not (Float.is_finite bad) || bad <= good then None
       else begin
-        let certifies radius =
+        let certifies ?out radius =
           radius > 0.0
-          && Brefine.certify cfg program
+          && Brefine.certify ?out cfg program
                (Region.lp_ball ~p x ~word ~radius)
                ~true_class
         in
-        if not (certifies bad) then Some good
+        (* the plain search's failing probe at [bad] already propagated
+           this region under this config *)
+        let out =
+          match edge_out with Some (r, out) when r = bad -> Some out | _ -> None
+        in
+        if not (certifies ?out bad) then Some good
         else begin
           let g = ref bad and b = ref (2.0 *. bad) in
           for _ = 1 to refine_steps do
@@ -88,30 +99,42 @@ let refine_edge (cfg : Config.t) program ~p x ~word ~true_class (good, bad) =
       end
 
 (* The DeepT radius search: each probe is one propagation, whose margin
-   goes to the search with its verdict. *)
-let radius_search cfg program ~p x ~word ~true_class ?hi ~iters () =
+   goes to the search with its verdict. With [cfg.refine] set it also
+   returns the output of the last probe that failed cleanly, with its
+   radius: the bracket's [bad] end is always the last failed probe, so
+   {!refine_edge} starts from it instead of propagating that region
+   again. *)
+let radius_search (cfg : Config.t) program ~p x ~word ~true_class ?hi ~iters ()
+    =
+  let keep = cfg.Config.refine <> None in
+  let edge_out = ref None in
   let probe radius =
     if radius <= 0.0 then Psearch.Bad nan
     else
-      match
-        verdict_margin cfg program (Region.lp_ball ~p x ~word ~radius) ~true_class
-      with
-      | Verdict.Certified, m -> Psearch.Good m
-      | (Verdict.Falsified | Verdict.Unknown Verdict.Imprecise), m ->
-          Psearch.Bad m
-      | Verdict.Unknown r, _ -> Psearch.Faulted r
+      let v, m, out =
+        propagation cfg program (Region.lp_ball ~p x ~word ~radius) ~true_class
+      in
+      if keep && v <> Verdict.Certified then
+        edge_out := Option.map (fun o -> (radius, o)) out;
+      match v with
+      | Verdict.Certified -> Psearch.Good m
+      | Verdict.Falsified | Verdict.Unknown Verdict.Imprecise -> Psearch.Bad m
+      | Verdict.Unknown r -> Psearch.Faulted r
   in
-  run_search ?hi ~iters probe
+  let r = run_search ?hi ~iters probe in
+  (r, !edge_out)
 
 let certified_radius cfg program ~p x ~word ~true_class ?hi ?(iters = 10) () =
-  let r = radius_search cfg program ~p x ~word ~true_class ?hi ~iters () in
+  let r, _ = radius_search cfg program ~p x ~word ~true_class ?hi ~iters () in
   r.Psearch.radius
 
 let certified_radius_v cfg program ~p x ~word ~true_class ?hi ?(iters = 10) ()
     =
-  let r = radius_search cfg program ~p x ~word ~true_class ?hi ~iters () in
+  let r, edge_out =
+    radius_search cfg program ~p x ~word ~true_class ?hi ~iters ()
+  in
   let refined_radius =
-    refine_edge cfg program ~p x ~word ~true_class
+    refine_edge cfg program ~p x ~word ~true_class ?edge_out
       (r.Psearch.good, r.Psearch.bad)
   in
   {

@@ -11,21 +11,15 @@ val margin : Zonotope.t -> true_class:int -> float
     value shape [1 x C] ({!Brefine.losing_margin}'s bound). *)
 
 val certify :
-  ?prefix:Zonotope.t array * int ->
   Config.t -> Ir.program -> Zonotope.t -> true_class:int -> bool
-(** Propagates the region and checks the margin. [prefix] forwards a
-    shared affine prefix to {!Propagate.run} (see
-    {!Propagate.run_prefix}); {!Engine} uses it to avoid re-propagating
-    the patch embedding on every ladder rung. *)
+(** Propagates the region and checks the margin. *)
 
 val certify_margin :
-  ?prefix:Zonotope.t array * int ->
   Config.t -> Ir.program -> Zonotope.t -> true_class:int -> float
 (** Like {!certify} but returns the margin itself ([neg_infinity] when
     the propagation aborted or collapsed). *)
 
 val certify_v :
-  ?prefix:Zonotope.t array * int ->
   Config.t -> Ir.program -> Zonotope.t -> true_class:int -> Verdict.t
 (** Typed variant of {!certify}: a clean propagation yields [Certified]
     or [Unknown Imprecise]; an aborted one ({!Verdict.Abort} from the
@@ -34,6 +28,15 @@ val certify_v :
     [Certified] from a propagation that raised. [Falsified] is only
     produced by {!Engine.certify}, which searches for concrete
     counterexamples. *)
+
+val certify_out :
+  ?from:Propagate.checkpoint ->
+  ?on_budget:(Propagate.checkpoint -> unit) ->
+  Config.t -> Ir.program -> Zonotope.t -> true_class:int ->
+  Verdict.t * Zonotope.t option
+(** {!certify_v} with the output zonotope of a propagation that
+    completed. [from] and [on_budget] go to {!Propagate.run}: this is
+    how {!Engine}'s rungs resume from checkpoints and hand them on. *)
 
 val max_radius :
   ?lo:float -> ?hi:float -> ?iters:int -> (float -> bool) -> float
@@ -96,7 +99,10 @@ val certified_radius_v :
     instead of silently treating them as "not robust". When
     [cfg.refine] is set, a few branch-and-bound probes run at the
     bracket's failing edge afterwards and fill [refined_radius]; the
-    plain search (and hence [radius]) is untouched by refinement. *)
+    plain search (and hence [radius]) is untouched by refinement. The
+    first of them ranks on the output of the plain search's last
+    failed probe, which is at that edge, rather than propagating the
+    region again. *)
 
 val certify_synonyms :
   Config.t -> Ir.program -> Tensor.Mat.t -> (int * float array list) list ->

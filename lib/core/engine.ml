@@ -154,39 +154,23 @@ let run_box ~fault ~(budget : Config.budget) program region ~true_class =
 
 (* ---------------- the ladder ---------------- *)
 
-let run_rung attempt_idx (base_cfg : Config.t) ?prefix program region ~true_class
-    = function
-  | Abstract { cfg; _ } ->
-      let cfg = { cfg with Config.fault = fault_for attempt_idx cfg.Config.fault } in
-      Certify.certify_v ?prefix cfg program region ~true_class
-  | Box ->
-      run_box
-        ~fault:(fault_for attempt_idx base_cfg.Config.fault)
-        ~budget:base_cfg.Config.budget program region ~true_class
-  | Refine { cfg; _ } ->
-      (* Branch regions differ from the input region, so the shared
-         prefix does not apply — each branch re-propagates in full. *)
-      let cfg = { cfg with Config.fault = fault_for attempt_idx cfg.Config.fault } in
-      (Brefine.certify_v cfg program region ~true_class).Brefine.verdict
-
 (* The leading affine ops (ViT patch embedding: Linear + Positional) are
    deterministic, config-independent exact maps — propagate them once and
-   let every Abstract rung resume from the shared values instead of
-   re-propagating from the program input. Skipped when a fault is
-   injected (the fault must fire on each rung, at its op, under that
-   rung's config) and abandoned on any prefix failure, in which case the
-   rungs fall back to full runs and abort individually exactly as they
-   did before the hoist. *)
-let shared_prefix (cfg : Config.t) program region =
-  match cfg.Config.fault with
-  | Some _ -> None
-  | None -> (
-      match Propagate.affine_prefix_len program with
-      | 0 -> None
-      | len -> (
-          match Propagate.run_prefix cfg program region ~len with
-          | vals -> Some (vals, len)
-          | exception _ -> None))
+   let the zonotope rungs resume from their checkpoint instead of
+   re-propagating from the program input, bit-identically. Abandoned on
+   any prefix failure, in which case the rungs run in full and abort
+   individually exactly as they did before the hoist. *)
+let prefix_checkpoint (cfg : Config.t) program region =
+  match Propagate.affine_prefix_len program with
+  | 0 -> None
+  | len -> (
+      match Propagate.run_prefix cfg program region ~len with
+      | c -> Some c
+      | exception _ -> None)
+
+(* [policy_key] without the refine part: what decides a propagation. *)
+let propagation_key (cfg : Config.t) =
+  Config.policy_key { cfg with Config.refine = None }
 
 let certify ?ladder:l ?(falsify_samples = 8) (cfg : Config.t) program region
     ~true_class =
@@ -202,10 +186,55 @@ let certify ?ladder:l ?(falsify_samples = 8) (cfg : Config.t) program region
     { verdict = Verdict.Falsified; rung_name = "concrete"; attempts = [ a ] }
   end
   else begin
-    let prefix = shared_prefix cfg program region in
+    (* Rungs resume instead of starting over. [resume] is where the next
+       zonotope rung starts: the affine prefix's end, then the input of
+       the last layer a rung entered before a Symbol_budget abort (a
+       symbol count depends only on the config and the input, so the
+       point is deterministic; a deadline's would not be). [first] is the
+       first rung's config and output, which an up walk under the same
+       propagation ranks on instead of propagating again. Under fault
+       injection neither is used: fault sites address op indices within
+       each rung, so every rung runs from op 0. *)
+    let shared = cfg.Config.fault = None in
+    let resume = ref (if shared then prefix_checkpoint cfg program region else None) in
+    let first = ref None in
+    let armed idx (c : Config.t) = { c with Config.fault = fault_for idx c.Config.fault } in
+    let run_rung idx = function
+      | Abstract { cfg = rcfg; _ } ->
+          let rcfg = armed idx rcfg in
+          if shared && rcfg.Config.fault = None then begin
+            let v, out =
+              Certify.certify_out ?from:!resume
+                ~on_budget:(fun c -> resume := Some c)
+                rcfg program region ~true_class
+            in
+            if idx = 0 then first := Option.map (fun o -> (rcfg, o)) out;
+            v
+          end
+          else Certify.certify_v rcfg program region ~true_class
+      | Box ->
+          run_box
+            ~fault:(fault_for idx cfg.Config.fault)
+            ~budget:cfg.Config.budget program region ~true_class
+      | Refine { cfg = rcfg; _ } ->
+          (* Branch regions differ from the input region, so the branches
+             re-propagate in full; only the unsplit region's propagation
+             can be the first rung's. *)
+          let rcfg = armed idx rcfg in
+          let out =
+            match !first with
+            | Some (c0, out)
+              when rcfg.Config.fault = None
+                   && c0.Config.budget = rcfg.Config.budget
+                   && propagation_key c0 = propagation_key rcfg ->
+                Some out
+            | _ -> None
+          in
+          (Brefine.certify_v ?out rcfg program region ~true_class).Brefine.verdict
+    in
     let attempts = ref [] in
     let run idx rung =
-      match run_rung idx cfg ?prefix program region ~true_class rung with
+      match run_rung idx rung with
       | v -> v
       | exception Verdict.Abort r -> Verdict.Unknown r
       | exception Zonotope.Unbounded -> Verdict.Unknown Verdict.Unbounded
@@ -232,12 +261,12 @@ let certify ?ladder:l ?(falsify_samples = 8) (cfg : Config.t) program region
             final v rung
           else go_up (idx + 1) rest
     in
-    (* Downward walk: the pre-refinement degradation ladder, unchanged.
-       The up walk fires only off the *first* rung — the configuration
-       the caller asked for — and only on Unknown Imprecise: cheaper
-       rungs are coarser, so refining one of them when the requested
-       rung already failed on precision could not prove anything the
-       requested rung's refinement would not. *)
+    (* Downward walk: the pre-refinement degradation ladder. The up walk
+       fires only off the *first* rung — the configuration the caller
+       asked for — and only on Unknown Imprecise: cheaper rungs are
+       coarser, so refining one of them when the requested rung already
+       failed on precision could not prove anything the requested rung's
+       refinement would not. *)
     let rec go_down idx = function
       | [] -> assert false
       | rung :: rest ->

@@ -95,13 +95,32 @@ val certify :
   Config.t -> Ir.program -> Zonotope.t -> true_class:int -> outcome
 (** Walks the ladder (default {!ladder_of}). [falsify_samples]
     (default 8, 0 disables) bounds the concrete counterexample search;
-    sampling is deterministic. The program's leading affine ops (the
-    ViT patch embedding) are propagated once and shared across the
-    zonotope rungs ({!Propagate.run_prefix}) — bit-identical to
-    per-rung full runs, and disabled automatically under fault
-    injection; refine rungs re-propagate in full (branch regions differ
-    from the input region). @raise Invalid_argument on an empty
-    explicit down walk. *)
+    sampling is deterministic.
+
+    Rungs resume from what earlier rungs computed, through
+    {!Propagate.checkpoint}s:
+    - The program's leading affine ops (the ViT patch embedding) are
+      propagated once, and every zonotope rung starts after them
+      ({!Propagate.run_prefix}), bit-identically.
+    - After a [Symbol_budget] abort, the next zonotope rung starts at
+      the input of the last layer the aborted rung entered, re-reduced
+      with its own [reduction_k]. Its verdict is therefore its config
+      applied from that layer on: the margin may differ from a direct
+      run of that config (the earlier layers ran under the aborted
+      rung's), and it is sound, because DecorrelateMin_k is sound on
+      any zonotope. The layer depends only on the config and the input,
+      so the walk stays deterministic; a timeout leaves no checkpoint.
+    - A refine rung whose config propagates exactly as the first rung's
+      (equal {!Config.policy_key} apart from the refine part, equal
+      budget) ranks and splits on the first rung's output instead of
+      propagating the region again, bit-identically. Its branches
+      propagate in full (their regions differ from the input region).
+
+    Under fault injection — [cfg.fault] set, or a fault armed for the
+    rung — a rung neither resumes nor is reused: fault sites address op
+    indices within each rung, so such a rung runs from op 0 (and rescue
+    verdicts agree with a direct run of the rescuing config).
+    @raise Invalid_argument on an empty explicit down walk. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** ["certified@fast (ladder: precise=unknown(timeout) fast=certified)"] *)

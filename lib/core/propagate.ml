@@ -54,6 +54,31 @@ let abort_of : Interp.abort -> exn = function
   | Interp.Size_budget -> Verdict.Abort Verdict.Symbol_budget
   | Interp.Poison _ -> Verdict.Abort Verdict.Numerical_fault
 
+(* A resume point: the op to resume at and the values that ops at or
+   after it read, by id. Zonotopes are never mutated in place outside
+   fault injection (the reduction re-stores a new value), so holding
+   them is enough; a run that resumes copies them into its own array. *)
+type checkpoint = { start : int; live : (Ir.value_id * Zonotope.t) list }
+
+let checkpoint_op c = c.start
+
+(* [last_use.(v)]: the last op that reads value [v] ([max_int] for the
+   program output, which the caller reads; [-1] when nothing does). *)
+let last_uses (p : Ir.program) =
+  let lu = Array.make (Ir.num_values p) (-1) in
+  Array.iteri
+    (fun i op -> List.iter (fun v -> lu.(v) <- max lu.(v) i) (Ir.op_src_ids op))
+    p.Ir.ops;
+  lu.(Ir.output_id p) <- max_int;
+  lu
+
+let checkpoint_at last_use ~start get =
+  let live = ref [] in
+  for v = start downto 0 do
+    if last_use.(v) >= start then live := (v, get v) :: !live
+  done;
+  { start; live = !live }
+
 (* The Multi-norm Zonotope DOMAIN instance (Section 5). The shared
    interpreter owns the per-op loop and checkpoints; the transformer
    dispatch below is all that is zonotope-specific. *)
@@ -140,7 +165,16 @@ let checks_of ~t0 (cfg : Config.t) : Zonotope.t Interp.checks =
     abort = abort_of;
   }
 
-let state_of ~t0 (cfg : Config.t) (p : Ir.program) input =
+(* Indices of the ops that take a Transformer layer's input, ascending. *)
+let layer_ops (p : Ir.program) =
+  List.filter
+    (fun i -> match p.Ir.ops.(i) with Ir.Self_attention _ -> true | _ -> false)
+    (List.init (Array.length p.Ir.ops) Fun.id)
+
+(* [start] and [width] place the run: ops before [start] are done, and
+   [width] symbols are live. The layer counter is derived from [start]
+   so Combined still finds its Precise last layer. *)
+let state_of ~t0 ?(start = 0) ~width (cfg : Config.t) (p : Ir.program) =
   let ctx = Zonotope.ctx () in
   (* Arm the intra-op deadline: long transformers (the dot product) poll it
      inside their hot loops, so one giant op cannot blow past the budget
@@ -150,12 +184,12 @@ let state_of ~t0 (cfg : Config.t) (p : Ir.program) input =
   (* Arm the domain pool the same way: the dot product's row blocks pick
      it up from the ctx, with bit-identical results. *)
   Zonotope.set_pool ctx (shared_pool cfg.Config.domains);
-  ignore (Zonotope.alloc_eps ctx (Zonotope.num_eps input));
+  ignore (Zonotope.alloc_eps ctx width);
   {
     Domain.cfg;
     ctx;
     total_layers = Ir.depth_of_kind p "self_attention";
-    layer = 0;
+    layer = List.length (List.filter (fun i -> i < start) (layer_ops p));
   }
 
 let affine_prefix_len (p : Ir.program) =
@@ -180,23 +214,36 @@ let run_prefix (cfg : Config.t) (p : Ir.program) input ~len =
   if len < 0 || len > affine_prefix_len p then
     invalid_arg "Propagate.run_prefix: not an affine prefix";
   let t0 = Unix.gettimeofday () in
-  let st = state_of ~t0 cfg p input in
+  let st = state_of ~t0 ~width:(Zonotope.num_eps input) cfg p in
   let vals = Array.make (Ir.num_values p) input in
   I.run_values ~checks:(checks_of ~t0 cfg) ~stop:len st p vals;
-  vals
+  checkpoint_at (last_uses p) ~start:len (Array.get vals)
 
-let run_all ?prefix (cfg : Config.t) (p : Ir.program) input =
+let run_all ?from ?on_budget (cfg : Config.t) (p : Ir.program) input =
   check_input p input;
   let t0 = Unix.gettimeofday () in
-  let st = state_of ~t0 cfg p input in
-  let checks = checks_of ~t0 cfg in
-  match prefix with
-  | None -> I.run_all ~checks st p input
-  | Some (pvals, start) ->
-      (* The reduction step mutates the layer-input slot in place, so a
-         rung must work on its own copy of the shared prefix values. *)
-      let vals = Array.copy pvals in
-      I.run_values ~checks ~start st p vals;
-      vals
+  let vals = Array.make (Ir.num_values p) input in
+  let start, width =
+    match from with
+    | None -> (0, Zonotope.num_eps input)
+    | Some c ->
+        List.iter (fun (v, z) -> vals.(v) <- z) c.live;
+        ( c.start,
+          List.fold_left (fun w (_, z) -> max w (Zonotope.num_eps z)) 0 c.live )
+  in
+  let st = state_of ~t0 ~start ~width cfg p in
+  match I.run_values ~checks:(checks_of ~t0 cfg) ~start st p vals with
+  | () -> vals
+  | exception (Verdict.Abort Verdict.Symbol_budget as e) ->
+      (* Hand on the input of the last layer this run entered. Its slot
+         holds that input as this run reduced it; the resumed run
+         reduces it again with its own k. *)
+      (match on_budget with
+      | Some f when st.Domain.layer > 0 ->
+          let r = List.nth (layer_ops p) (st.Domain.layer - 1) in
+          if r >= start then f (checkpoint_at (last_uses p) ~start:r (Array.get vals))
+      | _ -> ());
+      raise e
 
-let run ?prefix cfg p input = (run_all ?prefix cfg p input).(Ir.output_id p)
+let run ?from ?on_budget cfg p input =
+  (run_all ?from ?on_budget cfg p input).(Ir.output_id p)

@@ -13,8 +13,22 @@
     precise dot product is used in the last Transformer layer only
     (Appendix A.6). *)
 
+type checkpoint
+(** A point to resume a propagation at: the index of the op to run next
+    and the values that ops at or after it read — only those, so
+    holding one costs a layer input, not a run's value array. Two kinds
+    exist, and {!Engine} resumes its rungs from both:
+    - the end of the program's affine prefix ({!run_prefix});
+    - the input of the last Transformer layer a run entered before a
+      [Symbol_budget] abort ([?on_budget]), as that run reduced it with
+      DecorrelateMin_k. *)
+
+val checkpoint_op : checkpoint -> int
+(** The op a resumed run starts at. *)
+
 val run :
-  ?prefix:Zonotope.t array * int ->
+  ?from:checkpoint ->
+  ?on_budget:(checkpoint -> unit) ->
   Config.t ->
   Ir.program ->
   Zonotope.t ->
@@ -37,20 +51,36 @@ val run :
     suite. With the default config (no budget, no fault) only the
     poison/collapse checkpoints are active.
 
-    [prefix] is [(vals, start)] from {!run_prefix}: propagation resumes
-    at op [start] on a copy of [vals], skipping the shared affine
-    prefix. The result is bit-identical to a full run because affine
-    ops neither allocate symbols nor depend on {!Config.t}. *)
+    [from] resumes at {!checkpoint_op} on the checkpoint's values. The
+    layer counter (Combined's Precise last layer) is derived from that
+    op index, and the symbol context is seeded with the widest live
+    value's ε width. At a layer input the resumed run reduces the input
+    again with [cfg.reduction_k]. That is sound because DecorrelateMin_k
+    is sound on any zonotope: the result is [cfg] applied from that
+    layer on. Where the first reduction only dropped dead columns (at
+    most [reduction_k] live symbols), resuming under the config that
+    took the checkpoint is bit-identical to the full run. A checkpoint
+    is never changed by a run, so one can serve many.
+
+    [on_budget] receives the input of the last layer this run entered
+    when it aborts with [Symbol_budget] (nothing when it entered none);
+    the abort is then re-raised. Which layer that is depends only on the
+    config and the input. Nothing is held for it while the run is
+    healthy, and no other abort hands one on: a timeout's layer would
+    depend on the wall clock. *)
 
 val run_all :
-  ?prefix:Zonotope.t array * int ->
+  ?from:checkpoint ->
+  ?on_budget:(checkpoint -> unit) ->
   Config.t ->
   Ir.program ->
   Zonotope.t ->
   Zonotope.t array
 (** All intermediate zonotopes (sharing one symbol context); index 0 is
     the input. Intended for inspection and tests — note that, unlike
-    {!run}, values from different stages may have different ε widths.
+    {!run}, values from different stages may have different ε widths,
+    and after [from] the slots the checkpoint does not keep hold the
+    input.
 
     Per-op tracing goes through [cfg.trace] (see {!Config.t} and
     {!Profile}). Setting the environment variable [DEEPT_TRACE] is a
@@ -60,12 +90,11 @@ val run_all :
     network fails unexpectedly. *)
 
 val run_prefix :
-  Config.t -> Ir.program -> Zonotope.t -> len:int -> Zonotope.t array
-(** Propagates only ops [0 .. len - 1] and returns the value array (the
-    remaining slots hold the input). [len] must not exceed
-    {!affine_prefix_len}: affine ops are config-independent and
-    symbol-free, so the result can be shared across ladder rungs via
-    [?prefix].
+  Config.t -> Ir.program -> Zonotope.t -> len:int -> checkpoint
+(** Propagates only ops [0 .. len - 1] and returns the checkpoint at op
+    [len]. [len] must not exceed {!affine_prefix_len}: affine ops are
+    config-independent and symbol-free, so the checkpoint can be shared
+    across ladder rungs via [?from], bit-identically.
     @raise Invalid_argument if [len] exceeds the affine prefix. *)
 
 val affine_prefix_len : Ir.program -> int

@@ -339,6 +339,83 @@ let test_up_walk_fires_on_imprecise () =
   Helpers.check_true "refined outcome is margin-only"
     (o.E.verdict <> V.Falsified)
 
+(* The up walk ranks and splits on the first rung's output instead of
+   propagating the same region under the same config again. A counting
+   sink sees one propagation's events when nothing is ranked, and the
+   first rung's plus the branches' otherwise. *)
+let count_events ?ladder cfg program region ~true_class =
+  let events = ref 0 and starts = ref 0 in
+  let sink (e : Interp.event) =
+    incr events;
+    if e.Interp.op_index = 0 then incr starts
+  in
+  let traced = C.with_trace (Some sink) in
+  let ladder =
+    Option.map
+      (fun (down, up) ->
+        let rung = function
+          | E.Abstract { rname; cfg } -> E.Abstract { rname; cfg = traced cfg }
+          | E.Refine { rname; cfg } -> E.Refine { rname; cfg = traced cfg }
+          | E.Box -> E.Box
+        in
+        E.ladder ~up:(List.map rung up) (List.map rung down))
+      ladder
+  in
+  let o =
+    E.certify ?ladder ~falsify_samples:0 (traced cfg) program region ~true_class
+  in
+  Helpers.check_true "the walk went up"
+    (List.exists (fun (a : E.attempt) -> a.E.direction = E.Up) o.E.attempts);
+  (!events, !starts)
+
+(* imprecise_query's program and input at a radius that saturates the
+   tanh head: the margin keeps no input symbol *)
+let saturated_query () =
+  let program, region, pred = imprecise_query () in
+  let x = region.Z.center in
+  let region = Deept.Region.lp_ball ~p:Lp.Linf x ~word:1 ~radius:5.0 in
+  let out = Deept.Propagate.run C.fast program region in
+  Helpers.check_true "imprecise, nothing to rank"
+    (B.rank_symbols out region ~true_class:pred = []
+    && Deept.Certify.certify_v C.fast program region ~true_class:pred
+       = V.Unknown V.Imprecise);
+  (program, region, pred)
+
+let test_up_walk_reuses_first_rung () =
+  let program, region, pred = saturated_query () in
+  let n_ops = Array.length program.Ir.ops in
+  let events, _ = count_events (refine_cfg C.fast) program region ~true_class:pred in
+  Alcotest.(check int) "nothing ranked: one propagation" n_ops events;
+  let program, region, pred = imprecise_query () in
+  let cfg = refine_cfg C.fast in
+  let r = B.certify_v ~wave:B.serial_wave cfg program region ~true_class:pred in
+  Helpers.check_true "branches ran" (r.B.branches >= 2);
+  let events, _ = count_events cfg program region ~true_class:pred in
+  Alcotest.(check int) "split: the first rung and the branches"
+    (n_ops * (1 + r.B.branches))
+    events
+
+(* An up walk whose propagation would differ from the first rung's
+   propagates again: a Precise refine over a Fast rung, and a refine
+   attempt with a fault armed. *)
+let test_up_walk_repropagates () =
+  let program, region, pred = saturated_query () in
+  let down = [ E.Abstract { rname = "fast"; cfg = refine_cfg C.fast } ] in
+  let up cfg = [ E.Refine { rname = "refine"; cfg } ] in
+  let last_op = Array.length program.Ir.ops - 1 in
+  List.iter
+    (fun (name, rcfg) ->
+      let _, starts =
+        count_events ~ladder:(down, up rcfg) (refine_cfg C.fast)
+          program region ~true_class:pred
+      in
+      Helpers.check_true (name ^ ": the refine rung propagated") (starts >= 2))
+    [
+      ("precise refine", refine_cfg C.precise);
+      ( "fault armed",
+        { (refine_cfg C.fast) with C.fault = Some (C.fault last_op (C.Stall 0.0)) } );
+    ]
+
 (* ---------------- committed zoo model: real recovery ---------------- *)
 
 (* The acceptance case: on the committed small_3 model the plain Precise
@@ -405,6 +482,10 @@ let () =
             test_never_flips_falsified;
           Alcotest.test_case "up walk on imprecise" `Quick
             test_up_walk_fires_on_imprecise;
+          Alcotest.test_case "up walk reuses rung 0" `Quick
+            test_up_walk_reuses_first_rung;
+          Alcotest.test_case "up walk re-propagates" `Quick
+            test_up_walk_repropagates;
         ] );
       ( "zoo",
         [

@@ -218,6 +218,77 @@ let test_falsified_concrete () =
   Helpers.check_true "wrong class is falsified concretely"
     (o.E.verdict = V.Falsified && o.E.rung_name = "concrete")
 
+(* ---------------- rungs resume ---------------- *)
+
+(* A two-layer query whose [fast] rung overruns max_eps 170 in layer 1
+   (178 symbols at its self_attention) while [fast-k32] stays under it
+   (164 at most). *)
+let budget_query () =
+  let program = Helpers.tiny_program ~layers:2 43 in
+  let x = Mat.random_gaussian (Rng.create 143) 3 (Ir.out_dim program 0) 0.7 in
+  let pred = Nn.Forward.predict program x in
+  let region = Deept.Region.lp_ball ~p:Lp.Linf x ~word:1 ~radius:0.05 in
+  (program, pred, region, C.with_budget ~max_eps:170 C.fast)
+
+let attention_ops (program : Ir.program) =
+  List.filter
+    (fun i ->
+      match program.Ir.ops.(i) with Ir.Self_attention _ -> true | _ -> false)
+    (List.init (Array.length program.Ir.ops) Fun.id)
+
+(* Engine.certify with a trace sink: the outcome, and the op each
+   propagation started at (a new one starts where the op index does
+   not go up). *)
+let traced_starts cfg program region ~true_class =
+  let starts = ref [] and last = ref max_int in
+  let sink (e : Interp.event) =
+    if e.Interp.op_index <= !last then starts := e.Interp.op_index :: !starts;
+    last := e.Interp.op_index
+  in
+  let o =
+    E.certify ~falsify_samples:0 (C.with_trace (Some sink) cfg) program region
+      ~true_class
+  in
+  (o, List.rev !starts)
+
+let test_budget_resume () =
+  let program, pred, region, cfg = budget_query () in
+  let layer1 = List.nth (attention_ops program) 1 in
+  let o, starts = traced_starts cfg program region ~true_class:pred in
+  Helpers.check_true "fast overran the budget, fast-k32 answered"
+    (rung_names o = [ "fast"; "fast-k32" ]
+    && (List.hd o.E.attempts).E.verdict = V.Unknown V.Symbol_budget
+    && not (V.is_fault o.E.verdict));
+  Helpers.check_true
+    (Printf.sprintf "fast-k32 starts at layer 1's self_attention (op %d)" layer1)
+    (starts = [ 0; layer1 ]);
+  (* the resumed rung's output is sound, and it is what the ladder
+     answered with *)
+  let ck = ref None in
+  (match Deept.Propagate.run ~on_budget:(fun c -> ck := Some c) cfg program region with
+  | _ -> Alcotest.fail "fast did not overrun"
+  | exception V.Abort V.Symbol_budget -> ());
+  let ck = Option.get !ck in
+  let k32 = { cfg with C.reduction_k = 32 } in
+  let out = Deept.Propagate.run ~from:ck k32 program region in
+  Helpers.check_propagation_sound ~samples:64 ~name:"resumed fast-k32"
+    (Rng.create 17) region out (Nn.Forward.run program);
+  Helpers.check_true "ladder verdict is the resumed rung's"
+    (V.equal o.E.verdict
+       (fst (Deept.Certify.certify_out ~from:ck k32 program region ~true_class:pred)))
+
+(* Under a fault spec no rung resumes: fault sites address op indices
+   within each rung. *)
+let test_fault_rungs_start_over () =
+  let program, pred, region, cfg = budget_query () in
+  let last_op = Array.length program.Ir.ops - 1 in
+  let cfg = { cfg with C.fault = Some (C.fault last_op (C.Stall 0.0)) } in
+  let o, starts = traced_starts cfg program region ~true_class:pred in
+  Helpers.check_true "fast overran the budget"
+    ((List.hd o.E.attempts).E.verdict = V.Unknown V.Symbol_budget);
+  Helpers.check_true "every rung starts at op 0"
+    (List.length starts >= 2 && List.for_all (( = ) 0) starts)
+
 (* ---------------- radius search under faults ---------------- *)
 
 let test_radius_faulted_probes_reported () =
@@ -330,6 +401,12 @@ let () =
           Alcotest.test_case "rescue agrees with direct" `Quick
             test_rescue_agrees_with_direct;
           Alcotest.test_case "falsified concretely" `Quick test_falsified_concrete;
+        ] );
+      ( "resume",
+        [
+          Alcotest.test_case "budget abort resumes" `Quick test_budget_resume;
+          Alcotest.test_case "fault rungs start over" `Quick
+            test_fault_rungs_start_over;
         ] );
       ( "radius",
         [

@@ -232,12 +232,14 @@ let test_prefix_bit_identity () =
   let region = Deept.Region.lp_ball_all ~p:Lp.L2 x ~radius:0.02 in
   let cfg = Deept.Config.fast in
   let plain = Deept.Propagate.run cfg p region in
-  let vals = Deept.Propagate.run_prefix cfg p region ~len in
-  let shared = Deept.Propagate.run ~prefix:(vals, len) cfg p region in
+  let ck = Deept.Propagate.run_prefix cfg p region ~len in
+  Alcotest.(check int) "resumes after the prefix" len
+    (Deept.Propagate.checkpoint_op ck);
+  let shared = Deept.Propagate.run ~from:ck cfg p region in
   check_zonotope_bits "prefix = full run" plain shared;
-  (* a second rung reusing the same prefix must be unaffected by the
-     first (the reduction mutates the value array it is given) *)
-  let shared2 = Deept.Propagate.run ~prefix:(vals, len) cfg p region in
+  (* a second rung reusing the same checkpoint must be unaffected by the
+     first (the reduction re-stores the layer input it resumed from) *)
+  let shared2 = Deept.Propagate.run ~from:ck cfg p region in
   check_zonotope_bits "prefix reusable" plain shared2;
   (* text models have no affine prefix (they open with self-attention) *)
   Helpers.check_true "text prefix empty"

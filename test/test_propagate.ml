@@ -262,6 +262,60 @@ let test_deadline_mid_op_typed_verdict () =
     (C.certify_v cfg program region ~true_class:pred
     = Deept.Verdict.Unknown Deept.Verdict.Timeout)
 
+(* ---------------- checkpoints ---------------- *)
+
+let check_bits msg (a : Mat.t) (b : Mat.t) =
+  Helpers.check_true (msg ^ ": dims") (Mat.dims a = Mat.dims b);
+  Array.iteri
+    (fun i x ->
+      if Int64.bits_of_float x <> Int64.bits_of_float b.Mat.data.(i) then
+        Alcotest.failf "%s: element %d: %h <> %h" msg i x b.Mat.data.(i))
+    a.Mat.data
+
+(* A run that overruns its symbol budget hands on the input of the last
+   layer it entered. Where the reduction there only drops dead columns,
+   resuming under the config that took it (budget lifted) is
+   bit-identical to a full run: Combined's Precise last layer is found
+   from the op index, and with reduction off the symbol context is
+   seeded from the live values' width. *)
+let test_resume_bit_identity () =
+  let program = Helpers.tiny_program ~layers:2 43 in
+  let x = Mat.random_gaussian (Rng.create 143) 3 (Ir.out_dim program 0) 0.7 in
+  let region = Deept.Region.lp_ball ~p:Lp.Linf x ~word:1 ~radius:0.05 in
+  let layer_op = [| 0; 8 |] in
+  Helpers.check_true "layer inputs at ops 0 and 8"
+    (Array.for_all
+       (fun i ->
+         match program.Ir.ops.(i) with Ir.Self_attention _ -> true | _ -> false)
+       layer_op);
+  List.iter
+    (fun (name, cfg, max_eps, layer) ->
+      let ck = ref None in
+      (match
+         Deept.Propagate.run
+           ~on_budget:(fun c -> ck := Some c)
+           (Deept.Config.with_budget ~max_eps cfg)
+           program region
+       with
+      | _ -> Alcotest.failf "%s: budget %d not overrun" name max_eps
+      | exception Deept.Verdict.Abort Deept.Verdict.Symbol_budget -> ());
+      match !ck with
+      | None -> Alcotest.failf "%s: no checkpoint" name
+      | Some c ->
+          Alcotest.(check int) (name ^ ": resume op") layer_op.(layer)
+            (Deept.Propagate.checkpoint_op c);
+          let full = Deept.Propagate.run cfg program region in
+          let resumed = Deept.Propagate.run ~from:c cfg program region in
+          check_bits (name ^ " center") full.Z.center resumed.Z.center;
+          check_bits (name ^ " phi") full.Z.phi resumed.Z.phi;
+          check_bits (name ^ " eps") full.Z.eps resumed.Z.eps)
+    [
+      ("fast layer 0", Deept.Config.fast, 50, 0);
+      ("fast layer 1", Deept.Config.fast, 100, 1);
+      ("combined layer 1", Deept.Config.combined, 100, 1);
+      ("k=0 layer 1", { Deept.Config.fast with Deept.Config.reduction_k = 0 }, 100, 1);
+    ]
+
 let () =
   Alcotest.run "propagate"
     [
@@ -293,6 +347,8 @@ let () =
           Alcotest.test_case "binary search" `Quick test_max_radius_bracketing;
           Alcotest.test_case "enumeration agrees" `Quick test_enumeration_agrees;
         ] );
+      ( "checkpoint",
+        [ Alcotest.test_case "resume bit identity" `Quick test_resume_bit_identity ] );
       ( "deadline",
         [
           Alcotest.test_case "dot preempted mid-op" `Quick

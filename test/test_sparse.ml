@@ -385,6 +385,34 @@ let report () =
     (V.to_string o.Deept.Engine.verdict)
     o.Deept.Engine.rung_name
     (List.length o.Deept.Engine.attempts);
+  (* a first rung that overruns the symbol budget in layer 1: the next
+     rung resumes at that layer's input *)
+  let budget = C.with_budget ~max_eps:170 C.fast in
+  let o =
+    Deept.Engine.certify ~falsify_samples:0 budget program region
+      ~true_class:pred
+  in
+  pf "budget ladder %s@%s attempts=%s\n"
+    (V.to_string o.Deept.Engine.verdict)
+    o.Deept.Engine.rung_name
+    (String.concat " "
+       (List.map
+          (fun (a : Deept.Engine.attempt) ->
+            a.Deept.Engine.rung_name ^ "=" ^ V.to_string a.Deept.Engine.verdict)
+          o.Deept.Engine.attempts));
+  let ck = ref None in
+  (try
+     ignore
+       (Deept.Propagate.run ~on_budget:(fun c -> ck := Some c) budget program region)
+   with V.Abort _ -> ());
+  (match (!ck, Deept.Engine.default_ladder budget) with
+  | Some c, _ :: Deept.Engine.Abstract { rname; cfg } :: _ ->
+      pf "budget resumed %s at op %d margin %h\n" rname
+        (Deept.Propagate.checkpoint_op c)
+        (Deept.Certify.margin
+           (Deept.Propagate.run ~from:c cfg program region)
+           ~true_class:pred)
+  | _ -> pf "budget: no resumed rung\n");
   (* committed-model pins, when the checkout has them *)
   if Sys.file_exists "../data/small_3.model" then begin
     Zoo.data_dir := "../data";

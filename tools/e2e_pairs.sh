@@ -18,6 +18,12 @@
 # SEEDS and WORKLOADS are words; a quoted list ("1 2 3") works too. A
 # run that exits non-zero is reported on stderr and left for compare to
 # judge. Nothing under bench/e2e is written.
+#
+# B is always the checkout this script lives in, so run the copy in the
+# tree you changed. Before the runs it prints each tree's path, short
+# HEAD and whether its work tree is dirty, and warns when both are clean
+# at the same commit (B would be rated against itself). It exits 2 when
+# PARENT_DIR is this tree.
 set -eu
 
 usage() {
@@ -42,7 +48,32 @@ for w in "$@"; do
 done
 [ "${#seeds[@]}" -gt 0 ] && [ "${#workloads[@]}" -gt 0 ] || usage
 
-here=$(cd "$(dirname "$0")/.." && pwd)
+here=$(cd "$(dirname "$0")/.." && pwd -P)
+if [ "$parent" = "$here" ]; then
+  echo "e2e_pairs: PARENT_DIR is this tree ($here); B is always the script's own checkout" >&2
+  exit 2
+fi
+
+# tree DIR: short HEAD and whether the work tree is dirty
+tree() {
+  local head
+  if head=$(git -C "$1" rev-parse --short HEAD 2>/dev/null); then
+    if [ -n "$(git -C "$1" status --porcelain)" ]; then
+      echo "$head dirty"
+    else
+      echo "$head clean"
+    fi
+  else
+    echo "not a git checkout"
+  fi
+}
+a_tree=$(tree "$parent")
+b_tree=$(tree "$here")
+echo "A: $parent ($a_tree)"
+echo "B: $here ($b_tree)"
+if [ "$a_tree" = "$b_tree" ] && [ "${a_tree##* }" = clean ]; then
+  echo "e2e_pairs: warning: A and B are both clean at ${a_tree% *}; B is rated against itself" >&2
+fi
 mkdir -p "$out/A" "$out/B"
 
 # run DIR SET WORKLOAD SEED: the checkout's own benchmark command
