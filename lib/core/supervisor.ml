@@ -55,7 +55,6 @@ let install_mem_guard mb =
          if (Gc.quick_stat ()).Gc.heap_words > cap_words then exit exit_oom))
 
 let worker_main ~mem_limit_mb ~job_r ~res_w (worker : int -> 'a -> 'b) =
-  Sys.set_signal Sys.sigpipe Sys.Signal_default;
   (match mem_limit_mb with Some mb -> install_mem_guard mb | None -> ());
   let jin = Unix.in_channel_of_descr job_r in
   let rec loop () =
@@ -64,8 +63,7 @@ let worker_main ~mem_limit_mb ~job_r ~res_w (worker : int -> 'a -> 'b) =
     | id, payload ->
         let r = worker id payload in
         (* Unbuffered through the shim: short writes looped, EINTR
-           restarted, and the chaos layer can tear a result mid-pipe
-           (the supervisor's decode-failure path handles the stump). *)
+           restarted. *)
         let b = Marshal.to_bytes (id, r) [] in
         Sysio.write_all ~site:"worker.result" res_w b 0 (Bytes.length b);
         loop ()
@@ -76,37 +74,121 @@ let worker_main ~mem_limit_mb ~job_r ~res_w (worker : int -> 'a -> 'b) =
       (Printexc.to_string e);
     exit exit_uncaught
 
-let worker_loop = worker_main
+(* ---------------- the pool core ---------------- *)
 
-(* ---------------- the supervisor side ---------------- *)
+type 'j job = {
+  id : int;
+  data : 'j;
+  mutable retried : int;
+  mutable not_before : float;
+  mutable first_dispatch : float option;
+}
 
-type wstate = {
+let job id data =
+  { id; data; retried = 0; not_before = 0.0; first_dispatch = None }
+
+type ('j, 'b) event =
+  | Finished of 'j job * 'b job_result
+  | Retry of 'j job
+  | Returned of 'j job
+  | Died
+
+type 'j worker = {
   pid : int;
-  job_out : out_channel;
+  job_w : Unix.file_descr;
   res_fd : Unix.file_descr;
   res_in : in_channel;
-  job_w_fd : Unix.file_descr;
-  mutable busy : int option;  (* job id in flight *)
+  mutable busy : 'j job option;
   mutable started : float;  (* dispatch time of the in-flight job *)
   mutable term_at : float option;  (* SIGTERM sent (hard-deadline overrun) *)
   mutable sigkilled : bool;
 }
 
-type 'a jstate = {
-  id : int;
-  payload : 'a;
-  mutable retries : int;
-  mutable not_before : float;  (* backoff gate for re-dispatch *)
-  mutable first_dispatch : float option;
+type ('j, 'b) t = {
+  pool : Config.pool;
+  site : string;
+  encode : 'j job -> bytes;
+  decode : in_channel -> int * 'b;
+  child : job_r:Unix.file_descr -> res_w:Unix.file_descr -> unit;
+  parent_fds : unit -> Unix.file_descr list;
+  mutable workers : 'j worker list;
 }
+
+let start (type j a b) ?(parent_fds = fun () -> []) ~site pool
+    ~(payload : j -> a) ~(worker : int -> a -> b) : (j, b) t =
+  {
+    pool;
+    site;
+    encode = (fun j -> Marshal.to_bytes (j.id, payload j.data) []);
+    decode = (fun ic -> (Marshal.from_channel ic : int * b));
+    child =
+      (fun ~job_r ~res_w ->
+        worker_main ~mem_limit_mb:pool.Config.mem_limit_mb ~job_r ~res_w
+          worker);
+    parent_fds;
+    workers = [];
+  }
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let spawn t =
+  let job_r, job_w = Unix.pipe () in
+  let res_r, res_w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+      (* The one child setup. Hold no parent descriptor: an orphaned
+         worker must see EOF on its job pipe the moment its parent dies,
+         not when its siblings do. Run without the parent's chaos plan
+         (it targets the parent's own I/O, and inheriting it would make
+         crashprobe's enumeration nondeterministic) and with the default
+         SIGTERM and SIGPIPE actions (a parent's drain handler would
+         swallow the deadline SIGTERM). *)
+      List.iter close_quietly
+        ((job_w :: res_r :: t.parent_fds ())
+        @ List.concat_map (fun w -> [ w.job_w; w.res_fd ]) t.workers);
+      Sysio.disarm ();
+      Sys.set_signal Sys.sigterm Sys.Signal_default;
+      Sys.set_signal Sys.sigpipe Sys.Signal_default;
+      t.child ~job_r ~res_w;
+      exit 0
+  | pid ->
+      Unix.close job_r;
+      Unix.close res_w;
+      t.workers <-
+        {
+          pid;
+          job_w;
+          res_fd = res_r;
+          res_in = Unix.in_channel_of_descr res_r;
+          busy = None;
+          started = 0.0;
+          term_at = None;
+          sigkilled = false;
+        }
+        :: t.workers
+
+let top_up t =
+  while List.length t.workers < t.pool.Config.workers do spawn t done
+
+let fds t = List.map (fun w -> w.res_fd) t.workers
+let live t = List.length t.workers
+let inflight t = List.filter_map (fun w -> w.busy) t.workers
 
 let rec waitpid_retry pid =
   match Unix.waitpid [] pid with
   | _, status -> status
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry pid
 
-let classify_status ~term_sent status =
-  if term_sent then
+(* Reap a dead worker and forget it. *)
+let reap t w =
+  let status = waitpid_retry w.pid in
+  t.workers <- List.filter (fun w' -> w'.pid <> w.pid) t.workers;
+  close_quietly w.job_w;
+  close_in_noerr w.res_in;
+  status
+
+let classify w status =
+  if w.term_at <> None then
     let signal = match status with Unix.WSIGNALED s -> s | _ -> Sys.sigterm in
     Killed { signal }
   else
@@ -116,7 +198,131 @@ let classify_status ~term_sent status =
     | Unix.WEXITED c -> Crashed { reason = "exit " ^ string_of_int c }
     | Unix.WSTOPPED s -> Crashed { reason = "stopped " ^ signal_name s }
 
-let classify w status = classify_status ~term_sent:(w.term_at <> None) status
+let finished ~now j outcome =
+  let wall_s =
+    match j.first_dispatch with Some t -> now -. t | None -> 0.0
+  in
+  Finished (j, { job = j.id; outcome; wall_s; retries = j.retried })
+
+let idle w = w.busy = None && w.term_at = None
+
+(* Hand [j] to [w]. A worker that died between jobs (external kill,
+   idle OOM) fails the write: the job never ran there, so it is not
+   charged a retry. *)
+let dispatch t w j ~now =
+  if j.first_dispatch = None then j.first_dispatch <- Some now;
+  let b = t.encode j in
+  match Sysio.write_all ~site:t.site w.job_w b 0 (Bytes.length b) with
+  | () ->
+      w.busy <- Some j;
+      w.started <- now;
+      true
+  | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
+      ignore (reap t w);
+      false
+
+let feed t ~now ~next =
+  (* [held]: a job whose worker was found dead, offered to the next *)
+  let rec go held acc =
+    match List.find_opt idle t.workers with
+    | None -> ( match held with Some j -> Returned j :: acc | None -> acc)
+    | Some w -> (
+        match (match held with Some _ -> held | None -> next ()) with
+        | None -> acc
+        | Some j ->
+            if dispatch t w j ~now then go None acc
+            else go (Some j) (Died :: acc))
+  in
+  List.rev (go None [])
+
+(* A worker died (EOF or garbage on its result pipe): map the death onto
+   its in-flight job, if any, honoring the retry policy. *)
+let death t w ~now ~decode_error =
+  let status = reap t w in
+  match w.busy with
+  | None -> [ Died ]
+  | Some j -> (
+      let failure =
+        match decode_error with
+        | Some msg -> Crashed { reason = "decode: " ^ msg }
+        | None -> classify w status
+      in
+      match failure with
+      | Crashed _ when j.retried < t.pool.Config.max_retries ->
+          j.not_before <- now +. backoff_delay t.pool ~retries:j.retried;
+          j.retried <- j.retried + 1;
+          [ Died; Retry j ]
+      | _ -> [ Died; finished ~now j (Error failure) ])
+
+let kill pid signal = try Unix.kill pid signal with Unix.Unix_error _ -> ()
+
+let enforce_deadlines t now =
+  match t.pool.Config.hard_deadline_s with
+  | None -> ()
+  | Some limit ->
+      List.iter
+        (fun w ->
+          match (w.busy, w.term_at) with
+          | Some _, None when now -. w.started > limit ->
+              w.term_at <- Some now;
+              kill w.pid Sys.sigterm
+          | Some _, Some at
+            when (not w.sigkilled) && now -. at > t.pool.Config.grace_s ->
+              w.sigkilled <- true;
+              kill w.pid Sys.sigkill
+          | _ -> ())
+        t.workers
+
+let step t ~now ~readable =
+  let events =
+    List.concat_map
+      (fun fd ->
+        match List.find_opt (fun w -> w.res_fd = fd) t.workers with
+        | None -> []
+        | Some w -> (
+            match t.decode w.res_in with
+            | id, r ->
+                let j = w.busy in
+                w.busy <- None;
+                (match j with
+                | Some j when j.id = id -> [ finished ~now j (Ok r) ]
+                | _ -> [])
+            | exception End_of_file -> death t w ~now ~decode_error:None
+            | exception Failure msg ->
+                kill w.pid Sys.sigkill;
+                death t w ~now ~decode_error:(Some msg)))
+      readable
+  in
+  enforce_deadlines t now;
+  events
+
+let timeout t ~now wakes =
+  let deadlines =
+    match t.pool.Config.hard_deadline_s with
+    | None -> []
+    | Some limit ->
+        List.filter_map
+          (fun w ->
+            match (w.busy, w.term_at) with
+            | Some _, None -> Some (w.started +. limit)
+            | Some _, Some at when not w.sigkilled ->
+                Some (at +. t.pool.Config.grace_s)
+            | _ -> None)
+          t.workers
+  in
+  List.fold_left (fun acc at -> Float.min acc (at -. now)) 0.5 (deadlines @ wakes)
+  |> Float.max 0.01
+
+let shutdown t =
+  List.iter
+    (fun w ->
+      close_quietly w.job_w;
+      close_in_noerr w.res_in)
+    t.workers;
+  List.iter (fun w -> ignore (waitpid_retry w.pid)) t.workers;
+  t.workers <- []
+
+(* ---------------- the batch driver ---------------- *)
 
 let run ?(pool = Config.default_pool) ?on_result ~worker jobs =
   if pool.Config.workers < 1 then invalid_arg "Supervisor.run: workers < 1";
@@ -130,216 +336,56 @@ let run ?(pool = Config.default_pool) ?on_result ~worker jobs =
       ~finally:(fun () -> Sys.set_signal Sys.sigpipe old_sigpipe)
     @@ fun () ->
     let total = List.length jobs in
-    let pending =
-      ref
-        (List.map
-           (fun (id, payload) ->
-             { id; payload; retries = 0; not_before = 0.0; first_dispatch = None })
-           jobs)
+    let t =
+      start ~site:"supervisor.dispatch"
+        { pool with Config.workers = min pool.Config.workers total }
+        ~payload:Fun.id ~worker
     in
-    let results : (int, 'b job_result) Hashtbl.t = Hashtbl.create total in
-    let workers = ref [] in
-    (* Every parent-side fd, so each freshly forked child can close its
-       siblings' pipe ends: an orphaned worker must see EOF on its job
-       pipe the moment the supervisor dies, not when its siblings do. *)
-    let parent_fds () =
-      List.concat_map (fun w -> [ w.res_fd; w.job_w_fd ]) !workers
-    in
-    let spawn () =
-      let job_r, job_w = Unix.pipe () in
-      let res_r, res_w = Unix.pipe () in
-      match Unix.fork () with
-      | 0 ->
-          List.iter
-            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-            (parent_fds ());
-          Unix.close job_w;
-          Unix.close res_r;
-          worker_main ~mem_limit_mb:pool.Config.mem_limit_mb ~job_r ~res_w
-            worker
-      | pid ->
-          Unix.close job_r;
-          Unix.close res_w;
-          let w =
-            {
-              pid;
-              job_out = Unix.out_channel_of_descr job_w;
-              res_fd = res_r;
-              res_in = Unix.in_channel_of_descr res_r;
-              job_w_fd = job_w;
-              busy = None;
-              started = 0.0;
-              term_at = None;
-              sigkilled = false;
-            }
-          in
-          workers := w :: !workers;
-          w
-    in
-    let discard w =
-      workers := List.filter (fun w' -> w'.pid <> w.pid) !workers;
-      close_out_noerr w.job_out;
-      close_in_noerr w.res_in
-    in
-    let finalize (j : 'a jstate) outcome =
-      let wall_s =
-        match j.first_dispatch with
-        | Some t -> Unix.gettimeofday () -. t
-        | None -> 0.0
-      in
-      let r = { job = j.id; outcome; wall_s; retries = j.retries } in
-      Hashtbl.replace results j.id r;
-      match on_result with Some f -> f r | None -> ()
-    in
-    (* jobs currently on a worker; removed from [pending] while in flight *)
-    let inflight : (int, 'a jstate) Hashtbl.t = Hashtbl.create 8 in
-    let dispatch w (j : 'a jstate) =
-      let now = Unix.gettimeofday () in
-      if j.first_dispatch = None then j.first_dispatch <- Some now;
-      pending := List.filter (fun j' -> j'.id <> j.id) !pending;
-      Hashtbl.replace inflight j.id j;
-      match
-        let b = Marshal.to_bytes (j.id, j.payload) [] in
-        Sysio.write_all ~site:"supervisor.dispatch" w.job_w_fd b 0
-          (Bytes.length b)
-      with
-      | () ->
-          w.busy <- Some j.id;
-          w.started <- now
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
-          (* the worker died between jobs (external kill, idle OOM): the
-             job never ran there — reap, put it back, drop the corpse *)
-          ignore (waitpid_retry w.pid);
-          discard w;
-          Hashtbl.remove inflight j.id;
-          pending := j :: !pending
-    in
-    (* A worker died (EOF or garbage on its result pipe). Map the death
-       onto its in-flight job, if any, honoring the retry policy. *)
-    let handle_death w ~decode_error =
-      let status = waitpid_retry w.pid in
-      (match Option.bind w.busy (Hashtbl.find_opt inflight) with
-      | None -> ()
+    let pending = ref (List.map (fun (id, payload) -> job id payload) jobs) in
+    let results = ref [] and n_done = ref 0 in
+    let ready now j = j.not_before <= now in
+    let next now () =
+      match List.find_opt (ready now) !pending with
       | Some j ->
-          Hashtbl.remove inflight j.id;
-          let failure =
-            match decode_error with
-            | Some msg -> Crashed { reason = "decode: " ^ msg }
-            | None -> classify w status
-          in
-          (match failure with
-          | Crashed _ when j.retries < pool.Config.max_retries ->
-              j.not_before <-
-                Unix.gettimeofday () +. backoff_delay pool ~retries:j.retries;
-              j.retries <- j.retries + 1;
-              pending := j :: !pending
-          | _ -> finalize j (Error failure)));
-      discard w
+          pending := List.filter (fun j' -> j' != j) !pending;
+          Some j
+      | None -> None
     in
-    let accept_result w (id, (res : 'b)) =
-      (match Hashtbl.find_opt inflight id with
-      | Some j ->
-          Hashtbl.remove inflight id;
-          finalize j (Ok res)
-      | None -> () (* result raced a kill decision; already reported *));
-      w.busy <- None
+    let handle = function
+      | Finished (_, r) ->
+          results := r :: !results;
+          incr n_done;
+          Option.iter (fun f -> f r) on_result
+      | Retry j | Returned j -> pending := j :: !pending
+      | Died -> ()
     in
-    let enforce_deadlines now =
-      match pool.Config.hard_deadline_s with
-      | None -> ()
-      | Some limit ->
-          List.iter
-            (fun w ->
-              match (w.busy, w.term_at) with
-              | Some _, None when now -. w.started > limit ->
-                  w.term_at <- Some now;
-                  (try Unix.kill w.pid Sys.sigterm
-                   with Unix.Unix_error _ -> ())
-              | Some _, Some t
-                when (not w.sigkilled) && now -. t > pool.Config.grace_s ->
-                  w.sigkilled <- true;
-                  (try Unix.kill w.pid Sys.sigkill
-                   with Unix.Unix_error _ -> ())
-              | _ -> ())
-            !workers
+    (* Fork replacements for the dead only while dispatchable work
+       remains; a job whose worker turned out dead goes straight to a
+       fresh one. *)
+    let rec place now =
+      if List.exists (ready now) !pending then begin
+        top_up t;
+        let events = feed t ~now ~next:(next now) in
+        List.iter handle events;
+        if List.exists (function Returned _ -> true | _ -> false) events
+        then place now
+      end
     in
-    (* earliest future event the loop must wake for *)
-    let next_timeout now =
-      let candidates = ref [] in
-      (match pool.Config.hard_deadline_s with
-      | Some limit ->
-          List.iter
-            (fun w ->
-              match (w.busy, w.term_at) with
-              | Some _, None ->
-                  candidates := (w.started +. limit -. now) :: !candidates
-              | Some _, Some t when not w.sigkilled ->
-                  candidates := (t +. pool.Config.grace_s -. now) :: !candidates
-              | _ -> ())
-            !workers
-      | None -> ());
-      List.iter
-        (fun j ->
-          if j.not_before > now then
-            candidates := (j.not_before -. now) :: !candidates)
-        !pending;
-      match !candidates with
-      | [] -> 0.5
-      | l -> Float.max 0.01 (List.fold_left Float.min 0.5 l)
-    in
-    let n_workers = min pool.Config.workers total in
-    (* keep up to [n_workers] live workers fed; fork replacements for the
-       dead as long as dispatchable work remains *)
-    let rec feed () =
+    while !n_done < total do
       let now = Unix.gettimeofday () in
-      match List.find_opt (fun j -> j.not_before <= now) !pending with
-      | None -> ()
-      | Some j -> (
-          match
-            List.find_opt (fun w -> w.busy = None && w.term_at = None) !workers
-          with
-          | Some w ->
-              dispatch w j;
-              feed ()
-          | None ->
-              if List.length !workers < n_workers then begin
-                ignore (spawn ());
-                feed ()
-              end)
-    in
-    for _ = 1 to n_workers do ignore (spawn ()) done;
-    while Hashtbl.length results < total do
-      let now = Unix.gettimeofday () in
-      feed ();
-      enforce_deadlines now;
-      let fds = List.map (fun w -> w.res_fd) !workers in
-      let readable, _, _ =
-        match Unix.select fds [] [] (next_timeout now) with
-        | r -> r
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+      place now;
+      let backoffs =
+        List.filter_map
+          (fun j -> if j.not_before > now then Some j.not_before else None)
+          !pending
       in
-      List.iter
-        (fun fd ->
-          match List.find_opt (fun w -> w.res_fd = fd) !workers with
-          | None -> ()
-          | Some w -> (
-              match (Marshal.from_channel w.res_in : int * 'b) with
-              | msg -> accept_result w msg
-              | exception End_of_file -> handle_death w ~decode_error:None
-              | exception Failure msg ->
-                  (try Unix.kill w.pid Sys.sigkill
-                   with Unix.Unix_error _ -> ());
-                  handle_death w ~decode_error:(Some msg)))
-        readable
+      let readable =
+        match Unix.select (fds t) [] [] (timeout t ~now backoffs) with
+        | r, _, _ -> r
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+      in
+      List.iter handle (step t ~now:(Unix.gettimeofday ()) ~readable)
     done;
-    (* orderly shutdown: EOF on the job pipes, then reap *)
-    List.iter
-      (fun w ->
-        close_out_noerr w.job_out;
-        close_in_noerr w.res_in)
-      !workers;
-    List.iter (fun w -> ignore (waitpid_retry w.pid)) !workers;
-    workers := [];
-    List.sort (fun a b -> compare a.job b.job)
-      (Hashtbl.fold (fun _ r acc -> r :: acc) results [])
+    shutdown t;
+    List.sort (fun a b -> compare a.job b.job) !results
   end

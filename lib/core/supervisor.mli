@@ -1,12 +1,14 @@
-(** Supervised worker pool: process isolation for batch certification.
+(** Supervised worker pool: process isolation for certification.
 
     PR 1's cooperative budgets cannot contain every failure: a checkpoint
     between ops never fires inside a wedged C-speed loop, and nothing
     cooperative survives a segfault, an OOM kill or a runaway allocation.
-    This module supplies the missing {e hard} containment layer — the
-    batch driver treats per-input queries as independent, restartable
-    units (the way Faith batches GPU queries and Shi et al. loop over
-    per-sentence certifications) and runs them on forked workers:
+    This module supplies the missing {e hard} containment layer. It
+    treats per-input queries as independent, restartable units (the way
+    Faith batches GPU queries and Shi et al. loop over per-sentence
+    certifications) and runs them on forked workers. One pool core does
+    that for two drivers: {!run} (the [certify batch] CLI and
+    {!Brefine}'s fork waves) and certifyd's server loop:
 
     {v
             supervisor (parent)
@@ -30,7 +32,7 @@
       result pipe — is confined to the job it was running: the job is
       reported as {!failure} (mapping to {!Verdict.Worker_killed} /
       {!Verdict.Worker_crashed}) or retried, a fresh worker is forked,
-      and the rest of the batch proceeds;
+      and the other jobs proceed;
     - {e crashed} jobs are retried on a fresh worker with exponential
       backoff up to {!Config.pool.max_retries}; deadline kills are
       deterministic overruns and are not retried.
@@ -82,26 +84,100 @@ val backoff_delay : Config.pool -> retries:int -> float
     pools (the certification daemon) from backing off into uselessness.
     Shared by this pool's retry gate and the daemon's respawn loop. *)
 
-val classify_status : term_sent:bool -> Unix.process_status -> failure
-(** Maps a reaped worker status to a {!failure}: with [term_sent] (the
-    supervisor had already escalated a deadline overrun) any death is
-    {!Killed}; otherwise signals, the OOM guard's exit code and other
-    nonzero exits are {!Crashed} with the standard reason strings.
-    Exposed so the daemon's persistent pool reports deaths identically
-    to batch runs. *)
+(** {1 The pool core}
 
-val worker_loop :
-  mem_limit_mb:int option ->
-  job_r:Unix.file_descr ->
-  res_w:Unix.file_descr ->
-  (int -> 'a -> 'b) ->
-  unit
-(** The worker side of the pool protocol, for processes forked outside
-    {!run} (the daemon pre-forks warm workers and keeps them across
-    jobs): installs the memory guard, then loops reading [(id, payload)]
-    jobs off [job_r] with [Marshal] and writing [(id, result)] to
-    [res_w] until EOF ([exit 0]). An uncaught exception exits with
-    {!exit_uncaught}; the guard exits with {!exit_oom}. Never returns. *)
+    One non-blocking core serves both drivers: {!run} below drives it to
+    completion for a batch, and certifyd's server steps it inside its own
+    select loop. The core owns the workers: their fork and child setup,
+    Marshal dispatch, result decoding, reaping and death classification,
+    the crash-retry decision, SIGTERM → grace → SIGKILL escalation and
+    shutdown. The driver owns the queue of waiting jobs, tells the core
+    when to fork ({!top_up}), which descriptors came back readable and
+    what time it is, and gets back finished and re-queued jobs. *)
+
+type 'j job = private {
+  id : int;
+  data : 'j;  (** the driver's job; {!start}'s [payload] picks what ships *)
+  mutable retried : int;  (** crash retries charged so far *)
+  mutable not_before : float;
+      (** backoff gate: the driver must not dispatch the job before this
+          time *)
+  mutable first_dispatch : float option;
+}
+
+val job : int -> 'j -> 'j job
+(** A fresh job: no retries, dispatchable now. Only the core updates a
+    job. *)
+
+type ('j, 'b) event =
+  | Finished of 'j job * 'b job_result
+      (** the job's final result: its worker's answer, a deadline kill,
+          or a crash with no retry left *)
+  | Retry of 'j job
+      (** its worker crashed; [retried] is bumped and [not_before] set
+          by {!backoff_delay} — queue it again *)
+  | Returned of 'j job
+      (** its worker was found dead at dispatch, so it never ran: queue
+          it again, uncharged *)
+  | Died  (** a worker died (a job's own event, if any, follows) *)
+
+type ('j, 'b) t
+(** A pool of up to [workers] forked workers of one worker function. *)
+
+val start :
+  ?parent_fds:(unit -> Unix.file_descr list) ->
+  site:string ->
+  Config.pool ->
+  payload:('j -> 'a) ->
+  worker:(int -> 'a -> 'b) ->
+  ('j, 'b) t
+(** No worker is forked until {!top_up}. Each job ships
+    [(id, payload data)]; [worker id payload] runs in the child and its
+    result comes back the same way. [site] tags the dispatch writes for
+    the {!Sysio} chaos layer. Each child closes [parent_fds ()] (the
+    driver's own descriptors) and every other worker's pipe ends,
+    disarms the chaos layer, restores the default SIGTERM and SIGPIPE
+    actions, installs the memory guard and serves jobs until EOF on its
+    job pipe ([exit 0]). An uncaught exception exits with
+    {!exit_uncaught}, the guard with {!exit_oom}. The caller must ignore
+    SIGPIPE while the pool lives. *)
+
+val top_up : ('j, 'b) t -> unit
+(** Fork workers until [workers] are live. *)
+
+val feed :
+  ('j, 'b) t -> now:float -> next:(unit -> 'j job option) -> ('j, 'b) event list
+(** Give each idle worker the job [next ()] returns, until either runs
+    out. A worker found dead at dispatch yields {!Died}, and its job
+    goes to the next idle worker, or comes back {!Returned} when there
+    is none. *)
+
+val fds : ('j, 'b) t -> Unix.file_descr list
+(** The live workers' result pipes, for the driver's [select]. *)
+
+val step :
+  ('j, 'b) t -> now:float -> readable:Unix.file_descr list -> ('j, 'b) event list
+(** Decode results from the readable result pipes (other descriptors
+    are ignored), reap and classify the dead, then send SIGTERM to
+    workers past the hard deadline and SIGKILL to those past the grace.
+    Garbage on a pipe kills its worker: [Crashed "decode: ..."]. *)
+
+val timeout : ('j, 'b) t -> now:float -> float list -> float
+(** Seconds a driver may block in [select]: until the earliest pending
+    deadline or grace expiry, or the earliest of the driver's own wake
+    times (absolute), clamped to \[0.01, 0.5\]. *)
+
+val live : ('j, 'b) t -> int
+(** Workers forked and not yet reaped. *)
+
+val inflight : ('j, 'b) t -> 'j job list
+(** Jobs on a worker now. *)
+
+val shutdown : ('j, 'b) t -> unit
+(** Orderly shutdown: EOF on every job pipe, then reap every worker
+    (in-flight jobs are the driver's to wait out first). *)
+
+(** {1 The batch driver} *)
 
 val run :
   ?pool:Config.pool ->

@@ -1,12 +1,13 @@
 (* The certifyd server: a single-threaded select loop over one listening
    Unix-domain socket, N nonblocking clients, and a pool of pre-forked
-   warm workers speaking the Supervisor pipe protocol.
+   warm workers run by the Supervisor pool core, which the loop steps.
 
-   The loop owns every decision — admission, dispatch, deadlines,
-   respawn, drain — so there is no locking and every state transition is
-   serialized with the journal writes that make it durable. Workers are
-   forked after the model zoo is loaded, sharing weights and lowered
-   programs read-only through copy-on-write. *)
+   The loop owns every decision the pool leaves to its driver —
+   admission, the queue, respawn, drain — so there is no locking and
+   every state transition is serialized with the journal writes that
+   make it durable. Workers are forked after the model zoo is loaded,
+   sharing weights and lowered programs read-only through
+   copy-on-write. *)
 
 module Config = Deept.Config
 module Verdict = Deept.Verdict
@@ -142,27 +143,14 @@ let run_job warm deadline_default _id (c : Protocol.certify) =
 
 (* ---------------- daemon-side state ---------------- *)
 
-type job = {
-  id : int;
+(* What the daemon keeps beside a pool job; only [c] goes to a worker. *)
+type req = {
   c : Protocol.certify;
   key : string;
   mutable client : int option;  (* None: resumed job, result journal-only *)
-  mutable retries : int;
-  mutable not_before : float;
-  mutable first_dispatch : float option;
 }
 
-type wstate = {
-  pid : int;
-  job_out : out_channel;
-  res_fd : Unix.file_descr;
-  res_in : in_channel;
-  job_w_fd : Unix.file_descr;
-  mutable busy : int option;
-  mutable started : float;
-  mutable term_at : float option;
-  mutable sigkilled : bool;
-}
+type job = req Supervisor.job
 
 type cstate = {
   cid : int;
@@ -171,11 +159,6 @@ type cstate = {
   mutable out : string;
   mutable last_write : float;  (* last byte accepted by the socket *)
 }
-
-let rec waitpid_retry pid =
-  match Unix.waitpid [] pid with
-  | _, status -> status
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry pid
 
 (* Intake-file reader with the same torn-tail tolerance as the journal:
    the final line of an fsynced append-only file can be torn by a kill;
@@ -293,7 +276,6 @@ let run o =
   let q : job Jobq.t =
     Jobq.create ~default_service_s:o.retry_hint_s ~cap:o.queue_cap ()
   in
-  let inflight : (int, job) Hashtbl.t = Hashtbl.create 16 in
   (* Idempotency: rid -> job id for every request that carried one, and
      id -> finished wire result so a deduplicated retry can replay the
      answer instead of recomputing (or worse, double-running) the job. *)
@@ -304,7 +286,6 @@ let run o =
     | Some r -> Hashtbl.replace rids r id
     | None -> ()
   in
-  let workers = ref [] in
   let clients = ref [] in
   let breakers : (string, Breaker.t) Hashtbl.t = Hashtbl.create 4 in
   let breaker_for model =
@@ -407,15 +388,8 @@ let run o =
                 }
           | Some w ->
               Jobq.requeue q
-                {
-                  id;
-                  c;
-                  key = Cache.key ~digest:w.Warm.digest c;
-                  client = None;
-                  retries = 0;
-                  not_before = 0.0;
-                  first_dispatch = None;
-                })
+                (Supervisor.job id
+                   { c; key = Cache.key ~digest:w.Warm.digest c; client = None }))
         missing;
       if Jobq.depth q > 0 then
         log (Printf.sprintf "resume: re-enqueued %d in-flight job(s)" (Jobq.depth q))
@@ -431,52 +405,14 @@ let run o =
          (List.length (Warm.names warm)) o.pool.Config.workers);
 
   (* ---------------- workers ---------------- *)
-  let parent_fds () =
-    (lfd :: List.map (fun c -> c.fd) !clients)
-    @ List.concat_map (fun w -> [ w.res_fd; w.job_w_fd ]) !workers
-    @ (match !intake_fd with Some fd -> [ fd ] | None -> [])
-  in
-  let spawn () =
-    let job_r, job_w = Unix.pipe () in
-    let res_r, res_w = Unix.pipe () in
-    match Unix.fork () with
-    | 0 ->
-        (* Workers run clean: an armed chaos plan targets the daemon's
-           durability path, and inheriting it would make the crash-point
-           enumeration nondeterministic (see bin/crashprobe.ml). *)
-        Sysio.disarm ();
-        List.iter
-          (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-          (parent_fds ());
-        Unix.close job_w;
-        Unix.close res_r;
-        Supervisor.worker_loop ~mem_limit_mb:o.pool.Config.mem_limit_mb ~job_r
-          ~res_w
-          (run_job warm o.deadline_s);
-        exit 0
-    | pid ->
-        Unix.close job_r;
-        Unix.close res_w;
-        let w =
-          {
-            pid;
-            job_out = Unix.out_channel_of_descr job_w;
-            res_fd = res_r;
-            res_in = Unix.in_channel_of_descr res_r;
-            job_w_fd = job_w;
-            busy = None;
-            started = 0.0;
-            term_at = None;
-            sigkilled = false;
-          }
-        in
-        workers := w :: !workers;
-        w
-  in
-  let discard w =
-    workers := List.filter (fun w' -> w'.pid <> w.pid) !workers;
-    close_out_noerr w.job_out;
-    close_in_noerr w.res_in
+  let pool =
+    Supervisor.start ~site:"server.dispatch"
+      ~parent_fds:(fun () ->
+        (lfd :: List.map (fun c -> c.fd) !clients)
+        @ Option.to_list !intake_fd)
+      o.pool
+      ~payload:(fun (r : req) -> r.c)
+      ~worker:(run_job warm o.deadline_s)
   in
 
   (* ---------------- clients ---------------- *)
@@ -486,8 +422,10 @@ let run o =
     (try Unix.close cl.fd with Unix.Unix_error _ -> ());
     (* orphan the client's jobs: they keep running, results go to the
        journal only *)
-    let orphan (j : job) = if j.client = Some cl.cid then j.client <- None in
-    Hashtbl.iter (fun _ j -> orphan j) inflight;
+    let orphan (j : job) =
+      if j.data.client = Some cl.cid then j.data.client <- None
+    in
+    List.iter orphan (Supervisor.inflight pool);
     Jobq.iter q orphan
   in
   let send_line cl line =
@@ -496,7 +434,7 @@ let run o =
   in
   let send cl resp = send_line cl (Protocol.response_to_json resp) in
   let respond (j : job) resp =
-    match j.client with
+    match j.data.client with
     | None -> ()
     | Some cid -> (
         match List.find_opt (fun c -> c.cid = cid) !clients with
@@ -505,34 +443,40 @@ let run o =
   in
 
   (* ---------------- completion ---------------- *)
-  let finalize_ok (j : job) (r : wres) =
-    let now = Unix.gettimeofday () in
-    let wall =
-      match j.first_dispatch with Some t -> now -. t | None -> 0.0
+  let finish (j : job) (r : wres Supervisor.job_result) =
+    let verdict, rung, attempts, detail =
+      match r.outcome with
+      | Ok w ->
+          Jobq.note_service q r.wall_s;
+          count_rungs w.w_rungs;
+          Cache.store cache j.data.key
+            { Cache.verdict = w.w_verdict; rung = w.w_rung; attempts = w.w_attempts };
+          (w.w_verdict, w.w_rung, w.w_attempts, "key=" ^ j.data.key)
+      | Error f ->
+          ( Verdict.Unknown (Supervisor.failure_reason f),
+            "worker",
+            0,
+            Supervisor.failure_detail f )
     in
-    Jobq.note_service q wall;
-    count_rungs r.w_rungs;
-    Cache.store cache j.key
-      { Cache.verdict = r.w_verdict; rung = r.w_rung; attempts = r.w_attempts };
     journal_append
       {
         Journal.job = j.id;
-        verdict = r.w_verdict;
-        rung = r.w_rung;
-        attempts = r.w_attempts;
-        retries = j.retries;
-        wall_s = wall;
-        detail = "key=" ^ j.key;
+        verdict;
+        rung;
+        attempts;
+        retries = r.retries;
+        wall_s = r.wall_s;
+        detail;
       };
     let res =
       {
         Protocol.id = j.id;
-        tag = j.c.Protocol.tag;
-        verdict = r.w_verdict;
-        rung = r.w_rung;
-        attempts = r.w_attempts;
-        retries = j.retries;
-        wall_s = wall;
+        tag = j.data.c.Protocol.tag;
+        verdict;
+        rung;
+        attempts;
+        retries = r.retries;
+        wall_s = r.wall_s;
         cached = false;
       }
     in
@@ -540,132 +484,29 @@ let run o =
     respond j (Protocol.Result res);
     incr jobs_done
   in
-  let finalize_failure (j : job) failure =
-    let now = Unix.gettimeofday () in
-    let wall =
-      match j.first_dispatch with Some t -> now -. t | None -> 0.0
-    in
-    let verdict = Verdict.Unknown (Supervisor.failure_reason failure) in
-    journal_append
-      {
-        Journal.job = j.id;
-        verdict;
-        rung = "worker";
-        attempts = 0;
-        retries = j.retries;
-        wall_s = wall;
-        detail = Supervisor.failure_detail failure;
-      };
-    let res =
-      {
-        Protocol.id = j.id;
-        tag = j.c.Protocol.tag;
-        verdict;
-        rung = "worker";
-        attempts = 0;
-        retries = j.retries;
-        wall_s = wall;
-        cached = false;
-      }
-    in
-    Hashtbl.replace done_results j.id { res with Protocol.cached = true };
-    respond j (Protocol.Result res);
-    incr jobs_done
-  in
-
-  let accept_result w ((id, r) : int * wres) =
-    w.busy <- None;
-    consec_deaths := 0;
-    match Hashtbl.find_opt inflight id with
-    | None -> () (* result raced a kill decision; already reported *)
-    | Some j ->
-        Hashtbl.remove inflight id;
-        Breaker.success (breaker_for j.c.Protocol.model);
-        finalize_ok j r
-  in
-  let note_death () =
-    incr worker_deaths;
-    incr consec_deaths;
-    respawn_at :=
-      Unix.gettimeofday ()
-      +. Supervisor.backoff_delay o.pool ~retries:(!consec_deaths - 1)
-  in
-  let handle_death w ~decode_error =
-    let status = waitpid_retry w.pid in
-    note_death ();
-    (match Option.bind w.busy (Hashtbl.find_opt inflight) with
-    | None -> ()
-    | Some j -> (
-        Hashtbl.remove inflight j.id;
-        let failure =
-          match decode_error with
-          | Some msg -> Supervisor.Crashed { reason = "decode: " ^ msg }
-          | None ->
-              Supervisor.classify_status ~term_sent:(w.term_at <> None) status
-        in
-        match failure with
-        | Supervisor.Crashed _ ->
-            (* a crash indicts the model; a deadline kill indicts the job *)
-            Breaker.failure (breaker_for j.c.Protocol.model);
-            if j.retries < o.pool.Config.max_retries then begin
-              j.not_before <-
-                Unix.gettimeofday ()
-                +. Supervisor.backoff_delay o.pool ~retries:j.retries;
-              j.retries <- j.retries + 1;
-              Jobq.requeue q j
-            end
-            else finalize_failure j failure
-        | Supervisor.Killed _ -> finalize_failure j failure));
-    discard w
-  in
-
-  (* ---------------- dispatch ---------------- *)
-  let dispatch w (j : job) =
-    let now = Unix.gettimeofday () in
-    if j.first_dispatch = None then j.first_dispatch <- Some now;
-    Hashtbl.replace inflight j.id j;
-    let b = Marshal.to_bytes (j.id, j.c) [] in
-    match Sysio.write_all ~site:"server.dispatch" w.job_w_fd b 0 (Bytes.length b)
-    with
-    | () ->
-        w.busy <- Some j.id;
-        w.started <- now
-    | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
-        (* worker died idle: the job never ran there *)
-        ignore (waitpid_retry w.pid);
-        note_death ();
-        discard w;
-        Hashtbl.remove inflight j.id;
+  (* A crash indicts the model; a deadline kill indicts the job. A death
+     also pushes the next respawn back by the consecutive-death
+     backoff. *)
+  let handle = function
+    | Supervisor.Died ->
+        incr worker_deaths;
+        incr consec_deaths;
+        respawn_at :=
+          Unix.gettimeofday ()
+          +. Supervisor.backoff_delay o.pool ~retries:(!consec_deaths - 1)
+    | Supervisor.Finished (j, r) ->
+        let breaker = breaker_for j.data.c.Protocol.model in
+        (match r.outcome with
+        | Ok _ ->
+            consec_deaths := 0;
+            Breaker.success breaker
+        | Error (Supervisor.Crashed _) -> Breaker.failure breaker
+        | Error (Supervisor.Killed _) -> ());
+        finish j r
+    | Supervisor.Retry j ->
+        Breaker.failure (breaker_for j.data.c.Protocol.model);
         Jobq.requeue q j
-  in
-  let rec feed now =
-    match
-      List.find_opt (fun w -> w.busy = None && w.term_at = None) !workers
-    with
-    | None -> ()
-    | Some w -> (
-        match Jobq.pop q ~ready:(fun (j : job) -> j.not_before <= now) with
-        | None -> ()
-        | Some j ->
-            dispatch w j;
-            feed now)
-  in
-  let enforce_deadlines now =
-    match o.pool.Config.hard_deadline_s with
-    | None -> ()
-    | Some limit ->
-        List.iter
-          (fun w ->
-            match (w.busy, w.term_at) with
-            | Some _, None when now -. w.started > limit ->
-                w.term_at <- Some now;
-                (try Unix.kill w.pid Sys.sigterm with Unix.Unix_error _ -> ())
-            | Some _, Some t
-              when (not w.sigkilled) && now -. t > o.pool.Config.grace_s ->
-                w.sigkilled <- true;
-                (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ())
-            | _ -> ())
-          !workers
+    | Supervisor.Returned j -> Jobq.requeue q j
   in
 
   (* ---------------- admission ---------------- *)
@@ -678,9 +519,9 @@ let run o =
       breakers;
     {
       Protocol.uptime_s = Unix.gettimeofday () -. start_time;
-      workers = List.length !workers;
+      workers = Supervisor.live pool;
       queue_depth = Jobq.depth q;
-      inflight = Hashtbl.length inflight;
+      inflight = List.length (Supervisor.inflight pool);
       jobs_done = !jobs_done;
       shed = Jobq.shed q;
       cache_hits = Cache.hits cache;
@@ -700,8 +541,8 @@ let run o =
      connection so the eventual result is delivered exactly once, to the
      client that is still listening. *)
   let reattach id cid =
-    let att (j : job) = if j.id = id then j.client <- Some cid in
-    Hashtbl.iter (fun _ j -> att j) inflight;
+    let att (j : job) = if j.id = id then j.data.client <- Some cid in
+    List.iter att (Supervisor.inflight pool);
     Jobq.iter q att
   in
   let admit_new cl (c : Protocol.certify) =
@@ -766,29 +607,18 @@ let run o =
                          tag = c.Protocol.tag;
                          retry_after_s =
                            Jobq.retry_after q
-                             ~workers:(max 1 (List.length !workers));
+                             ~workers:(max 1 (Supervisor.live pool));
                        })
                 else if Jobq.full q then begin
                   (* a full admit both counts the shed and refuses *)
-                  let j =
-                    {
-                      id = 0;
-                      c;
-                      key;
-                      client = None;
-                      retries = 0;
-                      not_before = 0.0;
-                      first_dispatch = None;
-                    }
-                  in
-                  ignore (Jobq.admit q j);
+                  ignore (Jobq.admit q (Supervisor.job 0 { c; key; client = None }));
                   send cl
                     (Protocol.Overloaded
                        {
                          tag = c.Protocol.tag;
                          retry_after_s =
                            Jobq.retry_after q
-                             ~workers:(max 1 (List.length !workers));
+                             ~workers:(max 1 (Supervisor.live pool));
                        })
                 end
                 else
@@ -803,18 +633,9 @@ let run o =
                            })
                   | `Ok ->
                       let id = fresh_id () in
-                      let j =
-                        {
-                          id;
-                          c;
-                          key;
-                          client = Some cl.cid;
-                          retries = 0;
-                          not_before = 0.0;
-                          first_dispatch = None;
-                        }
-                      in
-                      ignore (Jobq.admit q j);
+                      ignore
+                        (Jobq.admit q
+                           (Supervisor.job id { c; key; client = Some cl.cid }));
                       register_rid c id;
                       (* durable before dispatchable: a daemon killed
                          from here on re-runs this job on --resume *)
@@ -917,31 +738,15 @@ let run o =
       slow
   in
   let next_timeout now =
-    let candidates = ref [] in
-    let add t = if t > 0.0 then candidates := t :: !candidates else candidates := 0.01 :: !candidates in
-    (match o.pool.Config.hard_deadline_s with
-    | Some limit ->
-        List.iter
-          (fun w ->
-            match (w.busy, w.term_at) with
-            | Some _, None -> add (w.started +. limit -. now)
-            | Some _, Some t when not w.sigkilled ->
-                add (t +. o.pool.Config.grace_s -. now)
-            | _ -> ())
-          !workers
-    | None -> ());
-    Jobq.iter q (fun (j : job) ->
-        if j.not_before > now then add (j.not_before -. now));
-    if List.length !workers < o.pool.Config.workers && !respawn_at > now then
-      add (!respawn_at -. now);
+    let wakes = ref [] in
+    let add at = wakes := at :: !wakes in
+    Jobq.iter q (fun (j : job) -> if j.not_before > now then add j.not_before);
+    if Supervisor.live pool < o.pool.Config.workers && !respawn_at > now then
+      add !respawn_at;
     List.iter
-      (fun cl ->
-        if cl.out <> "" then
-          add (cl.last_write +. o.write_timeout_s -. now))
+      (fun cl -> if cl.out <> "" then add (cl.last_write +. o.write_timeout_s))
       !clients;
-    match !candidates with
-    | [] -> 0.5
-    | l -> Float.max 0.01 (List.fold_left Float.min 0.5 l)
+    Supervisor.timeout pool ~now !wakes
   in
 
   (* ---------------- main loop ---------------- *)
@@ -953,23 +758,22 @@ let run o =
     end;
     let now = Unix.gettimeofday () in
     if
-      List.length !workers < o.pool.Config.workers
-      && now >= !respawn_at
-      && ((not !draining) || Jobq.depth q > 0 || Hashtbl.length inflight > 0)
-    then ignore (spawn ());
-    feed now;
-    enforce_deadlines now;
+      now >= !respawn_at
+      && ((not !draining) || Jobq.depth q > 0 || Supervisor.inflight pool <> [])
+    then Supervisor.top_up pool;
+    List.iter handle
+      (Supervisor.feed pool ~now ~next:(fun () ->
+           Jobq.pop q ~ready:(fun (j : job) -> j.not_before <= now)));
     check_write_timeouts now;
     if
       !draining
       && Jobq.depth q = 0
-      && Hashtbl.length inflight = 0
+      && Supervisor.inflight pool = []
       && List.for_all (fun cl -> cl.out = "") !clients
     then running := false
     else begin
       let rfds =
-        (lfd :: List.map (fun cl -> cl.fd) !clients)
-        @ List.map (fun w -> w.res_fd) !workers
+        (lfd :: List.map (fun cl -> cl.fd) !clients) @ Supervisor.fds pool
       in
       let wfds =
         List.filter_map
@@ -981,25 +785,15 @@ let run o =
         | r -> r
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
       in
+      let now = Unix.gettimeofday () in
+      List.iter handle (Supervisor.step pool ~now ~readable);
       if List.mem lfd readable then accept_clients ();
       List.iter
         (fun fd ->
-          if fd <> lfd then
-            match List.find_opt (fun w -> w.res_fd = fd) !workers with
-            | Some w -> (
-                match (Marshal.from_channel w.res_in : int * wres) with
-                | msg -> accept_result w msg
-                | exception End_of_file -> handle_death w ~decode_error:None
-                | exception Failure msg ->
-                    (try Unix.kill w.pid Sys.sigkill
-                     with Unix.Unix_error _ -> ());
-                    handle_death w ~decode_error:(Some msg))
-            | None -> (
-                match List.find_opt (fun cl -> cl.fd = fd) !clients with
-                | Some cl -> handle_client_read cl
-                | None -> ()))
+          match List.find_opt (fun cl -> cl.fd = fd) !clients with
+          | Some cl -> handle_client_read cl
+          | None -> ())
         readable;
-      let now = Unix.gettimeofday () in
       List.iter
         (fun fd ->
           match List.find_opt (fun cl -> cl.fd = fd) !clients with
@@ -1010,13 +804,7 @@ let run o =
   done;
 
   (* orderly shutdown: EOF the job pipes, reap, close everything *)
-  List.iter
-    (fun w ->
-      close_out_noerr w.job_out;
-      close_in_noerr w.res_in)
-    !workers;
-  List.iter (fun w -> ignore (waitpid_retry w.pid)) !workers;
-  workers := [];
+  Supervisor.shutdown pool;
   List.iter (fun cl -> try Unix.close cl.fd with Unix.Unix_error _ -> ()) !clients;
   clients := [];
   (try Unix.close lfd with Unix.Unix_error _ -> ());

@@ -10,7 +10,7 @@
        bounded job queue ── intake file (fsync before dispatch)
                  │
                  ▼
-       pre-forked warm workers (Marshal pipes, hard deadlines)
+       pre-forked warm workers (Supervisor's pool core, stepped here)
                  │
                  ▼
        journal (fsync per completion) → response to client
@@ -21,10 +21,11 @@
     - {e backpressure}: past [queue_cap] waiting jobs, new work is shed
       with an [Overloaded] response and an EWMA-derived retry hint —
       the queue cannot grow without bound;
-    - {e fault containment}: a worker death (crash, OOM guard, deadline
-      kill) is confined to its in-flight job — crash retries with
-      jittered backoff, a per-model circuit breaker quarantines a model
-      after repeated crashes, and a replacement worker is forked on a
+    - {e fault containment}: the workers are {!Deept.Supervisor}'s pool
+      core, which this loop steps; a worker death (crash, OOM guard,
+      deadline kill) is confined to its in-flight job — crash retries
+      with jittered backoff, a per-model circuit breaker quarantines a
+      model after repeated crashes, and the pool is topped up again on a
       consecutive-death backoff schedule;
     - {e durability}: accepted jobs hit the fsynced intake file before
       they can run; completions hit the fsynced journal before the
@@ -35,7 +36,9 @@
     Drain (SIGTERM, SIGINT or a [Shutdown] request): new certify
     requests are shed, queued and in-flight jobs finish and are
     journaled, buffered responses are flushed, workers get EOF and are
-    reaped, the socket is unlinked. *)
+    reaped, the socket is unlinked. Workers keep the default SIGTERM
+    action, so a SIGTERM sent to the whole process group also ends the
+    busy ones; their jobs are retried as crashes. *)
 
 type opts = {
   socket : string;  (** Unix-domain socket path (replaced if present) *)

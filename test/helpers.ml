@@ -90,3 +90,32 @@ let tiny_program ?layers ?divide_std ?d_model ?heads ?d_hidden seed =
 
 let qcheck_case ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+
+(* Block until [pid] has exited: its /proc/<pid>/stat reads state Z
+   (dead, not yet reaped) or is gone (reaped). A SIGKILL is delivered
+   asynchronously, so a test that needs the process dead before its
+   next step waits here. *)
+let wait_dead ?(timeout_s = 10.0) pid =
+  let path = Printf.sprintf "/proc/%d/stat" pid in
+  let state () =
+    match open_in path with
+    | exception Sys_error _ -> None
+    | ic ->
+        let line = try input_line ic with End_of_file -> "" in
+        close_in ic;
+        (* the state letter follows the parenthesised command name *)
+        (match String.rindex_opt line ')' with
+        | Some i when i + 2 < String.length line -> Some line.[i + 2]
+        | _ -> None)
+  in
+  let stop = Unix.gettimeofday () +. timeout_s in
+  let rec go () =
+    match state () with
+    | None | Some 'Z' -> ()
+    | Some _ when Unix.gettimeofday () > stop ->
+        Alcotest.failf "process %d still alive after %.0fs" pid timeout_s
+    | Some _ ->
+        Unix.sleepf 0.005;
+        go ()
+  in
+  go ()

@@ -406,14 +406,15 @@ let test_intake_torn_tail () =
    like test_interp's bit-exactness pins. *)
 let have_model = Sys.file_exists "../data/sst_3.model"
 
-let start_daemon ?journal ?(resume = false) socket =
+let start_daemon ?journal ?(resume = false)
+    ?(pool = Deept.Config.pool ~workers:1 ()) ?breaker_threshold
+    ?breaker_cooloff_s socket =
   match Unix.fork () with
   | 0 ->
       (try
          Zoo.data_dir := "../data";
          Service.Server.run
-           (Service.Server.opts
-              ~pool:(Deept.Config.pool ~workers:1 ())
+           (Service.Server.opts ~pool ?breaker_threshold ?breaker_cooloff_s
               ?journal ~resume
               ~log:(fun _ -> ())
               ~socket [ "sst_3" ]);
@@ -619,6 +620,130 @@ let test_client_session_reconnect () =
       Alcotest.failf "call after restart: %s" (P.response_to_json other));
   Cl.hangup s
 
+(* ---------------- worker deaths in the daemon ---------------- *)
+
+(* sst_3 test sentence 5 certifies at this radius in a few tens of ms,
+   well inside the 0.3 s hard deadline of the SIGTERM drill. *)
+let quick_req k =
+  P.Certify (P.certify ~tag:k ~model:"sst_3" ~radius:0.005 (P.Index 5))
+
+let stats conn =
+  match Cl.request conn P.Stats with
+  | Some (P.Stats_r s) -> s
+  | _ -> Alcotest.fail "stats request failed"
+
+let journal_detail journal id =
+  match List.find_opt (fun e -> e.J.job = id) (J.load journal) with
+  | Some e -> e.J.detail
+  | None -> Alcotest.failf "job %d not journaled" id
+
+let test_daemon_crash_path () =
+  if not have_model then () else
+  with_tmp "crash" @@ fun base ->
+  let socket = base ^ ".sock" and journal = base ^ ".jsonl" in
+  let pool = Deept.Config.pool ~workers:1 ~max_retries:1 () in
+  let pid =
+    start_daemon ~journal ~pool ~breaker_threshold:2 ~breaker_cooloff_s:1.0
+      socket
+  in
+  Fun.protect ~finally:(fun () -> stop_daemon pid) @@ fun () ->
+  let conn = Cl.connect_retry ~timeout_s:60.0 socket in
+  (* the worker exits 86 on each attempt: one retry, then the failure
+     is final, and the two crashes open the model's breaker *)
+  Cl.send conn
+    (P.Certify
+       (P.certify ~drill_crash:true ~tag:0 ~model:"sst_3" ~radius:0.005
+          (P.Index 0)));
+  let r = expect_result conn "crash drill" in
+  check_true "crash drill ends worker-crashed"
+    (V.equal r.P.verdict (V.Unknown V.Worker_crashed));
+  check_true "after one retry" (r.P.retries = 1);
+  check_true "journal detail is the exit code"
+    (journal_detail journal r.P.id = "exit 86");
+  Cl.send conn (quick_req 1);
+  (match Cl.recv conn with
+  | Some (P.Quarantined q) -> check_true "sst_3 quarantined" (q.model = "sst_3")
+  | Some other -> Alcotest.failf "expected quarantine, got %s" (P.response_to_json other)
+  | None -> Alcotest.fail "daemon closed the connection");
+  (* past the cooloff one half-open probe runs, and its success closes
+     the breaker *)
+  Unix.sleepf 1.2;
+  Cl.send conn (quick_req 2);
+  let probe = expect_result conn "half-open probe" in
+  check_true "probe certifies" (V.equal probe.P.verdict V.Certified);
+  let s = stats conn in
+  check_true "breaker closed again" (s.P.breakers = "sst_3=closed");
+  check_true "both crashes counted" (s.P.worker_deaths = 2);
+  Cl.close conn
+
+let test_daemon_deadline_sigterm () =
+  if not have_model then () else
+  with_tmp "sigterm" @@ fun base ->
+  let socket = base ^ ".sock" and journal = base ^ ".jsonl" in
+  let pool =
+    Deept.Config.pool ~workers:1 ~hard_deadline_s:0.3 ~grace_s:3.0 ()
+  in
+  (* threshold 1: were the kill counted as a crash, the next request
+     would be quarantined *)
+  let pid = start_daemon ~journal ~pool ~breaker_threshold:1 socket in
+  Fun.protect ~finally:(fun () -> stop_daemon pid) @@ fun () ->
+  let conn = Cl.connect_retry ~timeout_s:60.0 socket in
+  Cl.send conn (req ~drill_stall_s:10.0 0);
+  let r = expect_result conn "stall drill" in
+  check_true "overrun ends worker-killed"
+    (V.equal r.P.verdict (V.Unknown V.Worker_killed));
+  check_true "deadline kills are not retried" (r.P.retries = 0);
+  check_true
+    (Printf.sprintf "the SIGTERM ended it (%.3fs), not the SIGKILL after grace"
+       r.P.wall_s)
+    (r.P.wall_s < 1.0);
+  check_true "journal detail SIGTERM" (journal_detail journal r.P.id = "SIGTERM");
+  Cl.send conn (quick_req 1);
+  let next = expect_result conn "request after the kill" in
+  check_true "the next request certifies" (V.equal next.P.verdict V.Certified);
+  Cl.close conn
+
+(* The daemon's only worker, found through the kernel's child list. *)
+let daemon_worker pid =
+  let path = Printf.sprintf "/proc/%d/task/%d/children" pid pid in
+  let ic = open_in path in
+  let line = try input_line ic with End_of_file -> "" in
+  close_in ic;
+  match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+  | [ w ] -> int_of_string w
+  | ws -> Alcotest.failf "expected one worker, found %d" (List.length ws)
+
+let test_daemon_idle_worker_kill () =
+  if not have_model then () else
+  with_tmp "idlekill" @@ fun base ->
+  let socket = base ^ ".sock" in
+  let pid = start_daemon socket in
+  Fun.protect ~finally:(fun () -> stop_daemon pid) @@ fun () ->
+  let conn = Cl.connect_retry ~timeout_s:60.0 socket in
+  check_true "one worker up" ((stats conn).P.workers = 1);
+  let w = daemon_worker pid in
+  Unix.kill w Sys.sigkill;
+  Helpers.wait_dead w;
+  Cl.send conn (quick_req 0);
+  let r = expect_result conn "request after an idle death" in
+  check_true "certifies" (V.equal r.P.verdict V.Certified);
+  check_true "the idle death cost the job no retry" (r.P.retries = 0);
+  check_true "one death counted" ((stats conn).P.worker_deaths = 1);
+  Cl.close conn
+
+let test_daemon_pool_topped_up () =
+  if not have_model then () else
+  with_tmp "topup" @@ fun base ->
+  let socket = base ^ ".sock" in
+  let pid = start_daemon ~pool:(Deept.Config.pool ~workers:4 ()) socket in
+  Fun.protect ~finally:(fun () -> stop_daemon pid) @@ fun () ->
+  let conn = Cl.connect_retry ~timeout_s:60.0 socket in
+  let s = stats conn in
+  check_true
+    (Printf.sprintf "all 4 workers up at the first stats (%d)" s.P.workers)
+    (s.P.workers = 4);
+  Cl.close conn
+
 let () =
   Alcotest.run "service"
     [
@@ -665,5 +790,13 @@ let () =
             test_daemon_rid_dedup_resume;
           Alcotest.test_case "client session reconnect" `Slow
             test_client_session_reconnect;
+          Alcotest.test_case "crash retry + breaker" `Slow
+            test_daemon_crash_path;
+          Alcotest.test_case "deadline kill ends at SIGTERM" `Slow
+            test_daemon_deadline_sigterm;
+          Alcotest.test_case "idle worker kill" `Slow
+            test_daemon_idle_worker_kill;
+          Alcotest.test_case "pool topped up at start" `Slow
+            test_daemon_pool_topped_up;
         ] );
     ]

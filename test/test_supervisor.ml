@@ -269,6 +269,37 @@ let test_pool_transient_crash_retried () =
   Helpers.check_true "rescued on retry" (r1.S.outcome = Ok 7);
   Helpers.check_true "one retry recorded" (r1.S.retries = 1)
 
+let test_pool_idle_death_free () =
+  (* A worker killed between jobs costs the next job nothing: job 0's
+     callback kills the worker that ran it and waits until it is dead
+     (a zombie: the supervisor is busy in this callback and cannot reap
+     it), so the next dispatch meets EPIPE and the job goes back to the
+     queue uncharged. With no retries allowed, a death blamed on the job
+     would end it in an error. *)
+  let pool = C.pool ~workers:1 ~max_retries:0 () in
+  let rs =
+    S.run ~pool
+      ~on_result:(fun (r : int S.job_result) ->
+        match r.S.outcome with
+        | Ok pid when r.S.job = 0 ->
+            Unix.kill pid Sys.sigkill;
+            Helpers.wait_dead pid
+        | _ -> ())
+      ~worker:(fun _ () -> Unix.getpid ())
+      (List.init 3 (fun i -> (i, ())))
+  in
+  List.iter
+    (fun (r : int S.job_result) ->
+      Helpers.check_true
+        (Printf.sprintf "job %d ok" r.S.job)
+        (Result.is_ok r.S.outcome);
+      Helpers.check_true
+        (Printf.sprintf "job %d charged no retry" r.S.job)
+        (r.S.retries = 0))
+    rs;
+  Helpers.check_true "the next job ran on a fresh worker"
+    (outcome_of rs 0 <> outcome_of rs 1)
+
 (* ---------------- journaled batch: SIGKILL mid-run + resume ----------- *)
 
 (* The acceptance scenario: a journaled batch run is SIGKILLed mid-flight
@@ -355,6 +386,8 @@ let () =
           Alcotest.test_case "sigkill escalation" `Quick test_pool_sigkill_escalation;
           Alcotest.test_case "oom guard" `Quick test_pool_oom_guard;
           Alcotest.test_case "transient retry" `Quick test_pool_transient_crash_retried;
+          Alcotest.test_case "idle death costs no retry" `Quick
+            test_pool_idle_death_free;
         ] );
       ( "resume",
         [ Alcotest.test_case "sigkill mid-run" `Quick test_pool_sigkill_resume ] );
