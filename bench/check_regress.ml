@@ -28,6 +28,11 @@ let metrics =
        banded late-pipeline coefficient blocks *)
     "dense_ns";
     "sparse_ns";
+    (* the one-pass rows: production's in-place coefficient map and
+       fused residual sum + normalization (their replaced paths,
+       copy_ns and two_pass_ns, are reported, not gated) *)
+    "inplace_ns";
+    "fused_ns";
     (* the refine bench's base arm (plain Precise radius search; its
        refine arm reports as wall_s). Keys match with the leading
        quote, so "wall_s" never aliases into this one. *)

@@ -26,6 +26,10 @@
    width vs the same product restricted to the live intervals
    (bit-identical by the occupancy invariant, checked before timing).
 
+   The one-pass rows time what [Zonotope.linear_map] and the fused
+   post-LN residual pair run on the same recorded shape, each against
+   the path it replaced (see [measure_linear] and [measure_add_center]).
+
    When a previous BENCH_kernels.json exists it is rotated to
    BENCH_kernels.prev.json so `check_regress.exe` can compare runs. *)
 
@@ -176,6 +180,83 @@ let measure_sparse ((s : shape), live) =
   | [ dense_ns; sparse_ns ] -> { sshape = s; sdensity; dense_ns; sparse_ns }
   | _ -> assert false
 
+(* --- one-pass affine and residual kernels ------------------------------ *)
+
+(* What production runs on the recorded sst_3 shape (9 value rows of
+   d_model 24, ~1344 symbols mid-pipeline), each against the path it
+   replaced, after a bit-identity check:
+   - [Zonotope.linear_map]'s ε map: the in-place kernel over the whole
+     216-row coefficient matrix, one [Mat.matmul_ta_acc] per value row,
+     against per-row [sub_rows] + [matmul_ta] + [blit];
+   - a post-LN layer's residual sum and normalization:
+     [Zonotope.add_center_rows] against [center_rows (add a b)]. *)
+type pass_row = {
+  plabel : string;
+  vrows : int;
+  d : int;
+  e : int;
+  before : string * float;  (* the replaced path's key and ns/call *)
+  after : string * float;  (* production's *)
+}
+
+let vrows = 9 and dmodel = 24 and e_mid = 1344
+
+let measure_linear () =
+  let rng = Rng.create 0x11ea in
+  let w = Mat.random_uniform rng dmodel dmodel 1.0 in
+  let g = Mat.random_uniform rng (vrows * dmodel) e_mid 1.0 in
+  let copied () =
+    let out = Mat.create (vrows * dmodel) e_mid in
+    for i = 0 to vrows - 1 do
+      let mapped = Mat.matmul_ta w (Mat.sub_rows g (i * dmodel) dmodel) in
+      Array.blit mapped.Mat.data 0 out.Mat.data (i * dmodel * e_mid) (dmodel * e_mid)
+    done;
+    out
+  in
+  let in_place () =
+    let out = Mat.create (vrows * dmodel) e_mid in
+    for i = 0 to vrows - 1 do
+      Mat.matmul_ta_acc w g ~b_row:(i * dmodel) out ~out_row:(i * dmodel)
+    done;
+    out
+  in
+  if not (Mat.equal (copied ()) (in_place ())) then begin
+    Printf.eprintf "kernels: in-place coefficient map diverges\n%!";
+    exit 4
+  end;
+  match time_interleaved [ copied; in_place ] with
+  | [ c; i ] ->
+      { plabel = "linear_ta_216x24_e1344"; vrows; d = dmodel; e = e_mid;
+        before = ("copy_ns", c); after = ("inplace_ns", i) }
+  | _ -> assert false
+
+let measure_add_center () =
+  let rng = Rng.create 0xadd in
+  let module Z = Deept.Zonotope in
+  let operand () =
+    Z.make ~p:Deept.Lp.L2
+      ~center:(Mat.random_uniform rng vrows dmodel 1.0)
+      ~phi:(Mat.random_uniform rng (vrows * dmodel) dmodel 0.3)
+      ~eps:(Mat.random_uniform rng (vrows * dmodel) e_mid 0.3)
+  in
+  let a = operand () and b = operand () in
+  let gamma = Array.init dmodel (fun _ -> Rng.uniform rng 0.5 1.5) in
+  let beta = Array.init dmodel (fun _ -> Rng.uniform rng (-0.1) 0.1) in
+  let two_pass () = Z.center_rows (Z.add a b) ~gamma ~beta in
+  let fused () = Z.add_center_rows a b ~gamma ~beta in
+  let same (x : Z.t) (y : Z.t) =
+    Mat.equal x.Z.center y.Z.center && Mat.equal x.Z.phi y.Z.phi && Mat.equal x.Z.eps y.Z.eps
+  in
+  if not (same (two_pass ()) (fused ())) then begin
+    Printf.eprintf "kernels: fused add + center diverges\n%!";
+    exit 4
+  end;
+  match time_interleaved [ two_pass; fused ] with
+  | [ t; f ] ->
+      { plabel = "add_center_216x24_e1344"; vrows; d = dmodel; e = e_mid;
+        before = ("two_pass_ns", t); after = ("fused_ns", f) }
+  | _ -> assert false
+
 (* --- reporting -------------------------------------------------------- *)
 
 let geomean xs =
@@ -193,6 +274,12 @@ let json_of_sparse ~cores r =
     "{\"name\":\"%s\",\"ta\":%b,\"m\":%d,\"k\":%d,\"n\":%d,\"density\":%.4f,\"dense_ns\":%.1f,\"sparse_ns\":%.1f,\"cores\":%d}"
     r.sshape.label r.sshape.ta r.sshape.m r.sshape.k r.sshape.n r.sdensity
     r.dense_ns r.sparse_ns cores
+
+let json_of_pass ~cores r =
+  Printf.sprintf
+    "{\"name\":\"%s\",\"vrows\":%d,\"d\":%d,\"e\":%d,\"%s\":%.1f,\"%s\":%.1f,\"cores\":%d}"
+    r.plabel r.vrows r.d r.e (fst r.before) (snd r.before) (fst r.after) (snd r.after)
+    cores
 
 let write_json path lines =
   if Sys.file_exists path then begin
@@ -246,7 +333,15 @@ let () =
       Printf.printf "%-26s %7.0f%% %12.0f %12.0f %8.2fx\n" r.sshape.label
         (r.sdensity *. 100.0) r.dense_ns r.sparse_ns (r.dense_ns /. r.sparse_ns))
     sparse_rows;
+  let pass_rows = [ measure_linear (); measure_add_center () ] in
+  Printf.printf "\n%-26s %12s %12s %9s\n" "one pass" "before ns" "after ns" "x after";
+  List.iter
+    (fun r ->
+      Printf.printf "%-26s %12.0f %12.0f %8.2fx\n" r.plabel (snd r.before)
+        (snd r.after) (snd r.before /. snd r.after))
+    pass_rows;
   if !json then
     write_json !out
       (List.map (json_of_row ~cores) rows
-      @ List.map (json_of_sparse ~cores) sparse_rows)
+      @ List.map (json_of_sparse ~cores) sparse_rows
+      @ List.map (json_of_pass ~cores) pass_rows)

@@ -276,7 +276,10 @@ let cascade_term ~order ~p1 ~p2 ~k ~m ?occ_a ?occ_b (ga : Mat.t) (gb : Mat.t) =
    left half c_a,iᵀ·(value column j of B) of every output at once as
    A_c·B_coef with B's coefficients viewed as k x (m·E) (row i, segment
    j is output (i, j)), and the right half c_b,jᵀ·(value row i of A) as
-   B_cᵀ·A_coef,i per row block i. The remainder's Fast terms come from
+   B_cᵀ·A_coef,i per row block i, read in place at the block's row
+   offset ([Mat.matmul_ta_acc] on a fresh output, the same sums
+   [matmul_ta] of a copied block computes). The remainder's Fast terms
+   come from
    [cascade_term]; Precise keeps [precise_eps_bound] per pair. Every
    entry is the sum the per-pair formulation computed (DESIGN.md §16).
 
@@ -360,7 +363,8 @@ let matmul_zz ?(precise = false) ?(order = Config.Linf_first) ctx
   run_blocks (fun i ->
       Zonotope.check_deadline ctx;
       if ep > 0 then begin
-        let right = Mat.matmul_ta cb (Zonotope.phi_block a (i * k) k) in
+        let right = Mat.create m ep in
+        Mat.matmul_ta_acc cb a.Zonotope.phi ~b_row:(i * k) right ~out_row:0;
         let o = i * m * ep in
         for x = 0 to (m * ep) - 1 do
           phi.Mat.data.(o + x) <- phi.Mat.data.(o + x) +. right.Mat.data.(x)
@@ -390,7 +394,9 @@ let matmul_zz ?(precise = false) ?(order = Config.Linf_first) ctx
   let base = Zonotope.alloc_eps ctx !n_new in
   assert (base = ee);
   let w = base + !n_new in
-  (* Pass 2: the final ε matrix, written once per row block. *)
+  (* Pass 2: the final ε matrix, written once per row block: the right
+     half accumulates from +0.0 straight into the block's rows, then the
+     left half is added in front of it, as [left +. right] before. *)
   let eps = Mat.create nv w in
   run_blocks (fun i ->
       Zonotope.check_deadline ctx;
@@ -400,12 +406,11 @@ let matmul_zz ?(precise = false) ?(order = Config.Linf_first) ctx
             Some (Bands.row_intervals ~lo:(i * k) ~hi:((i + 1) * k) ~cols:ee a_occ)
           else None
         in
-        let right = Mat.matmul_ta ?cols cb (Zonotope.eps_block a (i * k) k) in
-        for j = 0 to m - 1 do
-          let v = (i * m) + j in
+        Mat.matmul_ta_acc ?cols cb a.Zonotope.eps ~b_row:(i * k) eps ~out_row:(i * m);
+        for v = i * m to ((i + 1) * m) - 1 do
           for c = 0 to ee - 1 do
             eps.Mat.data.((v * w) + c) <-
-              eps_left.Mat.data.((v * ee) + c) +. right.Mat.data.((j * ee) + c)
+              eps_left.Mat.data.((v * ee) + c) +. eps.Mat.data.((v * w) + c)
           done
         done
       end;

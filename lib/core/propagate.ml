@@ -118,6 +118,17 @@ module Domain = struct
       | Ir.Positional { src; pos } -> Zonotope.positional (get src) pos
     with Zonotope.Unbounded -> raise (Verdict.Abort Verdict.Unbounded)
 
+  (* A post-LN layer's residual sum and its mean-only normalization:
+     [Zonotope.add_center_rows] is [center_rows (add a b)] bit for bit.
+     Its output is poisoned whenever the sum is (a NaN or inf in a
+     column spreads to the column's mean). *)
+  let transfer_pair _ ~op_index:_ (op : Ir.op) (next : Ir.op) ~get =
+    match (op, next) with
+    | ( Ir.Add (a, b),
+        Ir.Center_norm { src = _; gamma; beta; divide_std = false } ) ->
+        Some (Zonotope.add_center_rows (get a) (get b) ~gamma ~beta)
+    | _ -> None
+
   let widen _ ~op_index:_ z = z
   let is_poisoned = poison_scan
   let size st _ = Zonotope.ctx_symbols st.ctx
@@ -219,7 +230,7 @@ let run_prefix (cfg : Config.t) (p : Ir.program) input ~len =
   I.run_values ~checks:(checks_of ~t0 cfg) ~stop:len st p vals;
   checkpoint_at (last_uses p) ~start:len (Array.get vals)
 
-let run_all ?from ?on_budget (cfg : Config.t) (p : Ir.program) input =
+let run ?from ?on_budget (cfg : Config.t) (p : Ir.program) input =
   check_input p input;
   let t0 = Unix.gettimeofday () in
   let vals = Array.make (Ir.num_values p) input in
@@ -233,7 +244,7 @@ let run_all ?from ?on_budget (cfg : Config.t) (p : Ir.program) input =
   in
   let st = state_of ~t0 ~start ~width cfg p in
   match I.run_values ~checks:(checks_of ~t0 cfg) ~start st p vals with
-  | () -> vals
+  | () -> vals.(Ir.output_id p)
   | exception (Verdict.Abort Verdict.Symbol_budget as e) ->
       (* Hand on the input of the last layer this run entered. Its slot
          holds that input as this run reduced it; the resumed run
@@ -244,6 +255,3 @@ let run_all ?from ?on_budget (cfg : Config.t) (p : Ir.program) input =
           if r >= start then f (checkpoint_at (last_uses p) ~start:r (Array.get vals))
       | _ -> ());
       raise e
-
-let run ?from ?on_budget cfg p input =
-  (run_all ?from ?on_budget cfg p input).(Ir.output_id p)

@@ -67,20 +67,12 @@ val run :
     the abort is then re-raised. Which layer that is depends only on the
     config and the input. Nothing is held for it while the run is
     healthy, and no other abort hands one on: a timeout's layer would
-    depend on the wall clock. *)
+    depend on the wall clock.
 
-val run_all :
-  ?from:checkpoint ->
-  ?on_budget:(checkpoint -> unit) ->
-  Config.t ->
-  Ir.program ->
-  Zonotope.t ->
-  Zonotope.t array
-(** All intermediate zonotopes (sharing one symbol context); index 0 is
-    the input. Intended for inspection and tests — note that, unlike
-    {!run}, values from different stages may have different ε widths,
-    and after [from] the slots the checkpoint does not keep hold the
-    input.
+    A post-LN layer's residual [Add] and the mean-only [Center_norm]
+    that reads it run as one pass ({!Zonotope.add_center_rows}) unless a
+    fault is armed at either op or a trace sink is installed; the
+    output is the same to the bit (DESIGN.md §18).
 
     Per-op tracing goes through [cfg.trace] (see {!Config.t} and
     {!Profile}). Setting the environment variable [DEEPT_TRACE] is a

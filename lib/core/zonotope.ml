@@ -240,39 +240,33 @@ let pad_eps z w =
 
 (* ---------------- affine transformers ---------------- *)
 
-(* Apply [block -> w^T . block] to every per-value-row coefficient block.
-   [matmul_ta] fuses the transpose of [w] (no copy per value row).
+(* Apply [block -> w^T . block] to every per-value-row coefficient block
+   of [g], accumulating into [out]: [Mat.matmul_ta_acc] reads value row
+   i's block at its row offset in [g] and writes its image at the
+   output's, with no copy in or out. Each output continues the running
+   sum [out] holds, so blocks of a wider input whose value columns are
+   split across several calls (the attention heads, see [linear_join])
+   add up exactly as one call over the whole input would.
 
-   [?occ] (the coefficient matrix's band occupancy) lets the kernel
-   skip dead column tiles per value row. Gated on the weight being free
-   of infinities: with finite weights a dead column's dense output is
-   exactly the +0.0 the skip leaves behind (the zero-skip is on the
-   weight operand, so a dead ±0.0 coefficient only ever enters as
-   [finite * ±0.0] accumulated onto +0.0), while an infinite weight
-   would turn [inf * 0.0] into NaN in the dense result — so those fall
-   back to the dense sweep. *)
-let map_coeff_blocks ?occ vrows vcols_in vcols_out (w : Mat.t) (g : Mat.t) =
-  let e = Mat.cols g in
-  let out = Mat.create (vrows * vcols_out) e in
-  if e > 0 then begin
-    let cols_for =
-      match occ with
-      | Some o when not (Bands.is_full o) && Mat.finite_class w = `Finite ->
-          fun i ->
-            Some
-              (Bands.row_intervals ~lo:(i * vcols_in)
-                 ~hi:((i + 1) * vcols_in)
-                 ~cols:e o)
-      | _ -> fun _ -> None
-    in
+   [cols_for i] (live column intervals of value row i's block, from the
+   operand's band occupancy) lets the kernel skip dead column tiles. The
+   caller passes it only when the weight is free of infinities: a dead
+   column's dense terms are then [finite * ±0.0], which leave a running
+   sum that started at +0.0 unchanged, while an infinite weight would
+   turn [inf * 0.0] into NaN in the dense result. *)
+let map_coeff_blocks ?cols_for ~vrows ~bin ~bout (w : Mat.t) (g : Mat.t) out =
+  if Mat.cols g > 0 then
     for i = 0 to vrows - 1 do
-      let block = Mat.sub_rows g (i * vcols_in) vcols_in in
-      let mapped = Mat.matmul_ta ?cols:(cols_for i) w block in
-      Array.blit mapped.Mat.data 0 out.Mat.data (i * vcols_out * e)
-        (vcols_out * e)
+      Mat.matmul_ta_acc
+        ?cols:(Option.map (fun f -> f i) cols_for)
+        w g ~b_row:(i * bin) out ~out_row:(i * bout)
     done
-  end;
-  out
+
+(* [cols_for] for [map_coeff_blocks] from an ε occupancy, or [None] when
+   the occupancy is full (nothing to skip). *)
+let live_blocks occ ~bin ~e =
+  if Bands.is_full occ then None
+  else Some (fun i -> Bands.row_intervals ~lo:(i * bin) ~hi:((i + 1) * bin) ~cols:e occ)
 
 (* An infinite coefficient (overflowed dot-product remainder, Dot.mid_rad)
    multiplied by a zero weight — or two infinite terms of opposite sign —
@@ -287,69 +281,101 @@ let scrub_coeff_nan (m : Mat.t) =
     (fun i x -> if Float.is_nan x then m.Mat.data.(i) <- infinity)
     m.Mat.data
 
-let linear_map z w b =
-  if Mat.rows w <> z.vcols then invalid_arg "Zonotope.linear_map: shape mismatch";
-  if Array.length b <> Mat.cols w then invalid_arg "Zonotope.linear_map: bias";
+(* The coefficients of [x.w]: [cols_for] skips dead tiles (pass it only
+   for a finite weight, see [map_coeff_blocks]), and [scrub] widens the
+   NaN an infinite input coefficient can leave to +inf. *)
+let map_coeffs z w ~cols_for ~scrub =
   let vcols = Mat.cols w in
-  let out =
-    {
-      vrows = z.vrows;
-      vcols;
-      p = z.p;
-      center = Mat.add_row_broadcast (Mat.matmul z.center w) b;
-      phi = map_coeff_blocks z.vrows z.vcols vcols w z.phi;
-      eps = map_coeff_blocks ~occ:z.eps_occ z.vrows z.vcols vcols w z.eps;
-      (* the map mixes variables only within a value row, so bands
-         survive at value-row granularity; an infinite weight can smear
-         NaN/inf anywhere, so that path forgets the structure *)
-      eps_occ =
-        (if Mat.finite_class w = `Finite then
-           Bands.block_rows ~bin:z.vcols ~bout:vcols z.eps_occ
-         else Bands.full);
-    }
-  in
-  if Mat.finite_class z.phi = `Inf || Mat.finite_class z.eps = `Inf then begin
-    scrub_coeff_nan out.phi;
-    scrub_coeff_nan out.eps
+  let nv = z.vrows * vcols in
+  let phi = Mat.create nv (num_phi z) and eps = Mat.create nv (num_eps z) in
+  map_coeff_blocks ~vrows:z.vrows ~bin:z.vcols ~bout:vcols w z.phi phi;
+  map_coeff_blocks ?cols_for ~vrows:z.vrows ~bin:z.vcols ~bout:vcols w z.eps eps;
+  if scrub then begin
+    scrub_coeff_nan phi;
+    scrub_coeff_nan eps
   end;
-  out
+  (phi, eps)
 
-(* The ε sum is written straight into one matrix of the wider width, as
-   [Mat.add] of the two operands zero-padded to that width computes it:
-   past the narrower width each entry is [x +. 0.0] (which turns a -0.0
-   into +0.0), and the occupancy is the union of the padded ones. *)
-let add a b =
+let input_scrub z = Mat.finite_class z.phi = `Inf || Mat.finite_class z.eps = `Inf
+
+let skip_for z w =
+  if Mat.finite_class w = `Finite then live_blocks z.eps_occ ~bin:z.vcols ~e:(num_eps z)
+  else None
+
+let linear_checks z w b =
+  if Mat.rows w <> z.vcols then invalid_arg "Zonotope.linear_map: shape mismatch";
+  if Array.length b <> Mat.cols w then invalid_arg "Zonotope.linear_map: bias"
+
+(* The map mixes variables only within a value row, so bands survive at
+   value-row granularity; an infinite weight can smear NaN/inf anywhere,
+   so that path forgets the structure. *)
+let mapped_occ z w =
+  if Mat.finite_class w = `Finite then
+    Bands.block_rows ~bin:z.vcols ~bout:(Mat.cols w) z.eps_occ
+  else Bands.full
+
+let linear_map z w b =
+  linear_checks z w b;
+  let phi, eps = map_coeffs z w ~cols_for:(skip_for z w) ~scrub:(input_scrub z) in
+  {
+    z with
+    vcols = Mat.cols w;
+    center = Mat.add_row_broadcast (Mat.matmul z.center w) b;
+    phi;
+    eps;
+    eps_occ = mapped_occ z w;
+  }
+
+(* Entries [j0, j1) of row [r] of the sum of an [ea]-wide and an
+   [eb]-wide row-major matrix, written to row [r] of [out] ([w] wide):
+   [Mat.add] of the two zero-padded to the wider width, so past the
+   narrower width each entry is [x +. 0.0] (which turns a -0.0 into
+   +0.0). *)
+let add_segment da ea db eb (out : float array) w r j0 j1 =
+  let o = r * w and oa = r * ea and ob = r * eb in
+  let lo = max j0 (min j1 (min ea eb)) in
+  for c = j0 to lo - 1 do
+    Array.unsafe_set out (o + c)
+      (Array.unsafe_get da (oa + c) +. Array.unsafe_get db (ob + c))
+  done;
+  if ea > eb then
+    for c = lo to j1 - 1 do
+      Array.unsafe_set out (o + c) (Array.unsafe_get da (oa + c) +. 0.0)
+    done
+  else
+    for c = lo to j1 - 1 do
+      Array.unsafe_set out (o + c) (0.0 +. Array.unsafe_get db (ob + c))
+    done
+
+let add_checks a b =
   if a.vrows <> b.vrows || a.vcols <> b.vcols then
     invalid_arg "Zonotope.add: value shape mismatch";
-  if num_phi a <> num_phi b then invalid_arg "Zonotope.add: phi width mismatch";
-  let ea = num_eps a and eb = num_eps b in
+  if num_phi a <> num_phi b then invalid_arg "Zonotope.add: phi width mismatch"
+
+(* The occupancy of [add a b]: the union of the operands' occupancies
+   padded to the wider ε width. *)
+let add_occ a b =
+  let ea = num_eps a and eb = num_eps b and n = num_vars a in
   let w = max ea eb in
-  let n = num_vars a in
+  Bands.union (padded_occ a.eps_occ ~n ~cur:ea ~w) (padded_occ b.eps_occ ~n ~cur:eb ~w)
+
+(* The ε sum is written straight into one matrix of the wider width, as
+   [Mat.add] of the two operands zero-padded to that width computes it
+   ([add_segment]). *)
+let add a b =
+  add_checks a b;
+  let ea = num_eps a and eb = num_eps b and n = num_vars a in
+  let w = max ea eb in
   let eps = Mat.create n w in
-  let da = a.eps.Mat.data and db = b.eps.Mat.data and out = eps.Mat.data in
-  let lo = min ea eb in
-  for v = 0 to n - 1 do
-    let o = v * w and oa = v * ea and ob = v * eb in
-    for c = 0 to lo - 1 do
-      Array.unsafe_set out (o + c)
-        (Array.unsafe_get da (oa + c) +. Array.unsafe_get db (ob + c))
-    done;
-    if ea > eb then
-      for c = lo to w - 1 do
-        Array.unsafe_set out (o + c) (Array.unsafe_get da (oa + c) +. 0.0)
-      done
-    else
-      for c = lo to w - 1 do
-        Array.unsafe_set out (o + c) (0.0 +. Array.unsafe_get db (ob + c))
-      done
+  for r = 0 to n - 1 do
+    add_segment a.eps.Mat.data ea b.eps.Mat.data eb eps.Mat.data w r 0 w
   done;
   {
     a with
     center = Mat.add a.center b.center;
     phi = Mat.add a.phi b.phi;
     eps;
-    eps_occ =
-      Bands.union (padded_occ a.eps_occ ~n ~cur:ea ~w) (padded_occ b.eps_occ ~n ~cur:eb ~w);
+    eps_occ = add_occ a b;
   }
 
 let add_const z m = { z with center = Mat.add z.center m }
@@ -431,60 +457,132 @@ let restrict_symbol z sym half =
       in
       { z with center; phi; eps; eps_occ }
 
-let center_rows z ~gamma ~beta =
-  if Array.length gamma <> z.vcols || Array.length beta <> z.vcols then
-    invalid_arg "Zonotope.center_rows: parameter length";
-  let d = z.vcols in
+(* Columns are centered in tiles of this many: a tile of one value row
+   (its d rows) stays in L1 between the sweeps of [center_loop]. *)
+let center_tile = 128
+
+(* The centering loop of the normalization layer (no std). For every one
+   of the [vrows] value rows of [d] variables, every column j of its
+   coefficient block that [live i] lists becomes
+   gamma_c * (x_cj - mean_j) [+ beta_c], where mean_j is the sum over c
+   of x_cj, added in ascending c from +0.0, divided by d. The block is
+   walked row by row: [fill r j0 j1] writes the operand's entries
+   [j0, j1) of row [r] into [out], the row is added into the per-column
+   sums, and a last sweep centers the tile in place. A column sums the
+   same terms in the same order as a walk down the column would. Columns
+   no interval lists keep the +0.0 of the fresh [out]. The value center
+   is the case e = 1, with [beta]. *)
+let center_loop ~vrows ~d ~gamma ?beta ~live ~fill (out : Mat.t) =
+  let e = Mat.cols out and data = out.Mat.data in
   let fd = float_of_int d in
-  (* Per value row: y_ij = gamma_j * (x_ij - mean_i) + beta_j. All linear:
-     the same map applies to the center (plus bias) and to every
-     coefficient column (no bias). *)
-    let center =
-    let means = Mat.row_means z.center in
-    Mat.mapi (fun i j v -> (gamma.(j) *. (v -. means.(i))) +. beta.(j)) z.center
-  in
-  (* A non-finite gamma would write NaN where the dense map reads a
-     dead ±0.0 (inf * 0.0), so column skipping is only engaged — and
-     the band structure only kept — when every gamma is finite. *)
-  let gamma_finite = Array.for_all Float.is_finite gamma in
-  let coeff ?occ (m : Mat.t) =
-    (* coefficient matrices: same linear map, no bias *)
-    let e = Mat.cols m in
-    let out = Mat.create (Mat.rows m) e in
-    if e > 0 then
-      for i = 0 to z.vrows - 1 do
-        let base = i * d in
-        let live =
-          match occ with
-          | Some o when gamma_finite && not (Bands.is_full o) ->
-              Bands.row_intervals ~lo:base ~hi:(base + d) ~cols:e o
-          | _ -> [ (0, e) ]
-        in
-        List.iter
-          (fun (jlo, jhi) ->
-            for j = jlo to jhi - 1 do
-              let mean = ref 0.0 in
-              for c = 0 to d - 1 do
-                mean := !mean +. m.Mat.data.(((base + c) * e) + j)
-              done;
-              let mean = !mean /. fd in
-              for c = 0 to d - 1 do
-                out.Mat.data.(((base + c) * e) + j) <-
-                  gamma.(c) *. (m.Mat.data.(((base + c) * e) + j) -. mean)
+  let mean = Array.make (min e center_tile) 0.0 in
+  if e > 0 then
+    for i = 0 to vrows - 1 do
+      let base = i * d in
+      List.iter
+        (fun (lo, hi) ->
+          let t0 = ref lo in
+          while !t0 < hi do
+            let j0 = !t0 in
+            let j1 = min hi (j0 + center_tile) in
+            Array.fill mean 0 (j1 - j0) 0.0;
+            for c = 0 to d - 1 do
+              let r = base + c in
+              fill r j0 j1;
+              let o = r * e in
+              for j = j0 to j1 - 1 do
+                Array.unsafe_set mean (j - j0)
+                  (Array.unsafe_get mean (j - j0) +. Array.unsafe_get data (o + j))
               done
-            done)
-          live
-      done;
+            done;
+            for j = 0 to j1 - j0 - 1 do
+              Array.unsafe_set mean j (Array.unsafe_get mean j /. fd)
+            done;
+            for c = 0 to d - 1 do
+              let o = (base + c) * e and g = gamma.(c) in
+              match beta with
+              | None ->
+                  for j = j0 to j1 - 1 do
+                    let x = Array.unsafe_get data (o + j) in
+                    Array.unsafe_set data (o + j)
+                      (g *. (x -. Array.unsafe_get mean (j - j0)))
+                  done
+              | Some beta ->
+                  let bc = beta.(c) in
+                  for j = j0 to j1 - 1 do
+                    let x = Array.unsafe_get data (o + j) in
+                    Array.unsafe_set data (o + j)
+                      ((g *. (x -. Array.unsafe_get mean (j - j0))) +. bc)
+                  done
+            done;
+            t0 := j1
+          done)
+        (live i)
+    done
+
+(* Row [r], entries [j0, j1), of the operand matrix [m], or of the sum of
+   [m] and [m'] as [add] forms it ([add_segment]), written into [out]. *)
+let fill_rows (m : Mat.t) m' out r j0 j1 =
+  let ea = Mat.cols m in
+  match m' with
+  | None -> Array.blit m.Mat.data ((r * ea) + j0) out ((r * ea) + j0) (j1 - j0)
+  | Some (m' : Mat.t) ->
+      let eb = Mat.cols m' in
+      add_segment m.Mat.data ea m'.Mat.data eb out (max ea eb) r j0 j1
+
+(* A value center seen as the one-column matrix of its variables, the
+   layout [center_loop] centers it in (same data). *)
+let center_column z = Mat.of_array ~rows:(num_vars z) ~cols:1 z.center.Mat.data
+
+(* Per value row: y_ij = gamma_j * (x_ij - mean_i) + beta_j, of [a], or
+   of [add a b] formed row by row inside the centering loop and never
+   stored whole. All linear: the same map applies to the center (plus
+   bias) and to every coefficient column (no bias). A non-finite gamma
+   would write NaN where the dense map reads a dead ±0.0 (inf * 0.0), so
+   column skipping is only engaged — and the band structure only kept —
+   when every gamma is finite. The live columns are those of the
+   operand's occupancy ([add]'s for a sum). *)
+let center_sum ?b a ~gamma ~beta =
+  if Array.length gamma <> a.vcols || Array.length beta <> a.vcols then
+    invalid_arg "Zonotope.center_rows: parameter length";
+  let d = a.vcols and n = num_vars a in
+  let occ = match b with None -> a.eps_occ | Some b -> add_occ a b in
+  let gamma_finite = Array.for_all Float.is_finite gamma in
+  let width (m : t -> Mat.t) =
+    List.fold_left (fun acc z -> max acc (Mat.cols (m z))) 0 (a :: Option.to_list b)
+  in
+  let run ?beta m live =
+    let out = Mat.create n (width m) in
+    center_loop ~vrows:a.vrows ~d ~gamma ?beta ~live
+      ~fill:(fill_rows (m a) (Option.map m b) out.Mat.data) out;
     out
   in
-  let eps_occ =
-    if gamma_finite then
-      (* the mean mixes rows within a value row: widen bands to
-         value-row granularity *)
-      Bands.block_rows ~bin:d ~bout:d z.eps_occ
-    else Bands.full
+  let dense e _ = [ (0, e) ] in
+  let ee = width (fun z -> z.eps) in
+  let eps_live =
+    if gamma_finite && not (Bands.is_full occ) then fun i ->
+      Bands.row_intervals ~lo:(i * d) ~hi:((i + 1) * d) ~cols:ee occ
+    else dense ee
   in
-  { z with center; phi = coeff z.phi; eps = coeff ~occ:z.eps_occ z.eps; eps_occ }
+  {
+    a with
+    center =
+      Mat.of_array ~rows:a.vrows ~cols:d (run ~beta center_column (dense 1)).Mat.data;
+    phi = run (fun z -> z.phi) (dense (num_phi a));
+    eps = run (fun z -> z.eps) eps_live;
+    eps_occ =
+      (if gamma_finite then
+         (* the mean mixes rows within a value row: widen bands to
+            value-row granularity *)
+         Bands.block_rows ~bin:d ~bout:d occ
+       else Bands.full);
+  }
+
+let center_rows z ~gamma ~beta = center_sum z ~gamma ~beta
+
+let add_center_rows a b ~gamma ~beta =
+  add_checks a b;
+  center_sum a ~b ~gamma ~beta
 
 let positional z pos =
   if Mat.rows pos < z.vrows || Mat.cols pos <> z.vcols then
@@ -548,6 +646,44 @@ let select_value_cols z start n =
   let eps_occ = Bands.block_rows ~bin:z.vcols ~bout:n z.eps_occ in
   reindex z z.vrows n idx ~eps_occ
 
+(* Part j of map i is [select_value_cols (linear_map z w_i b_i) (j * d_i)
+   d_i], d_i = cols w_i / parts. Each part is mapped straight into its
+   own matrices by its own columns of w_i: an output column's sum reads
+   only its own weight column, so it is the one the whole map computes,
+   and no map of the whole width is formed and cut. The input's
+   finiteness is read once for all maps, and dead tiles are skipped only
+   when every weight is finite, which for the finite columns is the
+   dense result bit for bit (see [map_coeff_blocks]). Each part keeps
+   the occupancy its own map gives it, so an infinite weight widens only
+   its own map's parts to full. *)
+let linear_split z maps ~parts =
+  match maps with
+  | [] -> []
+  | (w0, _) :: rest ->
+      let w = List.fold_left (fun acc (w, _) -> Mat.hcat acc w) w0 rest in
+      let b = Array.concat (List.map snd maps) in
+      linear_checks z w b;
+      let center = Mat.add_row_broadcast (Mat.matmul z.center w) b in
+      let cols_for = skip_for z w and scrub = input_scrub z in
+      let _, split =
+        List.fold_left_map
+          (fun off (wi, _) ->
+            let width = Mat.cols wi in
+            if parts <= 0 || width mod parts <> 0 then
+              invalid_arg "Zonotope.linear_split: parts";
+            let d = width / parts in
+            let eps_occ = Bands.block_rows ~bin:width ~bout:d (mapped_occ z wi) in
+            ( off + width,
+              Array.init parts (fun j ->
+                  let phi, eps =
+                    map_coeffs z (Mat.sub_cols wi (j * d) d) ~cols_for ~scrub
+                  in
+                  let center = Mat.sub_cols center (off + (j * d)) d in
+                  { z with vcols = d; center; phi; eps; eps_occ }) ))
+          0 maps
+      in
+      split
+
 let transpose_value z =
   let idx =
     Array.init (num_vars z) (fun k ->
@@ -595,49 +731,87 @@ let fold_occ ~step = function
       in
       occ
 
-let hcat_values = function
-  | [] -> invalid_arg "Zonotope.hcat_values: empty"
-  | [ z ] -> z
-  | z0 :: _ as zs ->
+(* The occupancy of the values side by side: both sides' rows land
+   inside the same widened value rows. *)
+let hcat_occ zs =
+  fold_occ zs ~step:(fun ~vars:_ ~vcols occ z occ_z ->
+      let cols = vcols + z.vcols in
+      Bands.union
+        (Bands.block_rows ~bin:vcols ~bout:cols occ)
+        (Bands.block_rows ~bin:z.vcols ~bout:cols occ_z))
+
+(* NaN dominates Inf, as in [Mat.finite_class] of the matrices side by
+   side (zero padding is finite). *)
+let join_class cs =
+  if List.mem `Nan cs then `Nan else if List.mem `Inf cs then `Inf else `Finite
+
+(* [linear_map] of the values [zs] side by side, without building the
+   concatenation. Value row i of the concatenation is each operand's
+   value row i, left to right, so the map's ascending sum over its input
+   columns runs through the operands in order: each operand's block is
+   mapped by its rows of [w] into the output, continuing the running
+   sums the operands before it left ([map_coeff_blocks]). The
+   concatenation zero-pads every ε block to the widest; with a finite
+   [w] a padded column adds [finite * 0.0] terms that change no sum, so
+   an operand maps only its own columns (and skips its own dead ones).
+   A non-finite [w] turns those terms into NaN, so that path maps every
+   operand padded to the full width, as the dense map of the
+   concatenation did. *)
+let linear_join zs w b =
+  match zs with
+  | [] -> invalid_arg "Zonotope.linear_join: empty"
+  | [ z ] -> linear_map z w b
+  | z0 :: _ ->
       List.iter
         (fun z ->
-          if z.vrows <> z0.vrows then invalid_arg "Zonotope.hcat_values: row mismatch";
-          if num_phi z <> num_phi z0 then invalid_arg "Zonotope.hcat_values: phi mismatch")
+          if z.vrows <> z0.vrows then invalid_arg "Zonotope.linear_join: row mismatch";
+          if num_phi z <> num_phi z0 then
+            invalid_arg "Zonotope.linear_join: phi mismatch")
         zs;
       let vrows = z0.vrows in
-      let vcols = List.fold_left (fun acc z -> acc + z.vcols) 0 zs in
-      let w = List.fold_left (fun acc z -> max acc (num_eps z)) 0 zs in
-      let ep = num_phi z0 in
-      let center = Mat.create vrows vcols in
-      let phi = Mat.create (vrows * vcols) ep in
-      let eps = Mat.create (vrows * vcols) w in
-      (* value row i of the result is each operand's value row i, left to
-         right *)
+      let cols_in = List.fold_left (fun acc z -> acc + z.vcols) 0 zs in
+      if Mat.rows w <> cols_in then invalid_arg "Zonotope.linear_map: shape mismatch";
+      if Array.length b <> Mat.cols w then invalid_arg "Zonotope.linear_map: bias";
+      let vcols = Mat.cols w in
+      let ee = List.fold_left (fun acc z -> max acc (num_eps z)) 0 zs in
+      let w_finite = Mat.finite_class w = `Finite in
+      let center = Mat.create vrows cols_in in
+      let phi = Mat.create (vrows * vcols) (num_phi z0) in
+      let eps = Mat.create (vrows * vcols) ee in
       ignore
         (List.fold_left
-          (fun off z ->
-            let e = num_eps z in
-            for i = 0 to vrows - 1 do
-              Array.blit z.center.Mat.data (i * z.vcols) center.Mat.data
-                ((i * vcols) + off) z.vcols;
-              Array.blit z.phi.Mat.data (i * z.vcols * ep) phi.Mat.data
-                (((i * vcols) + off) * ep) (z.vcols * ep);
-              for c = 0 to z.vcols - 1 do
-                Array.blit z.eps.Mat.data (((i * z.vcols) + c) * e) eps.Mat.data
-                  (((i * vcols) + off + c) * w) e
-              done
-            done;
-            off + z.vcols)
-          0 zs);
-      (* both sides' rows land inside the same widened value rows *)
-      let eps_occ =
-        fold_occ zs ~step:(fun ~vars:_ ~vcols occ z occ_z ->
-            let cols = vcols + z.vcols in
-            Bands.union
-              (Bands.block_rows ~bin:vcols ~bout:cols occ)
-              (Bands.block_rows ~bin:z.vcols ~bout:cols occ_z))
-      in
-      { vrows; vcols; p = z0.p; center; phi; eps; eps_occ }
+           (fun off z ->
+             for i = 0 to vrows - 1 do
+               Array.blit z.center.Mat.data (i * z.vcols) center.Mat.data
+                 ((i * cols_in) + off) z.vcols
+             done;
+             let wz = Mat.sub_rows w off z.vcols in
+             map_coeff_blocks ~vrows ~bin:z.vcols ~bout:vcols wz z.phi phi;
+             (if w_finite then
+                map_coeff_blocks
+                  ?cols_for:(live_blocks z.eps_occ ~bin:z.vcols ~e:(num_eps z))
+                  ~vrows ~bin:z.vcols ~bout:vcols wz z.eps eps
+              else
+                map_coeff_blocks ~vrows ~bin:z.vcols ~bout:vcols wz
+                  (pad_eps z ee).eps eps);
+             off + z.vcols)
+           0 zs);
+      let cls f = join_class (List.map (fun z -> Mat.finite_class (f z)) zs) in
+      if cls (fun z -> z.phi) = `Inf || cls (fun z -> z.eps) = `Inf then begin
+        scrub_coeff_nan phi;
+        scrub_coeff_nan eps
+      end;
+      {
+        vrows;
+        vcols;
+        p = z0.p;
+        center = Mat.add_row_broadcast (Mat.matmul center w) b;
+        phi;
+        eps;
+        eps_occ =
+          (if w_finite then Bands.block_rows ~bin:cols_in ~bout:vcols (hcat_occ zs)
+           else Bands.full);
+      }
 
 let of_rows = function
   | [] -> invalid_arg "Zonotope.of_rows: empty"

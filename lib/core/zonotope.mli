@@ -137,6 +137,23 @@ val instantiate : t -> phi:float array -> eps:float array -> Tensor.Mat.t
 val linear_map : t -> Tensor.Mat.t -> float array -> t
 (** [linear_map x w b] abstracts the row-wise affine map [x·w + b]. *)
 
+val linear_split : t -> (Tensor.Mat.t * float array) list -> parts:int -> t array list
+(** [linear_split z [(w1, b1); ...] ~parts] maps [z] by every
+    [(w_i, b_i)] and cuts each result into [parts] equal runs of value
+    columns (the attention heads of Q, K and V): part [j] of map [i] is
+    [select_value_cols (linear_map z w_i b_i) (j * d_i) d_i] with
+    [d_i = cols w_i / parts], bit for bit, occupancy included. Each part
+    is mapped straight into its own matrices by its own weight columns,
+    with no map of the whole width cut afterwards, and [z]'s
+    finiteness is scanned once for all maps. *)
+
+val linear_join : t list -> Tensor.Mat.t -> float array -> t
+(** [linear_join zs w b] is [linear_map] of the values [zs] side by side
+    (equal value row counts; the attention heads before the output
+    projection), bit for bit, occupancy included, without building the
+    concatenation: each operand's coefficients are mapped by its rows of
+    [w] and accumulated into the output in order. *)
+
 val add : t -> t -> t
 (** Sum of two zonotopes over the same symbols (ε widths may differ;
     the shorter is zero-padded). Value shapes must match. *)
@@ -180,6 +197,14 @@ val center_rows : t -> gamma:float array -> beta:float array -> t
     the value, then scale each column by [gamma] and shift by [beta] —
     all affine, hence exact. *)
 
+val add_center_rows :
+  t -> t -> gamma:float array -> beta:float array -> t
+(** [add_center_rows a b ~gamma ~beta] is [center_rows (add a b) ~gamma
+    ~beta] bit for bit, occupancy included: the residual sum and the
+    post-LN normalization of a Transformer layer in one pass, with the
+    sum formed row by row inside the centering loop and never stored
+    whole. *)
+
 val positional : t -> Tensor.Mat.t -> t
 (** Adds constant positional rows to the value. *)
 
@@ -208,11 +233,6 @@ val transpose_value : t -> t
 val reshape_value : t -> rows:int -> cols:int -> t
 (** Reinterprets the value shape keeping the flat (row-major) variable
     order; [rows * cols] must equal {!num_vars}. *)
-
-val hcat_values : t list -> t
-(** Horizontally concatenates the abstracted values, left to right (equal
-    value row counts). Built in one pass; the columns, coefficients and
-    occupancy are those of a left fold of pairwise concatenations. *)
 
 val of_rows : t list -> t
 (** Stacks zonotopes of equal value width top to bottom (single-row

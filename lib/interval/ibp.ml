@@ -115,6 +115,7 @@ module Domain = struct
         let add_pos m = Mat.mapi (fun i j e -> e +. Mat.get pos i j) m in
         Imat.make (add_pos v.Imat.lo) (add_pos v.Imat.hi)
 
+  let transfer_pair () ~op_index:_ _ _ ~get:_ = None
   let widen () ~op_index:_ v = v
 
   let is_poisoned (v : Imat.t) =

@@ -9,7 +9,15 @@
    In particular the trace event fires before any abort so a run that
    dies at op i still reports op i, and the poison scan runs last so a
    deadline hit on an already-poisoned value reports Timeout, exactly as
-   the pre-functor Propagate loop did. *)
+   the pre-functor Propagate loop did.
+
+   A pair of ops the domain can compute in one pass ([transfer_pair])
+   runs as one transfer when nothing needs the first op's output on its
+   own: the second op is its only reader, no fault is armed at either
+   op and no sink listens. The checkpoints then run twice on the pair's
+   output, first op's then second op's, in the order above. The poison
+   scan reads the same verdict there: the domains' pairs poison their
+   output whenever the first op's output was poisoned. *)
 
 type finiteness = [ `Finite | `Nan | `Inf ]
 
@@ -62,6 +70,14 @@ module type DOMAIN = sig
     set:(Ir.value_id -> value -> unit) ->
     value
 
+  val transfer_pair :
+    state ->
+    op_index:int ->
+    Ir.op ->
+    Ir.op ->
+    get:(Ir.value_id -> value) ->
+    value option
+
   val widen : state -> op_index:int -> value -> value
   val is_poisoned : value -> finiteness
   val size : state -> value -> int
@@ -70,6 +86,19 @@ module type DOMAIN = sig
 end
 
 module Make (D : DOMAIN) = struct
+  (* The checkpoints after an op, in their pinned order. *)
+  let check checks st out =
+    (match checks.deadline with
+    | Some dl when Unix.gettimeofday () > dl -> raise (checks.abort Timeout)
+    | _ -> ());
+    (match checks.max_size with
+    | Some cap when D.size st out > cap -> raise (checks.abort Size_budget)
+    | _ -> ());
+    if checks.poison then
+      match D.is_poisoned out with
+      | `Finite -> ()
+      | (`Nan | `Inf) as bad -> raise (checks.abort (Poison bad))
+
   let step checks st (p : Ir.program) (vals : D.value array) i =
     let op = p.Ir.ops.(i) in
     (* Timing only matters when someone is listening. *)
@@ -98,17 +127,41 @@ module Make (D : DOMAIN) = struct
             density = D.density st out;
           }
     | None -> ());
-    (match checks.deadline with
-    | Some dl when Unix.gettimeofday () > dl -> raise (checks.abort Timeout)
-    | _ -> ());
-    (match checks.max_size with
-    | Some cap when D.size st out > cap -> raise (checks.abort Size_budget)
-    | _ -> ());
-    (if checks.poison then
-       match D.is_poisoned out with
-       | `Finite -> ()
-       | (`Nan | `Inf) as bad -> raise (checks.abort (Poison bad)));
+    check checks st out;
     vals.(i + 1) <- out
+
+  (* [readers.(v)]: how many source operands name value [v], plus one
+     for the program output, which the caller reads. *)
+  let readers (p : Ir.program) =
+    let r = Array.make (Ir.num_values p) 0 in
+    Array.iter
+      (fun op -> List.iter (fun v -> r.(v) <- r.(v) + 1) (Ir.op_src_ids op))
+      p.Ir.ops;
+    r.(Ir.output_id p) <- r.(Ir.output_id p) + 1;
+    r
+
+  (* Ops [i] and [i + 1] as one transfer, when op [i + 1] is the only
+     reader of op [i]'s output and nothing else observes that output.
+     Its slot in [vals] is then left as it was. *)
+  let step_pair checks st (p : Ir.program) (vals : D.value array) readers i =
+    let op = p.Ir.ops.(i) and next = p.Ir.ops.(i + 1) in
+    let armed =
+      match checks.fault with Some (at, _) -> at = i || at = i + 1 | None -> false
+    in
+    if
+      armed || Option.is_some checks.trace || readers.(i + 1) <> 1
+      || Ir.op_src_ids next <> [ i + 1 ]
+    then false
+    else
+      match D.transfer_pair st ~op_index:i op next ~get:(fun v -> vals.(v)) with
+      | None -> false
+      | Some out ->
+          let out = D.widen st ~op_index:(i + 1) out in
+          (* op i's checkpoints, then op i + 1's *)
+          check checks st out;
+          check checks st out;
+          vals.(i + 2) <- out;
+          true
 
   let run_values ?(checks = no_checks) ?(start = 0) ?stop st (p : Ir.program)
       (vals : D.value array) =
@@ -122,8 +175,14 @@ module Make (D : DOMAIN) = struct
       invalid_arg
         (Printf.sprintf "Interp(%s).run_values: bad op range [%d, %d) of %d"
            D.name start stop n);
-    for i = start to stop - 1 do
-      step checks st p vals i
+    let readers = readers p in
+    let i = ref start in
+    while !i < stop do
+      if !i + 1 < stop && step_pair checks st p vals readers !i then i := !i + 2
+      else begin
+        step checks st p vals !i;
+        incr i
+      end
     done
 
   let run_all ?checks st (p : Ir.program) (input : D.value) =

@@ -103,6 +103,23 @@ module type DOMAIN = sig
       arithmetic can collapse must catch its own collapse exception and
       re-raise the typed abort it wants callers to see. *)
 
+  val transfer_pair :
+    state ->
+    op_index:int ->
+    Ir.op ->
+    Ir.op ->
+    get:(Ir.value_id -> value) ->
+    value option
+  (** [transfer_pair st ~op_index:i op next ~get] is the output of op
+      [i + 1] ([next]) computed in one pass with op [i]'s, or [None]
+      when the domain has no one-pass transfer for the pair (the loop
+      then runs the two ops one by one). The loop asks only when [next]
+      reads op [i]'s output, once, and nothing else does. [Some v] must
+      be what the two transfers give in turn, and must be poisoned
+      whenever op [i]'s output would have been. The zonotope domain
+      fuses a residual [Add] with the mean-only [Center_norm] after it;
+      the other domains return [None]. *)
+
   val widen : state -> op_index:int -> value -> value
   (** Applied to every op output before the checkpoints; the identity
       for all current domains, the hook where a widening/reduction
@@ -137,11 +154,20 @@ module Make (D : DOMAIN) : sig
   (** [run_values st p vals] interprets ops [start..stop-1] (default:
       all), writing the output of op [i] to [vals.(i + 1)]. Entries
       [0..start] must already be filled. The value array has
-      {!Ir.num_values} entries. *)
+      {!Ir.num_values} entries.
+
+      A pair of ops [i], [i + 1] (both inside the range) runs as one
+      {!DOMAIN.transfer_pair} when op [i + 1] is the only reader of op
+      [i]'s output, no fault is armed at either op and no trace sink is
+      installed. Op [i]'s output is then never formed and its slot is
+      left as it was. Both ops' checkpoints run on the pair's output,
+      op [i]'s first; op indices, fault sites and trace events still
+      name the ops of [p]. *)
 
   val run_all :
     ?checks:D.value checks -> D.state -> Ir.program -> D.value -> D.value array
-  (** All intermediate values; index 0 is the input. *)
+  (** All intermediate values; index 0 is the input. A value only a
+      fused pair read (see {!run_values}) keeps the input. *)
 
   val run : ?checks:D.value checks -> D.state -> Ir.program -> D.value -> D.value
   (** The program output value. *)

@@ -82,6 +82,7 @@ module Domain = struct
     done;
     hi - 1
 
+  let transfer_pair _ ~op_index:_ _ _ ~get:_ = None
   let widen _ ~op_index:_ v = v
 
   (* Engine.clean_bounds already widens NaN to the trivial bound; a

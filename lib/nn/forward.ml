@@ -71,6 +71,7 @@ module Domain = struct
     | Pool_first src -> Mat.sub_rows (get src) 0 1
     | Positional { src; pos } -> positional pos (get src)
 
+  let transfer_pair () ~op_index:_ _ _ ~get:_ = None
   let widen () ~op_index:_ v = v
   let is_poisoned = Mat.finite_class
   let size () m = Mat.rows m * Mat.cols m

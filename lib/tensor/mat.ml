@@ -232,6 +232,10 @@ let fill m v = Array.fill m.data 0 (Array.length m.data) v
 
    The entry points below the kernels add the shape checks and the
    output allocation, and run the row kernel over every output row.
+   [matmul_ta_acc] is the transposed kernel's in-place entry point: it
+   reads a row block of [b] and accumulates into a row block of an
+   existing output, continuing each output's running sum from the value
+   stored there; [matmul_ta] is its case of a fresh output at offset 0.
    [?cols] restricts the computed output columns to the given sorted
    live intervals (a [Bands] occupancy's view of the right operand);
    skipped columns keep the +0.0 of the fresh output buffer. Callers
@@ -264,15 +268,17 @@ let use_naive =
    cannot change a bit of the result. *)
 let jtile = 120
 
-(* i-k-j loop order: the inner loop walks both [b] and [out] contiguously. *)
-let naive_into ~m ~k ~n (a : float array) (b : float array)
-    (out : float array) =
+(* i-k-j loop order: the inner loop walks both [b] and [out] contiguously.
+   The [n] columns are read from [b] and accumulated into [out] at row
+   offsets and row strides, as in [mm_ta_rows]. *)
+let naive_into ~m ~k ~n ~ldb ~ldo ~boff ~ooff (a : float array)
+    (b : float array) (out : float array) =
   for i = 0 to m - 1 do
-    let arow = i * k and orow = i * n in
+    let arow = i * k and orow = ooff + (i * ldo) in
     for p = 0 to k - 1 do
       let aip = bget a (arow + p) in
       if aip <> 0.0 then begin
-        let brow = p * n in
+        let brow = boff + (p * ldb) in
         for j = 0 to n - 1 do
           bset out (orow + j) (bget out (orow + j) +. (aip *. bget b (brow + j)))
         done
@@ -386,19 +392,26 @@ let mm_rows ~k ~n (a : float array) (b : float array) (out : float array) r0 r1
 
 (* A^T.B restricted to output rows [r0, r1) and columns [jlo, jhi)
    (a is k x m, read with stride m): same 2x4 tile, same ascending-p
-   accumulation, no transpose copy. *)
-let mm_ta_rows ~k ~m ~n (a : float array) (b : float array)
+   accumulation, no transpose copy. [b] is read from element [boff] on
+   with row stride [ldb], and [out] written from element [ooff] on with
+   row stride [ldo], so one row block of a coefficient matrix maps
+   straight into a row block of another, possibly wider, one. Each
+   accumulator starts from the value [out] holds: +0.0 in a fresh
+   output, which is the seed every other kernel uses, or the running sum
+   of an earlier call over the same outputs. *)
+let mm_ta_rows ~k ~m ~ldb ~ldo ~boff ~ooff (a : float array) (b : float array)
     (out : float array) r0 r1 ~jlo ~jhi =
   let row1 i0 =
-    let o0 = i0 * n in
+    let o0 = ooff + (i0 * ldo) in
     let j = ref jlo in
     while !j + 3 < jhi do
       let j0 = !j in
-      let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+      let s0 = ref (bget out (o0 + j0)) and s1 = ref (bget out (o0 + j0 + 1)) in
+      let s2 = ref (bget out (o0 + j0 + 2)) and s3 = ref (bget out (o0 + j0 + 3)) in
       for p = 0 to k - 1 do
         let x = bget a ((p * m) + i0) in
         if x <> 0.0 then begin
-          let br = (p * n) + j0 in
+          let br = boff + (p * ldb) + j0 in
           s0 := !s0 +. (x *. bget b br);
           s1 := !s1 +. (x *. bget b (br + 1));
           s2 := !s2 +. (x *. bget b (br + 2));
@@ -413,10 +426,10 @@ let mm_ta_rows ~k ~m ~n (a : float array) (b : float array)
     done;
     while !j < jhi do
       let j0 = !j in
-      let s = ref 0.0 in
+      let s = ref (bget out (o0 + j0)) in
       for p = 0 to k - 1 do
         let x = bget a ((p * m) + i0) in
-        if x <> 0.0 then s := !s +. (x *. bget b ((p * n) + j0))
+        if x <> 0.0 then s := !s +. (x *. bget b (boff + (p * ldb) + j0))
       done;
       bset out (o0 + j0) !s;
       incr j
@@ -425,17 +438,20 @@ let mm_ta_rows ~k ~m ~n (a : float array) (b : float array)
   let i = ref r0 in
   while !i + 1 < r1 do
     let i0 = !i in
-    let o0 = i0 * n and o1 = (i0 + 1) * n in
+    let o0 = ooff + (i0 * ldo) in
+    let o1 = o0 + ldo in
     let j = ref jlo in
     while !j + 3 < jhi do
       let j0 = !j in
-      let s00 = ref 0.0 and s01 = ref 0.0 and s02 = ref 0.0 and s03 = ref 0.0 in
-      let s10 = ref 0.0 and s11 = ref 0.0 and s12 = ref 0.0 and s13 = ref 0.0 in
+      let s00 = ref (bget out (o0 + j0)) and s01 = ref (bget out (o0 + j0 + 1)) in
+      let s02 = ref (bget out (o0 + j0 + 2)) and s03 = ref (bget out (o0 + j0 + 3)) in
+      let s10 = ref (bget out (o1 + j0)) and s11 = ref (bget out (o1 + j0 + 1)) in
+      let s12 = ref (bget out (o1 + j0 + 2)) and s13 = ref (bget out (o1 + j0 + 3)) in
       for p = 0 to k - 1 do
         let ar = (p * m) + i0 in
         let x0 = bget a ar in
         let x1 = bget a (ar + 1) in
-        let br = (p * n) + j0 in
+        let br = boff + (p * ldb) + j0 in
         let b0 = bget b br in
         let b1 = bget b (br + 1) in
         let b2 = bget b (br + 2) in
@@ -465,10 +481,10 @@ let mm_ta_rows ~k ~m ~n (a : float array) (b : float array)
     done;
     while !j < jhi do
       let j0 = !j in
-      let s0 = ref 0.0 and s1 = ref 0.0 in
+      let s0 = ref (bget out (o0 + j0)) and s1 = ref (bget out (o1 + j0)) in
       for p = 0 to k - 1 do
         let ar = (p * m) + i0 in
-        let bv = bget b ((p * n) + j0) in
+        let bv = bget b (boff + (p * ldb) + j0) in
         let x0 = bget a ar in
         let x1 = bget a (ar + 1) in
         if x0 <> 0.0 then s0 := !s0 +. (x0 *. bv);
@@ -524,7 +540,7 @@ let matmul_naive a b =
   if a.cols <> b.rows then invalid_arg "Mat.matmul: inner dimension mismatch";
   let m = a.rows and k = a.cols and n = b.cols in
   let out = Array.make (m * n) 0.0 in
-  naive_into ~m ~k ~n a.data b.data out;
+  naive_into ~m ~k ~n ~ldb:n ~ldo:n ~boff:0 ~ooff:0 a.data b.data out;
   { rows = m; cols = n; data = out }
 
 let matmul ?cols a b =
@@ -537,15 +553,25 @@ let matmul ?cols a b =
     { rows = m; cols = n; data = out }
   end
 
+let matmul_ta_acc ?cols a b ~b_row out ~out_row =
+  let m = a.cols and k = a.rows and n = b.cols in
+  if n > out.cols then invalid_arg "Mat.matmul_ta_acc: b wider than out";
+  if b_row < 0 || b_row + k > b.rows || out_row < 0 || out_row + m > out.rows then
+    invalid_arg "Mat.matmul_ta_acc: row block out of range";
+  let boff = b_row * n and ooff = out_row * out.cols in
+  if use_naive then
+    naive_into ~m ~k ~n ~ldb:n ~ldo:out.cols ~boff ~ooff (transpose a).data
+      b.data out.data
+  else
+    with_jtiles ?cols ~n
+      (mm_ta_rows ~k ~m ~ldb:n ~ldo:out.cols ~boff ~ooff a.data b.data out.data)
+      0 m
+
 let matmul_ta ?cols a b =
   if a.rows <> b.rows then invalid_arg "Mat.matmul_ta: inner dimension mismatch";
-  if use_naive then matmul_naive (transpose a) b
-  else begin
-    let m = a.cols and k = a.rows and n = b.cols in
-    let out = Array.make (m * n) 0.0 in
-    with_jtiles ?cols ~n (mm_ta_rows ~k ~m ~n a.data b.data out) 0 m;
-    { rows = m; cols = n; data = out }
-  end
+  let out = create a.cols b.cols in
+  matmul_ta_acc ?cols a b ~b_row:0 out ~out_row:0;
+  out
 
 let matmul_tb ?cols a b =
   if a.cols <> b.cols then invalid_arg "Mat.matmul_tb: inner dimension mismatch";

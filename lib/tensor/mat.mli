@@ -142,6 +142,25 @@ val matmul_ta : ?cols:(int * int) list -> t -> t -> t
 (** [matmul_ta a b] = [matmul (transpose a) b] without materializing the
     transpose: a: k x m, b: k x n gives m x n. [cols] as in {!matmul}. *)
 
+val matmul_ta_acc :
+  ?cols:(int * int) list -> t -> t -> b_row:int -> t -> out_row:int -> unit
+(** [matmul_ta_acc a b ~b_row out ~out_row] adds [aᵀ · b'] into rows
+    [out_row .. out_row + m - 1] of [out] in place, where [b'] is rows
+    [b_row .. b_row + k - 1] of [b] (a: k x m). No block is copied in or
+    out. [b] may be narrower than [out]: only [out]'s first [cols b]
+    columns are touched. It is the kernel behind {!matmul_ta}, which
+    runs it on a fresh output at offset 0.
+
+    Each output continues its running sum from the value [out] holds,
+    adding the same ascending-k terms {!matmul_ta} adds to +0.0. So on a
+    +0.0 output the result is bit-identical to [matmul_ta], and k-blocks
+    accumulated one call after another equal one call over the stacked
+    operands. [cols] as in {!matmul}: skipped outputs keep their value,
+    which is the dense result when the skipped columns of [b'] are
+    ±0.0, [a] is finite and the stored value is not -0.0 (a sum started
+    at +0.0 never is). [MAT_NAIVE=1] runs the naive kernel with the
+    same offsets and ignores [cols]. *)
+
 val matmul_tb : ?cols:(int * int) list -> t -> t -> t
 (** [matmul_tb a b] = [matmul a (transpose b)] without materializing the
     transpose: a: m x k, b: n x k gives m x n. [cols] as in {!matmul}

@@ -774,9 +774,11 @@ let test_minimize_abs_sum_matches_reference () =
       Alcotest.failf "trial %d (n=%d): %h vs reference %h" trial n got expected
   done
 
-(* [of_rows] / [hcat_values] against the pairwise folds, and [add]
-   against [Mat.add] of the [align]-padded operands, on operands of
-   different widths with full and banded occupancy and -0.0 entries. *)
+(* [of_rows] against the pairwise fold, the projection of values side
+   by side ([linear_join], which replaced the one-pass [hcat_values])
+   against [linear_map] of the pairwise concatenation, and [add] against
+   [Mat.add] of the [align]-padded operands, on operands of different
+   widths with full and banded occupancy and -0.0 entries. *)
 let test_stack_and_add_match_padded () =
   let rng = Rng.create 0x57ac in
   for trial = 1 to 60 do
@@ -792,9 +794,13 @@ let test_stack_and_add_match_padded () =
     let zs = List.init parts (fun _ -> operand ()) in
     let check name r o = zonotope_bits_equal (msg ^ " " ^ name) r o in
     check "of_rows" (ref_of_rows zs) (Z.of_rows zs);
-    check "hcat_values"
-      (match zs with [] -> assert false | z :: rest -> List.fold_left ref_hcat z rest)
-      (Z.hcat_values zs);
+    let cols_in = List.fold_left (fun acc z -> acc + z.Z.vcols) 0 zs in
+    let w = Mat.random_gaussian rng cols_in 3 1.0 and b = [| 0.5; -1.0; 0.0 |] in
+    check "hcat + linear_map"
+      (Z.linear_map
+         (match zs with [] -> assert false | z :: rest -> List.fold_left ref_hcat z rest)
+         w b)
+      (Z.linear_join zs w b);
     let a = operand () and b = operand () in
     let pa, pb = align a b in
     let padded =
@@ -805,6 +811,287 @@ let test_stack_and_add_match_padded () =
            ~phi:(Mat.add pa.Z.phi pb.Z.phi) ~eps:(Mat.add pa.Z.eps pb.Z.eps))
     in
     check "add" padded (Z.add a b)
+  done
+
+(* --- one-pass affine and residual transfers ------------------------------ *)
+
+(* The per-value-row map [linear_map] ran before the in-place kernel:
+   each block copied out with [sub_rows], mapped into a fresh matrix by
+   [matmul_ta] and blitted back. *)
+let ref_map_coeff_blocks ?occ vrows vcols_in vcols_out (w : Mat.t) (g : Mat.t) =
+  let e = Mat.cols g in
+  let out = Mat.create (vrows * vcols_out) e in
+  if e > 0 then begin
+    let cols_for =
+      match occ with
+      | Some o when (not (Bands.is_full o)) && Mat.finite_class w = `Finite ->
+          fun i ->
+            Some
+              (Bands.row_intervals ~lo:(i * vcols_in) ~hi:((i + 1) * vcols_in) ~cols:e o)
+      | _ -> fun _ -> None
+    in
+    for i = 0 to vrows - 1 do
+      let block = Mat.sub_rows g (i * vcols_in) vcols_in in
+      let mapped = Mat.matmul_ta ?cols:(cols_for i) w block in
+      Array.blit mapped.Mat.data 0 out.Mat.data (i * vcols_out * e) (vcols_out * e)
+    done
+  end;
+  out
+
+let scrub_nan (m : Mat.t) =
+  Array.iteri (fun i x -> if Float.is_nan x then m.Mat.data.(i) <- infinity) m.Mat.data
+
+let ref_linear_map (z : Z.t) w b =
+  let vcols = Mat.cols w in
+  let phi = ref_map_coeff_blocks z.Z.vrows z.Z.vcols vcols w z.Z.phi in
+  let eps = ref_map_coeff_blocks ~occ:z.Z.eps_occ z.Z.vrows z.Z.vcols vcols w z.Z.eps in
+  if Mat.finite_class z.Z.phi = `Inf || Mat.finite_class z.Z.eps = `Inf then begin
+    scrub_nan phi;
+    scrub_nan eps
+  end;
+  Z.with_eps_occ
+    (if Mat.finite_class w = `Finite then
+       Bands.block_rows ~bin:z.Z.vcols ~bout:vcols z.Z.eps_occ
+     else Bands.full)
+    (Z.make ~p:z.Z.p
+       ~center:(Mat.add_row_broadcast (Mat.matmul z.Z.center w) b)
+       ~phi ~eps)
+
+(* The column-by-column centering loop [center_rows] ran before the
+   row-major one: every live column walked down its value row twice
+   with stride e. *)
+let ref_center_rows (z : Z.t) ~gamma ~beta =
+  let d = z.Z.vcols in
+  let fd = float_of_int d in
+  let center =
+    let means = Mat.row_means z.Z.center in
+    Mat.mapi (fun i j v -> (gamma.(j) *. (v -. means.(i))) +. beta.(j)) z.Z.center
+  in
+  let gamma_finite = Array.for_all Float.is_finite gamma in
+  let coeff ?occ (m : Mat.t) =
+    let e = Mat.cols m in
+    let out = Mat.create (Mat.rows m) e in
+    if e > 0 then
+      for i = 0 to z.Z.vrows - 1 do
+        let base = i * d in
+        let live =
+          match occ with
+          | Some o when gamma_finite && not (Bands.is_full o) ->
+              Bands.row_intervals ~lo:base ~hi:(base + d) ~cols:e o
+          | _ -> [ (0, e) ]
+        in
+        List.iter
+          (fun (jlo, jhi) ->
+            for j = jlo to jhi - 1 do
+              let mean = ref 0.0 in
+              for c = 0 to d - 1 do
+                mean := !mean +. m.Mat.data.(((base + c) * e) + j)
+              done;
+              let mean = !mean /. fd in
+              for c = 0 to d - 1 do
+                out.Mat.data.(((base + c) * e) + j) <-
+                  gamma.(c) *. (m.Mat.data.(((base + c) * e) + j) -. mean)
+              done
+            done)
+          live
+      done;
+    out
+  in
+  Z.with_eps_occ
+    (if gamma_finite then Bands.block_rows ~bin:d ~bout:d z.Z.eps_occ else Bands.full)
+    (Z.make ~p:z.Z.p ~center ~phi:(coeff z.Z.phi) ~eps:(coeff ~occ:z.Z.eps_occ z.Z.eps))
+
+(* [Mat.matmul_ta_acc] against its contract written out: every listed
+   output column continues its stored running sum over the ascending
+   k terms (zero weights skipped), the rest of [out] is untouched. Row
+   blocks at offsets, [b] narrower than [out], aligned and unaligned
+   interval starts, an empty interval list (a value row with nothing
+   live), -0.0 entries and stored sums. *)
+let test_matmul_ta_acc_contract () =
+  let rng = Rng.create 0xacc in
+  for trial = 1 to 200 do
+    let k = 1 + Rng.int rng 9 and m = 1 + Rng.int rng 9 in
+    let nb = Rng.choose rng [| 1; 3; 4; 7; 120; 121; 250 |] in
+    let nout = nb + Rng.choose rng [| 0; 0; 1; 5 |] in
+    let brows = k + Rng.int rng 6 and orows = m + Rng.int rng 6 in
+    let b_row = Rng.int rng (brows - k + 1) and out_row = Rng.int rng (orows - m + 1) in
+    let a = Mat.random_gaussian rng k m 1.0 in
+    for _ = 1 to Rng.int rng (k * m) do
+      Mat.set a (Rng.int rng k) (Rng.int rng m) 0.0
+    done;
+    let b = Mat.random_gaussian rng brows nb 1.0 in
+    for _ = 1 to Rng.int rng 8 do
+      Mat.set b (Rng.int rng brows) (Rng.int rng nb) (-0.0)
+    done;
+    let out = Mat.random_gaussian rng orows nout 1.0 in
+    if Rng.bool rng then Mat.fill out 0.0;
+    let cols =
+      match Rng.int rng 5 with
+      | 0 -> None
+      | 1 -> Some []
+      | 2 -> Some [ (0, min nb 120) ]
+      | 3 -> Some [ (min nb 3, min nb 9); (min nb 121, min nb 130) ]
+      | _ -> Some [ (min nb 1, min nb 2); (min nb 4, nb) ]
+    in
+    let expected = Mat.copy out in
+    let live j =
+      match cols with
+      | None -> true
+      | Some ivs -> List.exists (fun (lo, hi) -> lo <= j && j < hi) ivs
+    in
+    for r = 0 to m - 1 do
+      for j = 0 to nb - 1 do
+        if live j then begin
+          let s = ref (Mat.get expected (out_row + r) j) in
+          for p = 0 to k - 1 do
+            let x = Mat.get a p r in
+            if x <> 0.0 then s := !s +. (x *. Mat.get b (b_row + p) j)
+          done;
+          Mat.set expected (out_row + r) j !s
+        end
+      done
+    done;
+    Mat.matmul_ta_acc ?cols a b ~b_row out ~out_row;
+    bits_equal_mat (Printf.sprintf "trial %d k=%d m=%d nb=%d nout=%d" trial k m nb nout)
+      expected out
+  done
+
+(* [linear_map] (in place, no per-row copy) against [ref_linear_map], on
+   banded and full operands with dead value rows (no live interval),
+   unaligned live runs, φ and ε widths 0, zero and infinite weights and
+   poisoned coefficients. *)
+let test_linear_map_in_place () =
+  let rng = Rng.create 0x11a9 in
+  for trial = 1 to 150 do
+    let vrows = 1 + Rng.int rng 9 and vin = 1 + Rng.int rng 7 in
+    let vout = 1 + Rng.int rng 7 in
+    let ep = Rng.choose rng [| 0; 3 |] and ee = Rng.choose rng [| 0; 1; 7; 130; 263 |] in
+    let dead = Array.init ee (fun _ -> Rng.float rng < 0.5) in
+    let specials = Rng.float rng < 0.3 in
+    let z =
+      kernel_operand rng ~p:Lp.L2 ~vrows ~vcols:vin ~ep ~ee ~dead
+        ~banded:(Rng.float rng < 0.8) ~specials
+    in
+    let w = Mat.random_gaussian rng vin vout 1.0 in
+    for _ = 1 to Rng.int rng 4 do
+      Mat.set w (Rng.int rng vin) (Rng.int rng vout) 0.0
+    done;
+    if Rng.float rng < 0.15 then
+      Mat.set w (Rng.int rng vin) (Rng.int rng vout) (Rng.choose rng [| infinity; neg_infinity |]);
+    let b = Array.init vout (fun _ -> Rng.gaussian rng) in
+    zonotope_bits_equal
+      (Printf.sprintf "trial %d vrows=%d %d->%d ep=%d ee=%d" trial vrows vin vout ep ee)
+      (ref_linear_map z w b) (Z.linear_map z w b)
+  done
+
+(* [add_center_rows a b] against [center_rows (add a b)], and
+   [center_rows] (row by row) against the column-walk reference: ε
+   widths ea < eb, ea > eb and ea = eb, -0.0 in live and dead columns,
+   banded and full occupancy, non-finite γ, infinite and NaN
+   coefficients. *)
+let test_add_center_one_pass () =
+  let rng = Rng.create 0xadd1 in
+  for trial = 1 to 200 do
+    let vrows = 1 + Rng.int rng 5 and d = 1 + Rng.int rng 6 in
+    let ep = Rng.choose rng [| 0; 2 |] in
+    let ea = Rng.choose rng [| 0; 1; 9; 140; 300 |] in
+    let eb =
+      match trial mod 3 with
+      | 0 -> ea
+      | 1 -> ea + 1 + Rng.int rng 40
+      | _ -> if ea > 0 then Rng.int rng ea else 0
+    in
+    let specials = Rng.float rng < 0.2 in
+    let operand ee =
+      kernel_operand rng ~p:Lp.Linf ~vrows ~vcols:d ~ep ~ee
+        ~dead:(Array.init ee (fun _ -> Rng.float rng < 0.4))
+        ~banded:(Rng.float rng < 0.75) ~specials
+    in
+    let a = operand ea and b = operand eb in
+    let gamma = Array.init d (fun _ -> Rng.gaussian rng) in
+    if Rng.float rng < 0.1 then
+      gamma.(Rng.int rng d) <- Rng.choose rng [| infinity; nan; 0.0 |];
+    let beta = Array.init d (fun _ -> Rng.gaussian rng) in
+    let msg = Printf.sprintf "trial %d vrows=%d d=%d ea=%d eb=%d" trial vrows d ea eb in
+    zonotope_bits_equal ~nan_any:specials (msg ^ " center_rows")
+      (ref_center_rows a ~gamma ~beta) (Z.center_rows a ~gamma ~beta);
+    let two_pass = Z.center_rows (Z.add a b) ~gamma ~beta in
+    zonotope_bits_equal ~nan_any:specials (msg ^ " two-pass reference")
+      (ref_center_rows (Z.add a b) ~gamma ~beta) two_pass;
+    zonotope_bits_equal (msg ^ " add_center_rows") two_pass
+      (Z.add_center_rows a b ~gamma ~beta)
+  done
+
+(* The output projection accumulated head by head ([linear_join])
+   against [linear_map] of the heads concatenated by the pairwise fold:
+   heads of different ε widths and value widths, banded and full, with
+   poisoned coefficients, and a [wo] with zero and infinite entries
+   (whose dense NaN over the padded columns must survive). *)
+let test_linear_join_matches_hcat () =
+  let rng = Rng.create 0x4ead in
+  for trial = 1 to 120 do
+    let heads = 2 + Rng.int rng 3 and vrows = 1 + Rng.int rng 5 in
+    let ep = Rng.choose rng [| 0; 3 |] in
+    let specials = Rng.float rng < 0.2 in
+    let zs =
+      List.init heads (fun _ ->
+          let ee = Rng.choose rng [| 0; 1; 8; 130; 200 |] in
+          kernel_operand rng ~p:Lp.L1 ~vrows ~vcols:(1 + Rng.int rng 4) ~ep ~ee
+            ~dead:(Array.init ee (fun _ -> Rng.float rng < 0.4))
+            ~banded:(Rng.float rng < 0.75) ~specials)
+    in
+    let cols_in = List.fold_left (fun acc z -> acc + z.Z.vcols) 0 zs in
+    let d = 1 + Rng.int rng 6 in
+    let wo = Mat.random_gaussian rng cols_in d 1.0 in
+    for _ = 1 to Rng.int rng 4 do
+      Mat.set wo (Rng.int rng cols_in) (Rng.int rng d) 0.0
+    done;
+    if trial mod 4 = 0 then
+      Mat.set wo (Rng.int rng cols_in) (Rng.int rng d) (Rng.choose rng [| infinity; neg_infinity |]);
+    let bo = Array.init d (fun _ -> Rng.gaussian rng) in
+    let hcat = match zs with [] -> assert false | z :: rest -> List.fold_left ref_hcat z rest in
+    zonotope_bits_equal
+      (Printf.sprintf "trial %d heads=%d widths %s" trial heads
+         (String.concat "," (List.map (fun z -> string_of_int (Z.num_eps z)) zs)))
+      (Z.linear_map hcat wo bo) (Z.linear_join zs wo bo)
+  done
+
+(* The one Q/K/V map ([linear_split]) against three [linear_map]s, each
+   cut into heads by [select_value_cols]: every slice and its occupancy,
+   with an infinite entry in one of the weights now and then (only that
+   map's slices go full). *)
+let test_linear_split_matches_maps () =
+  let rng = Rng.create 0x9cf in
+  for trial = 1 to 100 do
+    let heads = 1 + Rng.int rng 3 and d = 1 + Rng.int rng 6 in
+    let dk = 1 + Rng.int rng 3 and dv = 1 + Rng.int rng 3 in
+    let ee = Rng.choose rng [| 0; 5; 130 |] in
+    let x =
+      kernel_operand rng ~p:Lp.L2 ~vrows:(1 + Rng.int rng 5) ~vcols:d
+        ~ep:(Rng.choose rng [| 0; 2 |]) ~ee
+        ~dead:(Array.init ee (fun _ -> Rng.float rng < 0.4))
+        ~banded:(Rng.float rng < 0.8) ~specials:(Rng.float rng < 0.2)
+    in
+    let weight cols =
+      let w = Mat.random_gaussian rng d cols 1.0 in
+      if Rng.float rng < 0.1 then Mat.set w (Rng.int rng d) (Rng.int rng cols) infinity;
+      (w, Array.init cols (fun _ -> Rng.gaussian rng))
+    in
+    let maps = [ weight (heads * dk); weight (heads * dk); weight (heads * dv) ] in
+    let split = Z.linear_split x maps ~parts:heads in
+    Helpers.check_true "three maps" (List.length split = 3);
+    List.iteri
+      (fun i ((w, b), parts) ->
+        let full = Z.linear_map x w b in
+        let di = Mat.cols w / heads in
+        Array.iteri
+          (fun h part ->
+            zonotope_bits_equal
+              (Printf.sprintf "trial %d map %d head %d" trial i h)
+              (Z.select_value_cols full (h * di) di)
+              part)
+          parts)
+      (List.combine maps split)
   done
 
 (* --- partial top-k selection ------------------------------------------ *)
@@ -934,6 +1221,19 @@ let () =
             Alcotest.test_case "stack, hcat, add = padded folds" `Quick
               test_stack_and_add_match_padded;
           ] );
+      ( "one pass",
+        [
+          Alcotest.test_case "matmul_ta_acc contract" `Quick
+            test_matmul_ta_acc_contract;
+          Alcotest.test_case "linear_map in place = per-row copies" `Quick
+            test_linear_map_in_place;
+          Alcotest.test_case "add_center_rows = center_rows (add)" `Quick
+            test_add_center_one_pass;
+          Alcotest.test_case "linear_join = linear_map (hcat)" `Quick
+            test_linear_join_matches_hcat;
+          Alcotest.test_case "linear_split = three maps" `Quick
+            test_linear_split_matches_maps;
+        ] );
       ( "top-k",
         [
           Alcotest.test_case "heap matches sort" `Quick test_top_k_matches_sort;

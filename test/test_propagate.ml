@@ -316,6 +316,190 @@ let test_resume_bit_identity () =
       ("k=0 layer 1", { Deept.Config.fast with Deept.Config.reduction_k = 0 }, 100, 1);
     ]
 
+(* ---------------- fused pairs ---------------- *)
+
+(* A domain whose value is the index of the op that produced it (-1 for
+   the input) and which fuses every [Add] -> mean-only [Center_norm]
+   pair, logging each transfer: it shows which ops the interpreter runs
+   alone, which as a pair, and whose output a fault sees. *)
+module Recorder = struct
+  type state = { mutable log : string list }
+  type value = int
+
+  let name = "recorder"
+
+  let transfer st ~op_index _ ~get:_ ~set:_ =
+    st.log <- Printf.sprintf "op %d" op_index :: st.log;
+    op_index
+
+  let transfer_pair st ~op_index (op : Ir.op) (next : Ir.op) ~get:_ =
+    match (op, next) with
+    | Ir.Add _, Ir.Center_norm { divide_std = false; _ } ->
+        st.log <- Printf.sprintf "pair %d" op_index :: st.log;
+        Some (op_index + 1)
+    | _ -> None
+
+  let widen _ ~op_index:_ v = v
+  let is_poisoned _ = `Finite
+  let size _ _ = 0
+  let width _ _ = 0.0
+  let density _ _ = 1.0
+end
+
+module RI = Interp.Make (Recorder)
+
+exception Fired of int
+
+let test_pair_rules () =
+  let program = Helpers.tiny_program ~layers:1 44 in
+  let run ?(checks = Interp.no_checks) p =
+    let st = { Recorder.log = [] } in
+    let out = RI.run ~checks st p (-1) in
+    (out, List.rev st.Recorder.log)
+  in
+  let n = Array.length program.Ir.ops in
+  let alone = List.init n (Printf.sprintf "op %d") in
+  (* ops 1-2 and 6-7 are the post-LN Add -> Center_norm pairs *)
+  let _, log = run program in
+  Helpers.check_true "pairs fused"
+    (List.filteri (fun i _ -> i < 5) log = [ "op 0"; "pair 1"; "op 3"; "op 4"; "op 5" ]
+    && List.nth log 5 = "pair 6");
+  List.iter
+    (fun at ->
+      let checks =
+        { Interp.no_checks with Interp.fault = Some (at, fun v -> raise (Fired v)) }
+      in
+      match run ~checks program with
+      | _ -> Alcotest.failf "fault at op %d never fired" at
+      | exception Fired v ->
+          Alcotest.(check int) (Printf.sprintf "fault at op %d sees op %d" at at) at v)
+    [ 1; 2; 6; 7 ];
+  (* an armed fault unfuses only its own pair *)
+  let st = { Recorder.log = [] } in
+  let checks = { Interp.no_checks with Interp.fault = Some (2, fun _ -> ()) } in
+  ignore (RI.run ~checks st program (-1));
+  Helpers.check_true "fault at op 2: ops 1 and 2 alone, op 6 paired"
+    (let log = List.rev st.Recorder.log in
+     List.mem "op 1" log && List.mem "op 2" log && List.mem "pair 6" log);
+  (* a sink sees every op of the lowered graph, once, in order *)
+  let events = ref [] in
+  let checks =
+    { Interp.no_checks with Interp.trace = Some (fun e -> events := e.Interp.op_index :: !events) }
+  in
+  let _, log = run ~checks program in
+  Helpers.check_true "traced: every op alone" (log = alone);
+  Helpers.check_true "traced: one event per op" (List.rev !events = List.init n Fun.id);
+  (* a second reader of the sum keeps the pair apart *)
+  let d = program.Ir.input_dim in
+  let norm src =
+    Ir.Center_norm { src; gamma = Array.make d 1.0; beta = Array.make d 0.0; divide_std = false }
+  in
+  let shared =
+    { program with Ir.ops = [| Ir.Add (0, 0); norm 1; Ir.Add (1, 2) |] }
+  in
+  let _, log = run shared in
+  Helpers.check_true "second reader: ops alone" (log = [ "op 0"; "op 1"; "op 2" ]);
+  let last = { program with Ir.ops = [| Ir.Relu 0; Ir.Add (0, 1); norm 2 |] } in
+  let out, log = run last in
+  Helpers.check_true "sole reader: paired" (log = [ "op 0"; "pair 1" ] && out = 2);
+  (* a run that stops between the two ops runs the first alone *)
+  let st = { Recorder.log = [] } in
+  let vals = Array.make (Ir.num_values last) (-1) in
+  RI.run_values ~stop:2 st last vals;
+  Helpers.check_true "stop inside the pair" (List.rev st.Recorder.log = [ "op 0"; "op 1" ])
+
+(* A residual Add and its Center_norm stay fault sites: poison injected
+   at either is a numerical fault, a stall at either trips the deadline,
+   and a stall with no deadline (the pair runs as two ops) returns the
+   fused run's output to the bit. *)
+let test_fused_pair_fault_sites () =
+  let program = Helpers.tiny_program ~layers:2 45 in
+  Helpers.check_true "ops 1, 2 are Add, Center_norm"
+    (match (program.Ir.ops.(1), program.Ir.ops.(2)) with
+    | Ir.Add _, Ir.Center_norm { divide_std = false; _ } -> true
+    | _ -> false);
+  let x = Mat.random_gaussian (Rng.create 145) 3 (Ir.out_dim program 0) 0.7 in
+  let pred = Nn.Forward.predict program x in
+  let region = Deept.Region.lp_ball ~p:Lp.L2 x ~word:1 ~radius:0.01 in
+  let fast = Deept.Config.fast in
+  let plain = Deept.Propagate.run fast program region in
+  List.iter
+    (fun op ->
+      let with_fault action = { fast with Deept.Config.fault = Some (Deept.Config.fault op action) } in
+      Helpers.check_true (Printf.sprintf "nan at op %d" op)
+        (C.certify_v (with_fault Deept.Config.Inject_nan) program region ~true_class:pred
+        = Deept.Verdict.Unknown Deept.Verdict.Numerical_fault);
+      Helpers.check_true (Printf.sprintf "stall at op %d" op)
+        (C.certify_v
+           (Deept.Config.with_budget ~deadline:0.02 (with_fault (Deept.Config.Stall 0.05)))
+           program region ~true_class:pred
+        = Deept.Verdict.Unknown Deept.Verdict.Timeout);
+      let stalled = Deept.Propagate.run (with_fault (Deept.Config.Stall 0.001)) program region in
+      check_bits (Printf.sprintf "stall at op %d center" op) plain.Z.center stalled.Z.center;
+      check_bits (Printf.sprintf "stall at op %d eps" op) plain.Z.eps stalled.Z.eps)
+    [ 1; 2; 9; 10 ]
+
+let zoo_query name =
+  Zoo.data_dir := "../data";
+  let entry = Zoo.entry name in
+  let model = Zoo.load_or_train ~log:(fun _ -> ()) name in
+  let c = Zoo.corpus_of entry.Zoo.corpus in
+  let toks, _ = List.nth c.Text.Corpus.test 0 in
+  (Nn.Model.to_ir model, Nn.Model.embed_tokens model toks)
+
+(* A traced run (every op alone) and an untraced one (post-LN pairs
+   fused) return the same output to the bit: on sst_3, whose pairs
+   fuse, and on std_3, whose normalization divides by the standard
+   deviation and never fuses. *)
+let test_traced_matches_untraced () =
+  List.iter
+    (fun name ->
+      if Sys.file_exists (Printf.sprintf "../data/%s.model" name) then begin
+        let program, x = zoo_query name in
+        let region = Deept.Region.lp_ball ~p:Lp.L2 x ~word:1 ~radius:0.05 in
+        let events = ref 0 in
+        let traced =
+          Deept.Propagate.run
+            (Deept.Config.with_trace (Some (fun _ -> incr events)) Deept.Config.fast)
+            program region
+        in
+        let plain = Deept.Propagate.run Deept.Config.fast program region in
+        Alcotest.(check int) (name ^ ": one event per op") (Array.length program.Ir.ops) !events;
+        check_bits (name ^ " center") traced.Z.center plain.Z.center;
+        check_bits (name ^ " phi") traced.Z.phi plain.Z.phi;
+        check_bits (name ^ " eps") traced.Z.eps plain.Z.eps
+      end)
+    [ "sst_3"; "std_3" ]
+
+(* On sst_3, a run resumed from a Symbol_budget checkpoint (the input of
+   the last layer the aborted run entered) matches a run from op 0 to
+   the bit, fused pairs on both sides. Reduction is off, so the resumed
+   run's layer input is the one the full run saw. *)
+let test_resume_zoo_bit_identity () =
+  if Sys.file_exists "../data/sst_3.model" then begin
+    let program, x = zoo_query "sst_3" in
+    let region = Deept.Region.lp_ball ~p:Lp.L2 x ~word:1 ~radius:0.05 in
+    let cfg = { Deept.Config.fast with Deept.Config.reduction_k = 0 } in
+    let full = Deept.Propagate.run cfg program region in
+    let ck = ref None in
+    (match
+       Deept.Propagate.run
+         ~on_budget:(fun c -> ck := Some c)
+         (Deept.Config.with_budget ~max_eps:(Z.num_eps full - 1) cfg)
+         program region
+     with
+    | _ -> Alcotest.fail "budget not overrun"
+    | exception Deept.Verdict.Abort Deept.Verdict.Symbol_budget -> ());
+    match !ck with
+    | None -> Alcotest.fail "no checkpoint"
+    | Some c ->
+        Helpers.check_true "resumes past op 0" (Deept.Propagate.checkpoint_op c > 0);
+        let resumed = Deept.Propagate.run ~from:c cfg program region in
+        check_bits "center" full.Z.center resumed.Z.center;
+        check_bits "phi" full.Z.phi resumed.Z.phi;
+        check_bits "eps" full.Z.eps resumed.Z.eps
+  end
+
 let () =
   Alcotest.run "propagate"
     [
@@ -349,6 +533,13 @@ let () =
         ] );
       ( "checkpoint",
         [ Alcotest.test_case "resume bit identity" `Quick test_resume_bit_identity ] );
+      ( "fused pair",
+        [
+          Alcotest.test_case "pair rules" `Quick test_pair_rules;
+          Alcotest.test_case "fault sites" `Quick test_fused_pair_fault_sites;
+          Alcotest.test_case "traced = untraced" `Quick test_traced_matches_untraced;
+          Alcotest.test_case "zoo resume bit identity" `Quick test_resume_zoo_bit_identity;
+        ] );
       ( "deadline",
         [
           Alcotest.test_case "dot preempted mid-op" `Quick

@@ -119,10 +119,12 @@ let test_structural_reindex () =
   let c = Z.instantiate (Z.select_value_cols z 1 2) ~phi ~eps in
   Helpers.check_true "select_value_cols" (Mat.equal ~tol:0.0 (Mat.sub_cols x 1 2) c);
   let z2 = Helpers.random_zonotope ~vrows:3 ~vcols:2 ~ee:3 rng in
-  let h = Z.hcat_values [ z; z2 ] in
+  let w = Mat.random_gaussian rng 6 2 1.0 and b = [| 0.25; -0.5 |] in
+  let h = Z.linear_join [ z; z2 ] w b in
   let x2 = Z.instantiate z2 ~phi ~eps:(Array.sub eps 0 3) in
   let hx = Z.instantiate h ~phi ~eps in
-  Helpers.check_true "hcat_values" (Mat.equal ~tol:0.0 (Mat.hcat x x2) hx);
+  Helpers.check_true "linear_join"
+    (Mat.equal ~tol:1e-9 (Mat.add_row_broadcast (Mat.matmul (Mat.hcat x x2) w) b) hx);
   let m = Mat.random_gaussian rng 5 3 1.0 in
   let mz = Z.instantiate (Z.map_rows_affine z m) ~phi ~eps in
   Helpers.check_true "map_rows_affine" (Mat.equal ~tol:1e-9 (Mat.matmul m x) mz)
