@@ -13,7 +13,7 @@
    the gate passes trivially. *)
 
 (* Default for the kernel bench, whose single-process timings are
-   stable. The radius and service gates pass a wider --tolerance
+   stable. The radius and service gates pass their own --tolerance
    (bench/dune says why for each). *)
 let tolerance = ref 0.25
 

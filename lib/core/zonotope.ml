@@ -238,6 +238,22 @@ let pad_eps z w =
     { z with eps; eps_occ = padded_occ z.eps_occ ~n ~cur ~w }
   end
 
+let insert_eps_gap z ~at ~by =
+  let e = num_eps z in
+  if at < 0 || at > e || by < 0 then invalid_arg "Zonotope.insert_eps_gap";
+  if by = 0 then z
+  else begin
+    let n = num_vars z and w = e + by in
+    let eps = Mat.create n w in
+    for v = 0 to n - 1 do
+      Array.blit z.eps.Mat.data (v * e) eps.Mat.data (v * w) at;
+      Array.blit z.eps.Mat.data ((v * e) + at) eps.Mat.data ((v * w) + at + by) (e - at)
+    done;
+    with_eps_occ
+      (Bands.insert_gap ~rows:n ~cols:e ~at ~by z.eps_occ)
+      { z with eps }
+  end
+
 (* ---------------- affine transformers ---------------- *)
 
 (* Apply [block -> w^T . block] to every per-value-row coefficient block

@@ -38,7 +38,10 @@ val alloc_eps : ctx -> int -> int
 val reset_symbols : ctx -> int -> unit
 (** [reset_symbols ctx n] declares that only [n] symbols remain live —
     used by noise-symbol reduction, which renumbers the symbol space.
-    Only sound when a single zonotope is alive. *)
+    Only sound when a single zonotope is alive, or when the values alive
+    beside it never meet it while the ids overlap: {!Attention_t} rewinds
+    the counter for each head, and no value a head mints meets another
+    head's value before {!insert_eps_gap} has moved it past them. *)
 
 val set_deadline : ctx -> float option -> unit
 (** [set_deadline ctx (Some t)] arms an absolute wall-clock deadline
@@ -217,6 +220,14 @@ val padded_occ : Tensor.Bands.t -> n:int -> cur:int -> w:int -> Tensor.Bands.t
 
 val pad_eps : t -> int -> t
 (** Zero-pads the ε matrix to the given width (no-op if already wider). *)
+
+val insert_eps_gap : t -> at:int -> by:int -> t
+(** [insert_eps_gap z ~at ~by] moves ε columns [at ..] right by [by],
+    leaving [by] zero columns at [at] ({!Tensor.Bands.insert_gap} for
+    the occupancy). The value's bounds are unchanged. This is how an
+    attention head that ran in its own symbol space ({!Attention_t})
+    takes its place behind the symbols earlier heads minted.
+    @raise Invalid_argument unless [0 <= at <= num_eps z] and [by >= 0]. *)
 
 val pool_first : t -> t
 (** Restricts to the first value row. *)

@@ -15,9 +15,12 @@
    runs as one transfer when nothing needs the first op's output on its
    own: the second op is its only reader, no fault is armed at either
    op and no sink listens. The checkpoints then run twice on the pair's
-   output, first op's then second op's, in the order above. The poison
-   scan reads the same verdict there: the domains' pairs poison their
-   output whenever the first op's output was poisoned. *)
+   output, first op's then second op's, in the order above, except that
+   the value is scanned for poison once, at the first op's checkpoints:
+   a second scan of the same value could only repeat the first one's
+   verdict. That verdict is the one two ops would reach: the domains'
+   pairs poison their output whenever the first op's output was
+   poisoned. *)
 
 type finiteness = [ `Finite | `Nan | `Inf ]
 
@@ -86,15 +89,17 @@ module type DOMAIN = sig
 end
 
 module Make (D : DOMAIN) = struct
-  (* The checkpoints after an op, in their pinned order. *)
-  let check checks st out =
+  (* The checkpoints after an op, in their pinned order. [scan:false]
+     skips the poison scan, for a value an earlier scan already read as
+     finite. *)
+  let check ?(scan = true) checks st out =
     (match checks.deadline with
     | Some dl when Unix.gettimeofday () > dl -> raise (checks.abort Timeout)
     | _ -> ());
     (match checks.max_size with
     | Some cap when D.size st out > cap -> raise (checks.abort Size_budget)
     | _ -> ());
-    if checks.poison then
+    if scan && checks.poison then
       match D.is_poisoned out with
       | `Finite -> ()
       | (`Nan | `Inf) as bad -> raise (checks.abort (Poison bad))
@@ -157,9 +162,11 @@ module Make (D : DOMAIN) = struct
       | None -> false
       | Some out ->
           let out = D.widen st ~op_index:(i + 1) out in
-          (* op i's checkpoints, then op i + 1's *)
+          (* op i's checkpoints, then op i + 1's. The second poison scan
+             would read the value the first one read: the first either
+             raised or found it finite. *)
           check checks st out;
-          check checks st out;
+          check ~scan:false checks st out;
           vals.(i + 2) <- out;
           true
 

@@ -161,8 +161,9 @@ module Make (D : DOMAIN) : sig
       [i]'s output, no fault is armed at either op and no trace sink is
       installed. Op [i]'s output is then never formed and its slot is
       left as it was. Both ops' checkpoints run on the pair's output,
-      op [i]'s first; op indices, fault sites and trace events still
-      name the ops of [p]. *)
+      op [i]'s first, and the output is scanned for poison once, at op
+      [i]'s; op indices, fault sites and trace events still name the
+      ops of [p]. *)
 
   val run_all :
     ?checks:D.value checks -> D.state -> Ir.program -> D.value -> D.value array

@@ -246,6 +246,27 @@ let remap_cols f t =
              else None)
            bs)
 
+(* A band meeting the gap is split there rather than stretched across it
+   (remap_cols's contiguous image would do that): the inserted columns
+   stay dead, and a band that merged with its neighbour across [at]
+   comes apart as the two bands it was built from. *)
+let insert_gap ~rows ~cols ~at ~by t =
+  if by <= 0 then t
+  else
+    let shift b = { b with col_lo = b.col_lo + by; col_hi = b.col_hi + by } in
+    let bs =
+      match t with
+      | Full -> to_bands ~rows ~cols Full
+      | Bands bs -> bs
+    in
+    of_bands
+      (List.concat_map
+         (fun b ->
+           if b.col_hi <= at then [ b ]
+           else if b.col_lo >= at then [ shift b ]
+           else [ { b with col_hi = at }; shift { b with col_lo = at } ])
+         bs)
+
 let mem t ~row ~col =
   match t with
   | Full -> true

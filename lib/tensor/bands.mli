@@ -111,6 +111,14 @@ val remap_cols : (int -> int option) -> t -> t
     monotone on the kept columns (compaction is order-preserving), so a
     contiguous kept range maps to a contiguous range. *)
 
+val insert_gap : rows:int -> cols:int -> at:int -> by:int -> t -> t
+(** The occupancy of a [rows x cols] matrix after [by] zero columns are
+    inserted before column [at]: columns left of [at] keep their ids,
+    the others move right by [by], and the [by] inserted columns are
+    dead. A band that straddles [at] is split there. [full] is first
+    concretized to the one dense band of the shape, so its gap is dead
+    too. [by <= 0] returns [t] unchanged. *)
+
 val mem : t -> row:int -> col:int -> bool
 (** Whether [(row, col)] lies inside some band (i.e. possibly nonzero). *)
 

@@ -1094,6 +1094,183 @@ let test_linear_split_matches_maps () =
       (List.combine maps split)
   done
 
+(* --- head-local attention vs one shared counter --------------------------- *)
+
+(* The head loop [Attention_t.apply] replaced: every head on the one
+   symbol counter, so head h pads its operands to the symbols heads
+   0..h-1 minted. *)
+let ref_attention ~(cfg : Deept.Config.t) ~precise ctx (att : Ir.attention) x =
+  let qs, ks, vs =
+    match
+      Z.linear_split x
+        [ (att.Ir.wq, att.Ir.bq); (att.Ir.wk, att.Ir.bk); (att.Ir.wv, att.Ir.bv) ]
+        ~parts:att.Ir.heads
+    with
+    | [ qs; ks; vs ] -> (qs, ks, vs)
+    | _ -> assert false
+  in
+  let scale = 1.0 /. sqrt (float_of_int (Mat.cols att.Ir.wq / att.Ir.heads)) in
+  let order = cfg.Deept.Config.order in
+  let heads =
+    List.init att.Ir.heads (fun h ->
+        let scores =
+          Z.scale scale
+            (Deept.Dot.matmul_zz ~precise ~order ctx qs.(h) (Z.transpose_value ks.(h)))
+        in
+        let p =
+          Deept.Softmax_t.apply ~form:cfg.Deept.Config.softmax
+            ~refine:cfg.Deept.Config.refine_softmax_sum ctx scores
+        in
+        Deept.Dot.matmul_zz ~precise ~order ctx p vs.(h))
+  in
+  Z.linear_join heads att.Ir.wo att.Ir.bo
+
+(* Runs [program] on [region] op by op with the zonotope transformers
+   Propagate dispatches to, reducing each layer input as it does, and
+   hands every attention op's input to [at_attention ~width ~precise att
+   x] ([width]: the symbol count there). Its result, a value and the
+   symbol count after it, continues the run; [None] ends it, as does the
+   last attention op. *)
+let walk_layers (cfg : Deept.Config.t) program region at_attention =
+  let ctx = Z.ctx () in
+  ignore (Z.alloc_eps ctx (Z.num_eps region));
+  let vals = Array.make (Ir.num_values program) region in
+  let layers = Ir.depth_of_kind program "self_attention" in
+  let layer = ref 0 and stopped = ref false in
+  let ops = program.Ir.ops in
+  let i = ref 0 in
+  while !layer < layers && not !stopped do
+    let get v = vals.(v) in
+    vals.(!i + 1) <-
+      (match ops.(!i) with
+      | Ir.Linear { src; w; b } -> Z.linear_map (get src) w b
+      | Ir.Relu src -> Deept.Elementwise.relu ctx (get src)
+      | Ir.Tanh src -> Deept.Elementwise.tanh_ ctx (get src)
+      | Ir.Add (a, b) -> Z.add (get a) (get b)
+      | Ir.Center_norm { src; gamma; beta; divide_std } ->
+          if divide_std then Deept.Std_norm.apply ctx (get src) ~gamma ~beta
+          else Z.center_rows (get src) ~gamma ~beta
+      | Ir.Self_attention { src; att } ->
+          if cfg.Deept.Config.reduction_k > 0 then
+            vals.(src) <-
+              Deept.Reduction.decorrelate_min_k ctx (get src) cfg.Deept.Config.reduction_k;
+          let precise =
+            Deept.Propagate.use_precise cfg ~layer:!layer ~total:layers
+          in
+          incr layer;
+          (match at_attention ~width:(Z.ctx_symbols ctx) ~precise att (get src) with
+          | Some (out, width) ->
+              Z.reset_symbols ctx width;
+              out
+          | None ->
+              stopped := true;
+              get src)
+      | Ir.Pool_first src -> Z.pool_first (get src)
+      | Ir.Positional { src; pos } -> Z.positional (get src) pos);
+    incr i
+  done
+
+(* [f] on a fresh ctx that has allocated [width] symbols: its result or
+   exception, and the symbol count after it. *)
+let on_ctx ~width f =
+  let ctx = Z.ctx () in
+  ignore (Z.alloc_eps ctx width);
+  let r = try Ok (f ctx) with e -> Error e in
+  (r, Z.ctx_symbols ctx)
+
+(* What Propagate makes of an attention op's outcome: the abort an
+   exception becomes, the poison abort of a non-finite output, or
+   [None] when the run goes on. *)
+let verdict_of = function
+  | Error Z.Unbounded -> Some Deept.Verdict.Unbounded
+  | Error (Deept.Verdict.Abort r) -> Some r
+  | Error e -> Alcotest.failf "unexpected exception %s" (Printexc.to_string e)
+  | Ok (z : Z.t) ->
+      if
+        List.for_all
+          (fun m -> Mat.finite_class m = `Finite)
+          [ z.Z.center; z.Z.phi; z.Z.eps ]
+      then None
+      else Some Deept.Verdict.Numerical_fault
+
+(* Head-local attention equals the shared-counter loop bit for bit: every
+   center, phi and eps entry, the occupancy, and the counter after the
+   op, on every layer input of 4-9 token sentences (sst_3 even lengths,
+   sst_6 odd) in each norm, under Fast and Precise, Stable and Direct
+   softmax, with the layer input's own bands and with a full occupancy
+   (each model meets all eight combinations). Where the op raises, both
+   must raise the same exception; the counter is then left in the
+   raising head's space, by contract. Each layer input is run once more
+   with an infinite center entry: there the reference writes inf * 0 =
+   NaN into other heads' columns, which head-local never forms, so only
+   the outcome must agree (the same exception, or the same verdict
+   Propagate draws from the output). *)
+let test_head_local_attention () =
+  let compared = ref 0 in
+  List.iter
+    (fun (name, lengths) ->
+      if Sys.file_exists (Printf.sprintf "../data/%s.model" name) then begin
+        Zoo.data_dir := "../data";
+        let entry = Zoo.entry name in
+        let model = Zoo.load_or_train ~log:(fun _ -> ()) name in
+        let program = Nn.Model.to_ir model in
+        let test = (Zoo.corpus_of entry.Zoo.corpus).Text.Corpus.test in
+        List.iteri
+          (fun li len ->
+            let toks, _ = List.find (fun (t, _) -> Array.length t = len) test in
+            let x = Nn.Model.embed_tokens model toks in
+            List.iteri
+              (fun pi (p, radius) ->
+                let k = (3 * li) + pi in
+                let variant = if k land 1 = 0 then Deept.Config.Fast else Deept.Config.Precise in
+                let softmax = if k land 2 = 0 then Deept.Config.Stable else Deept.Config.Direct in
+                let full = k land 4 <> 0 in
+                let cfg = { Deept.Config.fast with Deept.Config.variant; softmax } in
+                let region = Deept.Region.lp_ball ~p x ~word:(len / 2) ~radius in
+                let label layer =
+                  Printf.sprintf "%s len %d %s layer %d %s %s %s" name len
+                    (Lp.to_string p) layer
+                    (if variant = Deept.Config.Fast then "fast" else "precise")
+                    (if softmax = Deept.Config.Stable then "stable" else "direct")
+                    (if full then "full" else "banded")
+                in
+                let layer = ref 0 in
+                walk_layers cfg program region (fun ~width ~precise att x ->
+                    let msg = label !layer in
+                    incr layer;
+                    let x = if full then Z.with_eps_occ Bands.full x else x in
+                    let run f x = on_ctx ~width (fun ctx -> f ~cfg ~precise ctx att x) in
+                    let r, r_syms = run ref_attention x in
+                    let o, o_syms = run Deept.Attention_t.apply x in
+                    (match (r, o) with
+                    | Ok r, Ok o ->
+                        incr compared;
+                        bits_equal_mat (msg ^ ": center") r.Z.center o.Z.center;
+                        bits_equal_mat (msg ^ ": phi") r.Z.phi o.Z.phi;
+                        bits_equal_mat (msg ^ ": eps") r.Z.eps o.Z.eps;
+                        let bands (z : Z.t) =
+                          Bands.to_bands ~rows:(Z.num_vars z) ~cols:(Z.num_eps z) z.Z.eps_occ
+                        in
+                        Helpers.check_true (msg ^ ": eps_occ") (bands r = bands o);
+                        Helpers.check_true (msg ^ ": symbol count") (r_syms = o_syms)
+                    | Error r, Error o -> Helpers.check_true (msg ^ ": same exception") (r = o)
+                    | _ -> Alcotest.failf "%s: only one of the two raised" msg);
+                    let bad = { x with Z.center = Mat.copy x.Z.center } in
+                    Mat.set bad.Z.center 0 0 infinity;
+                    let r_bad, _ = run ref_attention bad
+                    and o_bad, _ = run Deept.Attention_t.apply bad in
+                    Helpers.check_true (msg ^ ": infinite center, same outcome")
+                      (verdict_of r_bad = verdict_of o_bad);
+                    match o with
+                    | Ok o when verdict_of (Ok o) = None -> Some (o, o_syms)
+                    | _ -> None))
+              [ (Lp.L1, 0.05); (Lp.L2, 0.05); (Lp.Linf, 0.01) ])
+          lengths
+      end)
+    [ ("sst_3", [ 4; 6; 8 ]); ("sst_6", [ 5; 7; 9 ]) ];
+  if Sys.file_exists "../data/sst_3.model" then
+    Helpers.check_true "some layers compared" (!compared > 0)
+
 (* --- partial top-k selection ------------------------------------------ *)
 
 (* Reference: the full sort the heap selection replaced. *)
@@ -1220,6 +1397,8 @@ let () =
               test_minimize_abs_sum_matches_reference;
             Alcotest.test_case "stack, hcat, add = padded folds" `Quick
               test_stack_and_add_match_padded;
+            Alcotest.test_case "head-local attention = shared counter" `Quick
+              test_head_local_attention;
           ] );
       ( "one pass",
         [

@@ -321,10 +321,13 @@ let test_resume_bit_identity () =
 (* A domain whose value is the index of the op that produced it (-1 for
    the input) and which fuses every [Add] -> mean-only [Center_norm]
    pair, logging each transfer: it shows which ops the interpreter runs
-   alone, which as a pair, and whose output a fault sees. *)
+   alone, which as a pair, and whose output a fault sees. [scans] counts
+   the poison scans. *)
 module Recorder = struct
   type state = { mutable log : string list }
   type value = int
+
+  let scans = ref 0
 
   let name = "recorder"
 
@@ -340,7 +343,11 @@ module Recorder = struct
     | _ -> None
 
   let widen _ ~op_index:_ v = v
-  let is_poisoned _ = `Finite
+
+  let is_poisoned _ =
+    incr scans;
+    `Finite
+
   let size _ _ = 0
   let width _ _ = 0.0
   let density _ _ = 1.0
@@ -406,7 +413,19 @@ let test_pair_rules () =
   let st = { Recorder.log = [] } in
   let vals = Array.make (Ir.num_values last) (-1) in
   RI.run_values ~stop:2 st last vals;
-  Helpers.check_true "stop inside the pair" (List.rev st.Recorder.log = [ "op 0"; "op 1" ])
+  Helpers.check_true "stop inside the pair" (List.rev st.Recorder.log = [ "op 0"; "op 1" ]);
+  (* one poison scan per op run alone, one per pair *)
+  let scans checks =
+    Recorder.scans := 0;
+    let _, log = run ~checks program in
+    (List.length log, !Recorder.scans)
+  in
+  let poison = { Interp.no_checks with Interp.poison = true } in
+  let runs, n_scans = scans poison in
+  Helpers.check_true "pairs ran" (runs < n);
+  Alcotest.(check int) "one scan per op or pair" runs n_scans;
+  let _, n_scans = scans { poison with Interp.trace = Some ignore } in
+  Alcotest.(check int) "traced: one scan per op" n n_scans
 
 (* A residual Add and its Center_norm stay fault sites: poison injected
    at either is a numerical fault, a stall at either trips the deadline,

@@ -125,7 +125,39 @@ let test_bands_transforms () =
   check_true "remap_cols rewrites the range"
     (Bands.col_intervals ~cols:9 remapped = [ (2, 4) ]);
   check_true "remap_cols dropping everything empties"
-    (Bands.is_empty (Bands.remap_cols (fun _ -> None) t))
+    (Bands.is_empty (Bands.remap_cols (fun _ -> None) t));
+  (* insert_gap on a 4 x 10 matrix, 3 columns at 5: a column left of the
+     gap keeps its liveness, one right of it takes its liveness along,
+     and the gap is dead, whichever way the bands meet column 5 *)
+  let rows = 4 and cols = 10 and at = 5 and by = 3 in
+  List.iter
+    (fun (what, t) ->
+      let g = Bands.insert_gap ~rows ~cols ~at ~by t in
+      for r = 0 to rows - 1 do
+        for c = 0 to cols - 1 do
+          let c' = if c < at then c else c + by in
+          if Bands.mem g ~row:r ~col:c' <> Bands.mem t ~row:r ~col:c then
+            Alcotest.failf "insert_gap %s: cell (%d, %d) at column %d changed liveness"
+              what r c c'
+        done;
+        for c = at to at + by - 1 do
+          if Bands.mem g ~row:r ~col:c then
+            Alcotest.failf "insert_gap %s: gap cell (%d, %d) is live" what r c
+        done
+      done)
+    [
+      ("band ending at the gap", Bands.of_bands [ band ~cols:(2, 5) ~rows:(0, 2) ]);
+      ("band starting at it", Bands.of_bands [ band ~cols:(5, 8) ~rows:(1, 3) ]);
+      ("band straddling it", Bands.of_bands [ band ~cols:(3, 7) ~rows:(0, 4) ]);
+      ( "bands on both sides",
+        Bands.of_bands [ band ~cols:(0, 2) ~rows:(0, 1); band ~cols:(7, 10) ~rows:(2, 4) ] );
+      ("full", Bands.full);
+      ("empty", Bands.empty);
+    ];
+  check_true "insert_gap keeps empty empty"
+    (Bands.is_empty (Bands.insert_gap ~rows ~cols ~at ~by Bands.empty));
+  check_true "insert_gap by 0 is the identity"
+    (Bands.is_full (Bands.insert_gap ~rows ~cols ~at ~by:0 Bands.full))
 
 (* Over-approximation property: whatever of_bands / union / add do
    (merging, capping into bounding boxes), every point of every input
