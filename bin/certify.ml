@@ -438,7 +438,7 @@ let jobs_arg =
 let journal_arg =
   let doc =
     "Append every completed sentence to this crash-safe JSONL journal \
-     (starts fresh; use --resume to continue one)."
+     (an existing file is emptied at start; use --resume to continue one)."
   in
   Arg.(value & opt (some string) None & info [ "journal" ] ~doc)
 

@@ -100,7 +100,8 @@ let write_timeout_arg =
 let journal_arg =
   let doc =
     "Crash-safe completion journal (the intake file lives beside it); \
-     starts fresh — use --resume to recover one."
+     an existing journal and intake file are emptied at start — use \
+     --resume to recover them."
   in
   Arg.(value & opt (some string) None & info [ "journal" ] ~doc)
 

@@ -5,14 +5,19 @@
    "thought of": it runs a scripted workload against a recording daemon
    to enumerate every durability-relevant I/O operation (Deept.Sysio's
    counting mode), then replays the same workload once per operation
-   with the process dying exactly there — plus every torn-write prefix
-   of the final journal and intake lines, plus soft fault plans (short
-   writes, EINTR storms, ENOSPC) that must be survived outright. After
-   each simulated crash the daemon is restarted with --resume, every
-   request is re-sent under its original idempotency rid, and the
-   invariants are checked from the files:
+   with the process dying exactly there. The crash points run twice:
+   over an empty scratch dir, and as a fresh start (not --resume) over
+   a previous run's files, whose ids collide with this run's. Then
+   every torn-write prefix of the first and last journal and intake
+   lines (a torn first line is followed by later appends), plus soft
+   fault plans (short writes, EINTR storms, ENOSPC) that must be
+   survived outright. After each simulated crash the daemon is
+   restarted with --resume, every request is re-sent under its
+   original idempotency rid, and the invariants are checked from the
+   files:
 
-     - no accepted job lost: every intaken id reaches the final journal;
+     - no accepted job lost: every intaken id reaches the final journal
+       under that request's own cache key;
      - no result delivered twice: a rid answered before the crash is
        answered after it by a cached replay with the identical verdict;
      - dedup is durable: at most one intake line per rid, unique ids;
@@ -32,6 +37,7 @@ module Sysio = Deept.Sysio
 type cfg = {
   data : string;
   model : string;
+  digest : string;  (** the served model's digest, as in its cache keys *)
   jobs : int;
   dir : string;
   exhaustive : bool;
@@ -47,11 +53,13 @@ let rlog_of cfg = Filename.concat cfg.dir "probe.resume.log"
 let rid_of k = Printf.sprintf "probe-%d" k
 
 (* Distinct radii per request: no cache hits, so every job really runs
-   and the op sequence of the counting run is the reference. *)
-let mk cfg k =
-  P.certify ~tag:k ~rid:(rid_of k) ~model:cfg.model
-    ~radius:(0.0005 *. float_of_int (k + 1))
-    (P.Index k)
+   and the op sequence of the counting run is the reference. [gen 1] is
+   the previous run's workload: other sentences and radii, same ids. *)
+let mk ?(gen = 0) cfg k =
+  let rid = if gen = 0 then rid_of k else Printf.sprintf "previous-%d" k in
+  P.certify ~tag:k ~rid ~model:cfg.model
+    ~radius:(0.0005 *. float_of_int (k + 1 + (gen * cfg.jobs)))
+    (P.Index (k + (gen * cfg.jobs)))
 
 let failures : string list ref = ref []
 let fail_inv label msg = failures := Printf.sprintf "%s: %s" label msg :: !failures
@@ -118,31 +126,58 @@ let rec waitpid_retry pid =
   | _, st -> st
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry pid
 
+(* [f] gets [exited], which tells whether the daemon has died yet. *)
 let with_daemon cfg ~resume ~mode f =
   let pid = start_daemon cfg ~resume ~mode in
   current_child := pid;
   ignore (Unix.alarm 120);
-  let r = try f () with e -> ignore (Unix.alarm 0); current_child := -1;
-                             ignore (waitpid_retry pid); raise e in
-  let st = waitpid_retry pid in
-  ignore (Unix.alarm 0);
-  current_child := -1;
-  (r, st)
+  let status = ref None in
+  let exited () =
+    (if !status = None then
+       match Unix.waitpid [ Unix.WNOHANG ] pid with
+       | 0, _ -> ()
+       | _, st -> status := Some st
+       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    !status <> None
+  in
+  let reap () =
+    let st = match !status with Some st -> st | None -> waitpid_retry pid in
+    ignore (Unix.alarm 0);
+    current_child := -1;
+    st
+  in
+  let r = try f exited with e -> ignore (reap ()); raise e in
+  (r, reap ())
 
 (* ---------------- workload phases ---------------- *)
+
+(* Connect once the daemon's socket accepts; [None] if the daemon dies
+   first (a crash point before it binds) or never binds. *)
+let connect cfg ~exited =
+  let deadline = Unix.gettimeofday () +. 60.0 in
+  let rec go () =
+    match Cl.connect (socket_of cfg) with
+    | conn -> Some conn
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when (not (exited ())) && Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.01;
+        go ()
+    | exception Unix.Unix_error _ -> None
+  in
+  go ()
 
 (* Strictly sequential (send k, await k): the daemon's op order is then
    a deterministic function of the workload, which is what makes the
    recorded indices valid crash points. Returns the results delivered
    before the daemon died (all of them, on a clean run). *)
-let run_workload cfg =
-  match Cl.connect_retry ~timeout_s:30.0 (socket_of cfg) with
-  | exception _ -> []
-  | conn ->
+let run_workload ?gen cfg exited =
+  match connect cfg ~exited with
+  | None -> []
+  | Some conn ->
       let delivered = ref [] in
       (try
          for k = 0 to cfg.jobs - 1 do
-           Cl.send conn (P.Certify (mk cfg k));
+           Cl.send conn (P.Certify (mk ?gen cfg k));
            match Cl.recv conn with
            | Some (P.Result r) -> delivered := (k, r) :: !delivered
            | Some _ | None -> raise Exit
@@ -188,16 +223,22 @@ let read_lines path =
     List.filter (fun l -> String.trim l <> "") ls
   end
 
-(* Well-formed intake records; a torn final line parses as nothing and
-   is simply not counted (resume truncates it). *)
-let intake_records cfg =
-  List.filter_map
-    (fun l -> Result.to_option (P.intake_of_json l))
-    (read_lines (intake_of cfg))
+(* The committed records of a log, read the way the daemon reads them:
+   a torn tail is not counted (resume cuts it); a terminated line that
+   does not decode is an invariant violation. *)
+let load_log ~label ~decode path =
+  if not (Sys.file_exists path) then []
+  else
+    match J.Log.load ~decode path with
+    | records -> records
+    | exception Failure msg ->
+        fail_inv label msg;
+        []
 
-let journal_ids cfg =
-  if not (Sys.file_exists (journal_of cfg)) then []
-  else List.map (fun e -> e.J.job) (J.load (journal_of cfg))
+let intake_records ~label cfg =
+  load_log ~label ~decode:P.intake_of_json (intake_of cfg)
+
+let journal_entries ~label cfg = load_log ~label ~decode:J.of_json (journal_of cfg)
 
 let resume_requeued cfg =
   List.fold_left
@@ -241,47 +282,56 @@ let check_final_state cfg ~label ~phase1 ~seen2 =
                (V.to_string r2.P.verdict)))
     phase1;
   (* 3. durability bookkeeping on the final files *)
-  let recs = intake_records cfg in
+  let recs = intake_records ~label cfg in
   let iids = List.map fst recs in
   let irids = List.filter_map (fun (_, c) -> c.P.rid) recs in
-  let jids = journal_ids cfg in
+  let entries = journal_entries ~label cfg in
+  let jids = List.map (fun e -> e.J.job) entries in
   check label (uniq iids = List.sort compare iids) "duplicate id in intake";
   check label (uniq irids = List.sort compare irids)
     "a rid was intaken twice (dedup hole)";
   check label (uniq jids = List.sort compare jids) "duplicate id in journal";
-  check label
-    (diff (uniq iids) (uniq jids) = [])
-    "accepted job lost: intaken but never journaled";
+  (* an entry with the id is not enough: it must be this request's *)
+  List.iter
+    (fun (id, c) ->
+      let key = "key=" ^ Service.Cache.key ~digest:cfg.digest c in
+      match List.filter (fun e -> e.J.job = id) entries with
+      | [] ->
+          fail_inv label
+            (Printf.sprintf "accepted job %d lost: intaken but never journaled" id)
+      | es ->
+          check label
+            (List.exists (fun e -> e.J.detail = key) es)
+            (Printf.sprintf "job %d journaled under another request's key (%s)"
+               id (String.concat ", " (List.map (fun e -> e.J.detail) es))))
+    recs;
   (* 4. the rebuilt cache agrees with the journal it came from *)
-  if Sys.file_exists (journal_of cfg) then begin
-    let entries = J.load (journal_of cfg) in
-    let cache = Service.Cache.create () in
-    Service.Cache.absorb cache entries;
-    let expect = Hashtbl.create 16 in
-    List.iter
-      (fun (e : J.entry) ->
-        if String.length e.J.detail > 4 && String.sub e.J.detail 0 4 = "key=" then
-          let key = String.sub e.J.detail 4 (String.length e.J.detail - 4) in
-          if not (V.is_fault e.J.verdict) then Hashtbl.replace expect key e)
-      entries;
-    Hashtbl.iter
-      (fun key (e : J.entry) ->
-        match Service.Cache.find cache key with
-        | None -> fail_inv label ("journaled key missing from rebuilt cache: " ^ key)
-        | Some ce ->
-            check label
-              (V.equal ce.Service.Cache.verdict e.J.verdict
-              && ce.Service.Cache.rung = e.J.rung
-              && ce.Service.Cache.attempts = e.J.attempts)
-              ("rebuilt cache disagrees with journal for " ^ key))
-      expect
-  end
+  let cache = Service.Cache.create () in
+  Service.Cache.absorb cache entries;
+  let expect = Hashtbl.create 16 in
+  List.iter
+    (fun (e : J.entry) ->
+      if String.length e.J.detail > 4 && String.sub e.J.detail 0 4 = "key=" then
+        let key = String.sub e.J.detail 4 (String.length e.J.detail - 4) in
+        if not (V.is_fault e.J.verdict) then Hashtbl.replace expect key e)
+    entries;
+  Hashtbl.iter
+    (fun key (e : J.entry) ->
+      match Service.Cache.find cache key with
+      | None -> fail_inv label ("journaled key missing from rebuilt cache: " ^ key)
+      | Some ce ->
+          check label
+            (V.equal ce.Service.Cache.verdict e.J.verdict
+            && ce.Service.Cache.rung = e.J.rung
+            && ce.Service.Cache.attempts = e.J.attempts)
+            ("rebuilt cache disagrees with journal for " ^ key))
+    expect
 
 (* One crash experiment: arm [plan], run the workload into the fault,
    snapshot the damage, resume, re-send, check. *)
 let crash_run cfg ~label plan =
   if cfg.verbose then Printf.eprintf "crashprobe: %s\n%!" label;
-  let phase1, st1 = with_daemon cfg ~resume:false ~mode:(Chaos plan) (fun () -> run_workload cfg) in
+  let phase1, st1 = with_daemon cfg ~resume:false ~mode:(Chaos plan) (run_workload cfg) in
   (match st1 with
   | Unix.WSIGNALED _ | Unix.WEXITED 9 -> () (* died as planned *)
   | Unix.WEXITED 0 ->
@@ -296,14 +346,16 @@ let crash_run cfg ~label plan =
            | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
            | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n)));
   (* pre-resume snapshot feeds the re-enqueue oracle *)
-  let i_pre = uniq (List.map fst (intake_records cfg)) in
-  let p_pre = uniq (journal_ids cfg) in
+  let i_pre = uniq (List.map fst (intake_records ~label cfg)) in
+  let p_pre = uniq (List.map (fun e -> e.J.job) (journal_entries ~label cfg)) in
   let seen2, st2 =
-    with_daemon cfg ~resume:true ~mode:Clean (fun () ->
-        let conn = Cl.connect_retry ~timeout_s:60.0 (socket_of cfg) in
-        let seen = resend_workload cfg conn in
-        Cl.close conn;
-        seen)
+    with_daemon cfg ~resume:true ~mode:Clean (fun exited ->
+        match connect cfg ~exited with
+        | None -> Hashtbl.create 1
+        | Some conn ->
+            let seen = resend_workload cfg conn in
+            Cl.close conn;
+            seen)
   in
   check label (st2 = Unix.WEXITED 0)
     (Printf.sprintf "resume daemon did not drain cleanly (%s)"
@@ -322,7 +374,7 @@ let crash_run cfg ~label plan =
    drain, nothing lost. *)
 let soft_run cfg ~label plan =
   if cfg.verbose then Printf.eprintf "crashprobe: %s\n%!" label;
-  let phase1, st = with_daemon cfg ~resume:false ~mode:(Chaos plan) (fun () -> run_workload cfg) in
+  let phase1, st = with_daemon cfg ~resume:false ~mode:(Chaos plan) (run_workload cfg) in
   check label (st = Unix.WEXITED 0) "daemon did not survive the soft plan";
   check label
     (List.length phase1 = cfg.jobs)
@@ -347,8 +399,9 @@ let read_trace cfg =
 
 let required_sites =
   [
-    "journal.append"; "journal.fsync"; "journal.dir"; "intake.append";
-    "intake.fsync"; "intake.dir"; "server.dispatch"; "server.client_send";
+    "journal.truncate"; "journal.append"; "journal.fsync"; "journal.dir";
+    "intake.truncate"; "intake.append"; "intake.fsync"; "intake.dir";
+    "server.dispatch"; "server.client_send";
   ]
 
 let crash_points events ~exhaustive =
@@ -377,7 +430,7 @@ let run cfg =
   clean_scratch cfg;
 
   (* phase 0: enumerate the crash points with a recording daemon *)
-  let baseline, st0 = with_daemon cfg ~resume:false ~mode:Record (fun () -> run_workload cfg) in
+  let baseline, st0 = with_daemon cfg ~resume:false ~mode:Record (run_workload cfg) in
   check "baseline" (st0 = Unix.WEXITED 0) "recording run did not drain cleanly";
   check "baseline"
     (List.length baseline = cfg.jobs)
@@ -393,30 +446,55 @@ let run cfg =
 
   (* phase 1: a SIGKILL at every (bounded: every interesting) op *)
   let points = crash_points events ~exhaustive:cfg.exhaustive in
+  let crash_at ~over i =
+    let site =
+      match List.find_opt (fun e -> e.index = i) events with
+      | Some e -> e.site
+      | None -> "?"
+    in
+    crash_run cfg
+      ~label:(Printf.sprintf "crash@%d(%s)%s" i site over)
+      (Sysio.plan ~nth:i Sysio.Crash)
+  in
   List.iter
     (fun i ->
       clean_scratch cfg;
-      let site =
-        match List.find_opt (fun e -> e.index = i) events with
-        | Some e -> e.site
-        | None -> "?"
-      in
-      crash_run cfg
-        ~label:(Printf.sprintf "crash@%d(%s)" i site)
-        (Sysio.plan ~nth:i Sysio.Crash))
+      crash_at ~over:"" i)
     points;
 
-  (* phase 2: every torn prefix of the final journal and intake lines *)
+  (* phase 2: the same crash points in a fresh start over a previous
+     run's files. That run served other requests under the same ids, so
+     a log the fresh start failed to empty answers for the wrong job. *)
+  clean_scratch cfg;
+  let previous, stp =
+    with_daemon cfg ~resume:false ~mode:Clean (run_workload ~gen:1 cfg)
+  in
+  check "previous run"
+    (stp = Unix.WEXITED 0 && List.length previous = cfg.jobs)
+    "the previous run did not answer every job and drain cleanly";
+  let saved =
+    List.map
+      (fun p -> (p, In_channel.with_open_bin p In_channel.input_all))
+      [ journal_of cfg; intake_of cfg ]
+  in
+  List.iter
+    (fun i ->
+      clean_scratch cfg;
+      List.iter
+        (fun (p, bytes) ->
+          Out_channel.with_open_bin p (fun oc -> output_string oc bytes))
+        saved;
+      crash_at ~over:"/over-previous" i)
+    points;
+
+  (* phase 3: every torn prefix of the first and last journal and intake
+     lines; after a torn first line, later appends follow it *)
   let torn_targets =
-    List.filter_map
+    List.concat_map
       (fun site ->
-        match
-          List.fold_left
-            (fun acc e -> if e.site = site then Some e else acc)
-            None events
-        with
-        | Some e when e.len > 0 -> Some e
-        | _ -> None)
+        match List.filter (fun e -> e.site = site && e.len > 0) events with
+        | [] -> []
+        | first :: _ as es -> uniq [ first; List.nth es (List.length es - 1) ])
       [ "journal.append"; "intake.append" ]
   in
   List.iter
@@ -430,7 +508,7 @@ let run cfg =
         (torn_prefixes e.len ~exhaustive:cfg.exhaustive))
     torn_targets;
 
-  (* phase 3: soft plans the daemon must survive without losing a byte *)
+  (* phase 4: soft plans the daemon must survive without losing a byte *)
   clean_scratch cfg;
   soft_run cfg ~label:"short-writes(file)"
     (Sysio.plan ~op:Sysio.Write ~persist:true ~nth:0 (Sysio.Short 1));
@@ -463,9 +541,11 @@ let run cfg =
   match !failures with
   | [] ->
       Printf.printf
-        "crashprobe: %d op(s) enumerated, %d crash point(s), %d torn \
-         prefix(es), 4 soft plan(s): all invariants held\n"
+        "crashprobe: %d op(s) enumerated, %d crash point(s) run twice (empty \
+         dir, over a previous run), %d torn prefix(es) of %d line(s), 4 \
+         soft plan(s): all invariants held\n"
         (List.length events) (List.length points) torn_count
+        (List.length torn_targets)
   | fs ->
       List.iter (fun f -> Printf.eprintf "crashprobe: FAILED %s\n" f) fs;
       Printf.eprintf "crashprobe: %d invariant violation(s)\n" (List.length fs);
@@ -506,7 +586,13 @@ let verbose_arg =
 
 let main data model jobs dir exhaustive verbose =
   if jobs < 1 then invalid_arg "crashprobe: --jobs < 1";
-  run { data; model; jobs; dir; exhaustive; verbose }
+  Zoo.data_dir := data;
+  let digest =
+    match Service.Warm.find (Service.Warm.load [ model ]) model with
+    | Some w -> w.Service.Warm.digest
+    | None -> assert false
+  in
+  run { data; model; digest; jobs; dir; exhaustive; verbose }
 
 let () =
   let info =

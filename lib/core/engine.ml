@@ -144,13 +144,7 @@ let run_box ~fault ~(budget : Config.budget) program region ~true_class =
                        exhausted under a persistent inf fault recorded
                        the wrong reason on its interval attempt.) *)
                     Verdict.Unknown Verdict.Numerical_fault
-                | _ ->
-                    if Float.is_nan m then
-                      Verdict.Unknown Verdict.Numerical_fault
-                    else if m = neg_infinity then
-                      Verdict.Unknown Verdict.Unbounded
-                    else if m > 0.0 then Verdict.Certified
-                    else Verdict.Unknown Verdict.Imprecise)))
+                | _ -> Brefine.verdict_of_margin m)))
 
 (* ---------------- the ladder ---------------- *)
 

@@ -1,3 +1,93 @@
+(* ---------------- the append-only log ----------------
+
+   One line per record, appended with one write and one fsync, so the
+   cost of a record is O(1) however long the log grows. The price of
+   in-place appends is that a kill can tear the final write after any
+   byte. Since every write is [line ^ "\n"], a torn one never ends in a
+   newline: the bytes after the last newline are exactly the torn tail,
+   and a terminated line that does not decode is corruption. *)
+
+module Log = struct
+  type t = { fd : Unix.file_descr; append_site : string; fsync_site : string }
+
+  (* Best effort: a directory that cannot be opened or fsynced (an
+     exotic fs) does not stop the log. *)
+  let fsync_dir ~site dir =
+    match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
+    | exception Unix.Unix_error _ -> ()
+    | fd ->
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () -> try Sysio.fsync ~site fd with Unix.Unix_error _ -> ())
+
+  (* Cut the file to [len] bytes, durably. *)
+  let cut ~site fd len =
+    Sysio.ftruncate ~site:(site ^ ".truncate") fd len;
+    Sysio.fsync ~site:(site ^ ".truncate") fd
+
+  let open_append ~site path =
+    let fd =
+      Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
+    in
+    { fd; append_site = site ^ ".append"; fsync_site = site ^ ".fsync" }
+
+  let fresh ~site path =
+    let t = open_append ~site path in
+    cut ~site t.fd 0;
+    fsync_dir ~site:(site ^ ".dir") (Filename.dirname path);
+    t
+
+  (* The records of every newline-terminated line, and the length of
+     that committed prefix of the file and of the torn tail after it. *)
+  let read ~decode path =
+    let content = In_channel.with_open_bin path In_channel.input_all in
+    let committed =
+      match String.rindex_opt content '\n' with Some i -> i + 1 | None -> 0
+    in
+    let records =
+      String.split_on_char '\n' (String.sub content 0 committed)
+      |> List.mapi (fun i line -> (i + 1, line))
+      |> List.filter_map (fun (lineno, line) ->
+             if String.trim line = "" then None
+             else
+               match decode line with
+               | Ok r -> Some r
+               | Error msg ->
+                   failwith (Printf.sprintf "Journal.Log: %s:%d: %s" path lineno msg))
+    in
+    (records, committed, String.length content - committed)
+
+  let load ~decode path =
+    let records, _, torn = read ~decode path in
+    if torn > 0 then
+      Printf.eprintf "%s: warning: skipping a torn tail of %d byte(s)\n%!" path torn;
+    records
+
+  let resume ~site ~decode path =
+    let records, committed, torn =
+      if Sys.file_exists path then read ~decode path else ([], 0, 0)
+    in
+    let t = open_append ~site path in
+    if torn > 0 then begin
+      Printf.eprintf "%s: warning: cutting a torn tail of %d byte(s)\n%!" path torn;
+      cut ~site t.fd committed
+    end;
+    fsync_dir ~site:(site ^ ".dir") (Filename.dirname path);
+    (t, records)
+
+  (* One unbuffered write per line through the Sysio shim: partial
+     writes are looped, EINTR restarted, and the chaos layer can tear
+     or fail the append at any byte (see Sysio / bin/crashprobe). *)
+  let append t line =
+    Sysio.write_string ~site:t.append_site t.fd (line ^ "\n");
+    Sysio.fsync ~site:t.fsync_site t.fd
+
+  let descr t = t.fd
+  let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
+end
+
+(* ---------------- the result journal ---------------- *)
+
 type entry = {
   job : int;
   verdict : Verdict.t;
@@ -32,142 +122,36 @@ let of_json line =
   let* verdict = Verdict.of_string_res vs in
   Ok { job; verdict; rung; attempts; retries; wall_s; detail }
 
-(* ---------------- the journal file ----------------
-
-   True append-only JSONL: every {!append} writes one line and fsyncs
-   it, so the cost of journaling a job is O(1), not O(jobs) — the
-   daemon journals every accepted job of an unbounded run through this
-   path. The price of in-place appends is that a crash (power loss,
-   SIGKILL) can tear the final line mid-write; recovery therefore
-   treats exactly one trailing unparseable line as the expected crash
-   artifact — skipped with a warning, truncated away on {!resume} so
-   subsequent appends extend a well-formed file. Corruption anywhere
-   else stays loud. *)
-
 type t = {
-  jpath : string;
+  log : Log.t;
   mutable rev_entries : entry list;  (* newest first *)
-  mutable ids : (int, unit) Hashtbl.t;
-  mutable fd : Unix.file_descr option;  (* open lazily on first append *)
-  mutable truncate_on_open : bool;  (* [create]: replace an old file *)
+  ids : (int, unit) Hashtbl.t;
 }
 
-let path j = j.jpath
+let log j = j.log
 let entries j = List.rev j.rev_entries
 let journaled j id = Hashtbl.mem j.ids id
 
-let of_entries jpath ~truncate_on_open es =
+let of_entries log es =
   let ids = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.replace ids e.job ()) es;
-  { jpath; rev_entries = List.rev es; ids; fd = None; truncate_on_open }
+  { log; rev_entries = List.rev es; ids }
 
-let create jpath = of_entries jpath ~truncate_on_open:true []
+let create path = of_entries (Log.fresh ~site:"journal" path) []
 
-(* Read the file, tolerating a torn final line. Returns the entries of
-   every well-formed line and, when the tail is torn, the byte offset
-   where the damage starts plus a diagnostic. *)
-let load_tail jpath =
-  let content =
-    let ic = open_in_bin jpath in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let len = String.length content in
-  let rec go start lineno acc =
-    if start >= len then (List.rev acc, None)
-    else
-      let stop =
-        match String.index_from_opt content start '\n' with
-        | Some i -> i
-        | None -> len
-      in
-      let line = String.sub content start (stop - start) in
-      let next = stop + 1 in
-      if line = "" then go next (lineno + 1) acc
-      else
-        match of_json line with
-        | Ok e -> go next (lineno + 1) (e :: acc)
-        | Error msg ->
-            (* Only the final line of the file may fail — that is the
-               signature of an append torn by a crash. *)
-            let rest_blank =
-              let rec blank i =
-                i >= len || ((content.[i] = '\n' || content.[i] = ' ') && blank (i + 1))
-              in
-              blank next
-            in
-            if rest_blank then
-              ( List.rev acc,
-                Some
-                  ( start,
-                    Printf.sprintf "%s:%d: torn final line (%s)" jpath lineno
-                      msg ) )
-            else
-              failwith (Printf.sprintf "Journal.load: %s:%d: %s" jpath lineno msg)
-  in
-  go 0 1 []
-
-let load jpath =
-  let es, torn = load_tail jpath in
-  (match torn with
-  | Some (_, msg) ->
-      Printf.eprintf "journal: warning: skipping %s\n%!" msg
-  | None -> ());
-  es
-
-let resume jpath =
+let resume path =
   (* Journals written before the append-only rewrite could leave a stale
      temp file from their tmp+rename discipline; still clean it up. *)
-  (try Sys.remove (jpath ^ ".tmp") with Sys_error _ -> ());
-  if not (Sys.file_exists jpath) then of_entries jpath ~truncate_on_open:false []
-  else begin
-    let es, torn = load_tail jpath in
-    (match torn with
-    | Some (offset, msg) ->
-        Printf.eprintf "journal: warning: dropping %s\n%!" msg;
-        (* Cut the torn bytes so future appends extend a clean file. *)
-        let fd = Unix.openfile jpath [ Unix.O_WRONLY ] 0o644 in
-        Fun.protect
-          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-          (fun () -> Sysio.ftruncate ~site:"journal.truncate" fd offset)
-    | None -> ());
-    of_entries jpath ~truncate_on_open:false es
-  end
+  (try Sys.remove (path ^ ".tmp") with Sys_error _ -> ());
+  let log, es = Log.resume ~site:"journal" ~decode:of_json path in
+  of_entries log es
 
-let fsync_dir ~site dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()  (* best effort, e.g. exotic fs *)
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () -> try Sysio.fsync ~site fd with Unix.Unix_error _ -> ())
-
-let descr j =
-  match j.fd with
-  | Some fd -> fd
-  | None ->
-      let flags =
-        if j.truncate_on_open then
-          [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
-        else [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
-      in
-      let fd = Unix.openfile j.jpath flags 0o644 in
-      j.fd <- Some fd;
-      j.truncate_on_open <- false;
-      (* make the file's directory entry durable once *)
-      fsync_dir ~site:"journal.dir" (Filename.dirname j.jpath);
-      fd
+let load path = Log.load ~decode:of_json path
 
 let append j e =
   if journaled j e.job then
     invalid_arg
       (Printf.sprintf "Journal.append: job %d already journaled" e.job);
+  Log.append j.log (to_json e);
   j.rev_entries <- e :: j.rev_entries;
-  Hashtbl.replace j.ids e.job ();
-  let fd = descr j in
-  (* One unbuffered write per line through the Sysio shim: partial
-     writes are looped, EINTR restarted, and the chaos layer can tear
-     or fail the append at any byte (see Sysio / bin/crashprobe). *)
-  Sysio.write_string ~site:"journal.append" fd (to_json e ^ "\n");
-  Sysio.fsync ~site:"journal.fsync" fd
+  Hashtbl.replace j.ids e.job ()

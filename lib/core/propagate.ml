@@ -129,7 +129,6 @@ module Domain = struct
         Some (Zonotope.add_center_rows (get a) (get b) ~gamma ~beta)
     | _ -> None
 
-  let widen _ ~op_index:_ z = z
   let is_poisoned = poison_scan
   let size st _ = Zonotope.ctx_symbols st.ctx
 

@@ -116,8 +116,6 @@ module Domain = struct
         Imat.make (add_pos v.Imat.lo) (add_pos v.Imat.hi)
 
   let transfer_pair () ~op_index:_ _ _ ~get:_ = None
-  let widen () ~op_index:_ v = v
-
   let is_poisoned (v : Imat.t) =
     match (Mat.finite_class v.Imat.lo, Mat.finite_class v.Imat.hi) with
     | `Nan, _ | _, `Nan -> `Nan

@@ -3,7 +3,7 @@
    not change — it pins the observational behavior the certification
    tests rely on:
 
-     transfer (+ fault injection) -> widen -> trace -> deadline
+     transfer (+ fault injection) -> trace -> deadline
        -> size budget -> poison scan -> store
 
    In particular the trace event fires before any abort so a run that
@@ -81,7 +81,6 @@ module type DOMAIN = sig
     get:(Ir.value_id -> value) ->
     value option
 
-  val widen : state -> op_index:int -> value -> value
   val is_poisoned : value -> finiteness
   val size : state -> value -> int
   val width : state -> value -> float
@@ -119,7 +118,6 @@ module Make (D : DOMAIN) = struct
     (match checks.fault with
     | Some (at, action) when at = i -> action out
     | _ -> ());
-    let out = D.widen st ~op_index:i out in
     (match checks.trace with
     | Some sink ->
         sink
@@ -161,7 +159,6 @@ module Make (D : DOMAIN) = struct
       match D.transfer_pair st ~op_index:i op next ~get:(fun v -> vals.(v)) with
       | None -> false
       | Some out ->
-          let out = D.widen st ~op_index:(i + 1) out in
           (* op i's checkpoints, then op i + 1's. The second poison scan
              would read the value the first one read: the first either
              raised or found it finite. *)

@@ -120,11 +120,6 @@ module type DOMAIN = sig
       fuses a residual [Add] with the mean-only [Center_norm] after it;
       the other domains return [None]. *)
 
-  val widen : state -> op_index:int -> value -> value
-  (** Applied to every op output before the checkpoints; the identity
-      for all current domains, the hook where a widening/reduction
-      policy slots in. *)
-
   val is_poisoned : value -> finiteness
   (** NaN/Inf scan used by the poison checkpoint. *)
 

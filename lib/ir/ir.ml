@@ -241,160 +241,3 @@ let pp ppf p =
         dims.(i + 1))
     p.ops;
   Format.fprintf ppf "@]"
-
-module Serialize = struct
-let magic = "deept-model v1"
-
-let write_floats oc (a : float array) =
-  Array.iteri
-    (fun i x ->
-      if i > 0 then output_char oc ' ';
-      Printf.fprintf oc "%h" x)
-    a;
-  output_char oc '\n'
-
-let write_mat oc name (m : Mat.t) =
-  Printf.fprintf oc "mat %s %d %d\n" name (Mat.rows m) (Mat.cols m);
-  write_floats oc m.Mat.data
-
-let write_vec oc name (v : float array) =
-  Printf.fprintf oc "vec %s %d\n" name (Array.length v);
-  write_floats oc v
-
-let write_att oc (a : attention) =
-  Printf.fprintf oc "heads %d\n" a.heads;
-  write_mat oc "wq" a.wq;
-  write_vec oc "bq" a.bq;
-  write_mat oc "wk" a.wk;
-  write_vec oc "bk" a.bk;
-  write_mat oc "wv" a.wv;
-  write_vec oc "bv" a.bv;
-  write_mat oc "wo" a.wo;
-  write_vec oc "bo" a.bo
-
-let to_channel oc (p : program) =
-  Printf.fprintf oc "%s\n" magic;
-  Printf.fprintf oc "input_dim %d\n" p.input_dim;
-  Printf.fprintf oc "ops %d\n" (Array.length p.ops);
-  Array.iter
-    (fun (op : op) ->
-      match op with
-      | Linear { src; w; b } ->
-          Printf.fprintf oc "op linear %d\n" src;
-          write_mat oc "w" w;
-          write_vec oc "b" b
-      | Relu src -> Printf.fprintf oc "op relu %d\n" src
-      | Tanh src -> Printf.fprintf oc "op tanh %d\n" src
-      | Add (a, b) -> Printf.fprintf oc "op add %d %d\n" a b
-      | Center_norm { src; gamma; beta; divide_std } ->
-          Printf.fprintf oc "op center_norm %d %b\n" src divide_std;
-          write_vec oc "gamma" gamma;
-          write_vec oc "beta" beta
-      | Self_attention { src; att } ->
-          Printf.fprintf oc "op self_attention %d\n" src;
-          write_att oc att
-      | Pool_first src -> Printf.fprintf oc "op pool_first %d\n" src
-      | Positional { src; pos } ->
-          Printf.fprintf oc "op positional %d\n" src;
-          write_mat oc "pos" pos)
-    p.ops
-
-(* ------------------------------------------------------------------ *)
-
-let fail fmt = Printf.ksprintf failwith fmt
-
-let read_line_exn ic =
-  match In_channel.input_line ic with
-  | Some l -> l
-  | None -> fail "Serialize: unexpected end of file"
-
-let split_ws s =
-  String.split_on_char ' ' s |> List.filter (fun t -> t <> "")
-
-let read_floats ic n =
-  let toks = split_ws (read_line_exn ic) in
-  if List.length toks <> n then fail "Serialize: expected %d floats" n;
-  Array.of_list (List.map float_of_string toks)
-
-let read_mat ic name =
-  match split_ws (read_line_exn ic) with
-  | [ "mat"; n; r; c ] when n = name ->
-      let r = int_of_string r and c = int_of_string c in
-      Mat.of_array ~rows:r ~cols:c (read_floats ic (r * c))
-  | _ -> fail "Serialize: expected matrix %s" name
-
-let read_vec ic name =
-  match split_ws (read_line_exn ic) with
-  | [ "vec"; n; len ] when n = name -> read_floats ic (int_of_string len)
-  | _ -> fail "Serialize: expected vector %s" name
-
-let read_att ic : attention =
-  let heads =
-    match split_ws (read_line_exn ic) with
-    | [ "heads"; h ] -> int_of_string h
-    | _ -> fail "Serialize: expected heads"
-  in
-  let wq = read_mat ic "wq" in
-  let bq = read_vec ic "bq" in
-  let wk = read_mat ic "wk" in
-  let bk = read_vec ic "bk" in
-  let wv = read_mat ic "wv" in
-  let bv = read_vec ic "bv" in
-  let wo = read_mat ic "wo" in
-  let bo = read_vec ic "bo" in
-  { heads; wq; bq; wk; bk; wv; bv; wo; bo }
-
-let read_op ic : op =
-  match split_ws (read_line_exn ic) with
-  | [ "op"; "linear"; src ] ->
-      let src = int_of_string src in
-      let w = read_mat ic "w" in
-      let b = read_vec ic "b" in
-      Linear { src; w; b }
-  | [ "op"; "relu"; src ] -> Relu (int_of_string src)
-  | [ "op"; "tanh"; src ] -> Tanh (int_of_string src)
-  | [ "op"; "add"; a; b ] -> Add (int_of_string a, int_of_string b)
-  | [ "op"; "center_norm"; src; ds ] ->
-      let src = int_of_string src and divide_std = bool_of_string ds in
-      let gamma = read_vec ic "gamma" in
-      let beta = read_vec ic "beta" in
-      Center_norm { src; gamma; beta; divide_std }
-  | [ "op"; "self_attention"; src ] ->
-      let src = int_of_string src in
-      Self_attention { src; att = read_att ic }
-  | [ "op"; "pool_first"; src ] -> Pool_first (int_of_string src)
-  | [ "op"; "positional"; src ] ->
-      let src = int_of_string src in
-      Positional { src; pos = read_mat ic "pos" }
-  | toks -> fail "Serialize: bad op line %S" (String.concat " " toks)
-
-let of_channel ic : program =
-  if read_line_exn ic <> magic then fail "Serialize: bad magic";
-  let input_dim =
-    match split_ws (read_line_exn ic) with
-    | [ "input_dim"; d ] -> int_of_string d
-    | _ -> fail "Serialize: expected input_dim"
-  in
-  let n_ops =
-    match split_ws (read_line_exn ic) with
-    | [ "ops"; n ] -> int_of_string n
-    | _ -> fail "Serialize: expected ops count"
-  in
-  let ops = Array.init n_ops (fun _ -> read_op ic) in
-  let p : program = { input_dim; ops } in
-  validate_exn p;
-  p
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    Sys.mkdir dir 0o755
-  end
-
-let save path p =
-  mkdir_p (Filename.dirname path);
-  Out_channel.with_open_text path (fun oc -> to_channel oc p)
-
-let load path = In_channel.with_open_text path of_channel
-
-end

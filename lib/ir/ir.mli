@@ -95,27 +95,3 @@ val depth_of_kind : program -> string -> int
 
 val pp : Format.formatter -> program -> unit
 (** Structural summary: one line per op with shapes. *)
-
-module Serialize : sig
-(** Portable text serialization of {!program} values.
-
-    The format is a line-oriented text format (hex-exact floats via
-    ["%h"]), so saved models round-trip bit-exactly across runs and are
-    diffable. Used by [bin/train] to persist the model zoo and by the
-    benchmark harness to reload it. *)
-
-val to_channel : out_channel -> program -> unit
-(** Writes a program (architecture and weights). *)
-
-val of_channel : in_channel -> program
-(** Reads a program written by {!to_channel}.
-    @raise Failure on malformed input. *)
-
-val save : string -> program -> unit
-(** [save path p] writes [p] to [path], creating parent directories. *)
-
-val load : string -> program
-(** [load path] reads a program back.
-    @raise Sys_error if the file does not exist. *)
-
-end

@@ -83,8 +83,6 @@ module Domain = struct
     hi - 1
 
   let transfer_pair _ ~op_index:_ _ _ ~get:_ = None
-  let widen _ ~op_index:_ v = v
-
   (* Engine.clean_bounds already widens NaN to the trivial bound; a
      poison scan would re-flag those sound infinities, so leave it to
      the caller to keep checks.poison off (checks_of below does). *)

@@ -72,7 +72,6 @@ module Domain = struct
     | Positional { src; pos } -> positional pos (get src)
 
   let transfer_pair () ~op_index:_ _ _ ~get:_ = None
-  let widen () ~op_index:_ v = v
   let is_poisoned = Mat.finite_class
   let size () m = Mat.rows m * Mat.cols m
 

@@ -160,48 +160,6 @@ type cstate = {
   mutable last_write : float;  (* last byte accepted by the socket *)
 }
 
-(* Intake-file reader with the same torn-tail tolerance as the journal:
-   the final line of an fsynced append-only file can be torn by a kill;
-   anything else malformed is corruption and stays loud. *)
-let load_intake ~log path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let buf = really_input_string ic n in
-    close_in ic;
-    let rec split acc off =
-      if off >= n then List.rev acc
-      else
-        let e = try String.index_from buf off '\n' with Not_found -> n in
-        split ((String.sub buf off (e - off), off) :: acc) (e + 1)
-    in
-    let rec parse acc = function
-      | [] -> List.rev acc
-      | (line, off) :: rest -> (
-          if String.trim line = "" then parse acc rest
-          else
-            match Protocol.intake_of_json line with
-            | Ok e -> parse (e :: acc) rest
-            | Error msg ->
-                if List.for_all (fun (l, _) -> String.trim l = "") rest then begin
-                  log
-                    (Printf.sprintf
-                       "intake: dropping torn final line at byte %d (%s)" off
-                       msg);
-                  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-                  Sysio.ftruncate ~site:"intake.truncate" fd off;
-                  Unix.close fd;
-                  List.rev acc
-                end
-                else
-                  failwith
-                    (Printf.sprintf "certifyd: intake %s: malformed line: %s"
-                       path msg))
-    in
-    parse [] (split [] 0)
-  end
-
 let run o =
   let log = o.log in
   let old_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
@@ -214,10 +172,26 @@ let run o =
      succeeds is a connect to a daemon that can actually serve. *)
   let warm = Warm.load ~log o.models in
 
-  let journal =
+  (* Both logs are opened before the socket is bound. A fresh start
+     empties them durably before anything is appended to either, so no
+     record of an earlier run can answer for a job of this one. *)
+  let journal, intake, intaken =
     match o.journal with
-    | None -> None
-    | Some p -> Some (if o.resume then Journal.resume p else Journal.create p)
+    | None -> (None, None, [])
+    | Some p when o.resume ->
+        let j = Journal.resume p in
+        let intake, intaken =
+          Journal.Log.resume ~site:"intake" ~decode:Protocol.intake_of_json
+            (intake_path p)
+        in
+        (Some j, Some intake, intaken)
+    | Some p ->
+        let j = Journal.create p in
+        (Some j, Some (Journal.Log.fresh ~site:"intake" (intake_path p)), [])
+  in
+  let log_fds =
+    List.map Journal.Log.descr
+      (Option.to_list (Option.map Journal.log journal) @ Option.to_list intake)
   in
   let journaled id =
     match journal with Some j -> Journal.journaled j id | None -> false
@@ -225,36 +199,10 @@ let run o =
   let journal_append e =
     match journal with Some j -> Journal.append j e | None -> ()
   in
-  (* A stale intake from a previous fresh run must not leak into a later
-     --resume: truncate it eagerly on fresh starts. *)
-  (match o.journal with
-  | Some p when not o.resume && Sys.file_exists (intake_path p) ->
-      let fd = Unix.openfile (intake_path p) [ Unix.O_WRONLY ] 0o644 in
-      Sysio.ftruncate ~site:"intake.truncate" fd 0;
-      Unix.close fd
-  | _ -> ());
-  let intake_fd = ref None in
   let intake_append id c =
-    match o.journal with
+    match intake with
+    | Some l -> Journal.Log.append l (Protocol.intake_to_json ~id c)
     | None -> ()
-    | Some p ->
-        let fd =
-          match !intake_fd with
-          | Some fd -> fd
-          | None ->
-              let fd =
-                Unix.openfile (intake_path p)
-                  [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
-                  0o644
-              in
-              intake_fd := Some fd;
-              Journal.fsync_dir ~site:"intake.dir"
-                (Filename.dirname (intake_path p));
-              fd
-        in
-        Sysio.write_string ~site:"intake.append" fd
-          (Protocol.intake_to_json ~id c ^ "\n");
-        Sysio.fsync ~site:"intake.fsync" fd
   in
 
   let cache = Cache.create () in
@@ -320,9 +268,9 @@ let run o =
   (* --resume: replay every intaken job the journal does not know about,
      oldest first, bypassing the admission cap — these jobs were already
      promised durably. *)
-  (match (o.resume, o.journal) with
-  | true, Some p ->
-      let entries = load_intake ~log (intake_path p) in
+  (match intaken with
+  | [] -> ()
+  | entries ->
       List.iter (fun (id, _) -> bump_id id) entries;
       (* Rebuild the idempotency tables: rids ride in the intake
          encoding, finished answers come from the journal — so a client
@@ -392,8 +340,7 @@ let run o =
                    { c; key = Cache.key ~digest:w.Warm.digest c; client = None }))
         missing;
       if Jobq.depth q > 0 then
-        log (Printf.sprintf "resume: re-enqueued %d in-flight job(s)" (Jobq.depth q))
-  | _ -> ());
+        log (Printf.sprintf "resume: re-enqueued %d in-flight job(s)" (Jobq.depth q)));
 
   (* ---------------- socket ---------------- *)
   if Sys.file_exists o.socket then Sys.remove o.socket;
@@ -407,9 +354,7 @@ let run o =
   (* ---------------- workers ---------------- *)
   let pool =
     Supervisor.start ~site:"server.dispatch"
-      ~parent_fds:(fun () ->
-        (lfd :: List.map (fun c -> c.fd) !clients)
-        @ Option.to_list !intake_fd)
+      ~parent_fds:(fun () -> (lfd :: List.map (fun c -> c.fd) !clients) @ log_fds)
       o.pool
       ~payload:(fun (r : req) -> r.c)
       ~worker:(run_job warm o.deadline_s)
@@ -809,9 +754,8 @@ let run o =
   clients := [];
   (try Unix.close lfd with Unix.Unix_error _ -> ());
   (try Sys.remove o.socket with Sys_error _ -> ());
-  (match !intake_fd with
-  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
+  Option.iter (fun j -> Journal.Log.close (Journal.log j)) journal;
+  Option.iter Journal.Log.close intake;
   Sys.set_signal Sys.sigpipe old_sigpipe;
   log
     (Printf.sprintf "drained: %d job(s) done, %d shed, %d cache hit(s), %d worker death(s)"

@@ -29,9 +29,12 @@
       consecutive-death backoff schedule;
     - {e durability}: accepted jobs hit the fsynced intake file before
       they can run; completions hit the fsynced journal before the
-      client sees them. A daemon killed at any instant and restarted
-      with [resume = true] re-runs exactly the intaken-but-unjournaled
-      jobs, and the journal rebuilds the result cache.
+      client sees them. Both are {!Deept.Journal.Log}s: a fresh start
+      empties both before the socket is bound, and a record counts
+      once its newline is on disk. A daemon killed at any instant and
+      restarted with [resume = true] re-runs exactly the
+      intaken-but-unjournaled jobs, and the journal rebuilds the result
+      cache. Forked workers close both logs' descriptors.
 
     Drain (SIGTERM, SIGINT or a [Shutdown] request): new certify
     requests are shed, queued and in-flight jobs finish and are
@@ -58,7 +61,8 @@ type opts = {
           has its first sample *)
   journal : string option;
       (** completion journal path; the intake file lives beside it at
-          [<journal>.intake]. [None] = no durability (tests only). *)
+          [<journal>.intake]. Without [resume], both files are emptied
+          at start. [None] = no durability (tests only). *)
   resume : bool;  (** recover journal + intake instead of starting fresh *)
   log : string -> unit;
 }
@@ -85,8 +89,3 @@ val opts :
 val run : opts -> unit
 (** Load the models, bind the socket and serve until drained. Blocks for
     the daemon's whole life; returns after an orderly drain. *)
-
-val load_intake : log:(string -> unit) -> string -> (int * Protocol.certify) list
-(** Read an intake file, tolerating (and truncating) a torn final line
-    exactly like {!Deept.Journal.resume}. Exposed for tests.
-    @raise Failure on a malformed line that is not the final one. *)

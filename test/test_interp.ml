@@ -272,13 +272,18 @@ let test_validate_rejects_nonfinite () =
       Helpers.check_true
         (Printf.sprintf "message names the op (%s)" msg)
         (contains ~sub:(Printf.sprintf "op %d" op) msg && contains ~sub:"nan" msg));
-  (* the serializer writes without validating; the load must reject *)
+  (* a model file saves without validating; loading it must reject the
+     NaN weight and name its op (Model.to_ir validates) *)
+  let m = Helpers.tiny_model ~layers:1 73 in
+  (List.assoc "layer0.fw1" (Nn.Model.parameters m)).Mat.data.(1) <- Float.nan;
   let path = Filename.temp_file "deept_nanweight" ".model" in
-  Ir.Serialize.save path p;
-  (match Ir.Serialize.load path with
+  Nn.Model.save path m;
+  (match Nn.Model.to_ir (Nn.Model.load path) with
   | _ -> Alcotest.fail "load accepted a NaN weight"
   | exception Invalid_argument msg ->
-      Helpers.check_true "load error names the weight" (contains ~sub:"nan" msg));
+      Helpers.check_true
+        (Printf.sprintf "load error names the weight's op (%s)" msg)
+        (contains ~sub:(Printf.sprintf "op %d" op) msg && contains ~sub:"nan" msg));
   Sys.remove path;
   ignore (poke_first_linear p Float.infinity);
   match Ir.validate p with

@@ -1,5 +1,5 @@
-(* IR well-formedness, shape inference, serialization round-trips and the
-   concrete interpreter against the training-time forward pass. *)
+(* IR well-formedness, shape inference and the concrete interpreter
+   against the training-time forward pass. *)
 
 open Tensor
 
@@ -52,31 +52,6 @@ let test_depth_of_kind () =
   Helpers.check_true "3 attention layers" (Ir.depth_of_kind p "self_attention" = 3);
   Helpers.check_true "1 pool" (Ir.depth_of_kind p "pool_first" = 1)
 
-let test_serialize_roundtrip () =
-  let p = Helpers.tiny_program ~layers:2 ~divide_std:true 5 in
-  let path = Filename.temp_file "deept_model" ".model" in
-  Ir.Serialize.save path p;
-  let q = Ir.Serialize.load path in
-  Sys.remove path;
-  (* Same structure and bit-identical outputs. *)
-  Helpers.check_true "same op count" (Array.length p.ops = Array.length q.ops);
-  let rng = Rng.create 17 in
-  let x = Mat.random_gaussian rng 4 p.input_dim 1.0 in
-  let yp = Nn.Forward.run p x and yq = Nn.Forward.run q x in
-  Helpers.check_true "identical outputs" (Mat.equal ~tol:0.0 yp yq)
-
-let test_serialize_rejects_garbage () =
-  let path = Filename.temp_file "deept_bad" ".model" in
-  Out_channel.with_open_text path (fun oc -> output_string oc "not a model\n");
-  let raised =
-    try
-      ignore (Ir.Serialize.load path);
-      false
-    with Failure _ -> true
-  in
-  Sys.remove path;
-  Helpers.check_true "garbage rejected" raised
-
 (* The compiled IR agrees with the autodiff forward pass. *)
 let test_ir_matches_training_forward () =
   List.iter
@@ -104,25 +79,6 @@ let test_positional_op () =
   Helpers.check_float "positional adds rows" (Mat.get x 2 1 +. Mat.get pos 2 1)
     (Mat.get y 2 1)
 
-(* Round-trip a population of random architectures. *)
-let test_serialize_fuzz () =
-  let rng = Rng.create 99 in
-  for trial = 1 to 15 do
-    let layers = 1 + Rng.int rng 3 in
-    let divide_std = Rng.bool rng in
-    let d_model = 4 * (1 + Rng.int rng 3) in
-    let heads = if d_model mod 8 = 0 && Rng.bool rng then 4 else 2 in
-    let p = Helpers.tiny_program ~layers ~divide_std ~d_model ~heads (100 + trial) in
-    let path = Filename.temp_file "deept_fuzz" ".model" in
-    Ir.Serialize.save path p;
-    let q = Ir.Serialize.load path in
-    Sys.remove path;
-    let x = Mat.random_gaussian rng 3 d_model 0.8 in
-    Helpers.check_true
-      (Printf.sprintf "fuzz roundtrip %d" trial)
-      (Mat.equal ~tol:0.0 (Nn.Forward.run p x) (Nn.Forward.run q x))
-  done
-
 let contains_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -145,12 +101,6 @@ let () =
           Alcotest.test_case "dims" `Quick test_dims;
           Alcotest.test_case "num params" `Quick test_num_params_positive;
           Alcotest.test_case "depth of kind" `Quick test_depth_of_kind;
-        ] );
-      ( "serialize",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_serialize_roundtrip;
-          Alcotest.test_case "garbage rejected" `Quick test_serialize_rejects_garbage;
-          Alcotest.test_case "fuzz roundtrip" `Quick test_serialize_fuzz;
         ] );
       ( "semantics",
         [

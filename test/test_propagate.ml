@@ -342,8 +342,6 @@ module Recorder = struct
         Some (op_index + 1)
     | _ -> None
 
-  let widen _ ~op_index:_ v = v
-
   let is_poisoned _ =
     incr scans;
     `Finite

@@ -387,16 +387,20 @@ let test_intake_torn_tail () =
   (* the crash tore the third record mid-write *)
   output_string oc "{\"op\":\"certify\",\"model\":\"m\",\"ra";
   close_out oc;
-  let got = Service.Server.load_intake ~log:(fun _ -> ()) path in
+  let resume () =
+    let log, recs = J.Log.resume ~site:"intake" ~decode:P.intake_of_json path in
+    J.Log.close log;
+    recs
+  in
+  let got = resume () in
   check_true "torn tail dropped" (List.map fst got = [ 1; 2 ]);
-  check_true "torn tail truncated away"
-    (Service.Server.load_intake ~log:(fun _ -> ()) path = got);
+  check_true "torn tail truncated away" (resume () = got);
   (* corruption that is NOT a torn tail must refuse, not guess *)
   let oc = open_out path in
   output_string oc "not an intake line\n";
   output_string oc (P.intake_to_json ~id:3 (c 3) ^ "\n");
   close_out oc;
-  match Service.Server.load_intake ~log:(fun _ -> ()) path with
+  match resume () with
   | _ -> Alcotest.fail "accepted a corrupt non-final line"
   | exception Failure _ -> ()
 
@@ -504,7 +508,7 @@ let test_daemon_sigkill_resume () =
   ignore (Unix.waitpid [] pid);
   Cl.close conn;
   let intaken =
-    List.map fst (Service.Server.load_intake ~log:(fun _ -> ()) (journal ^ ".intake"))
+    List.map fst (J.Log.load ~decode:P.intake_of_json (journal ^ ".intake"))
   in
   let journaled = List.map (fun e -> e.J.job) (J.load journal) in
   check_true "killed mid-batch" (List.length journaled < n);
@@ -527,6 +531,65 @@ let test_daemon_sigkill_resume () =
   let final = List.map (fun e -> e.J.job) (J.load journal) in
   check_true "exactly the intaken jobs, exactly once"
     (List.sort compare final = List.sort compare intaken)
+
+(* A fresh daemon on a used path must not let the old run's journal
+   answer for its own jobs. A previous run journals job 1; a fresh
+   daemon on that path accepts a stalled request with a rid as its own
+   job 1 and is SIGKILLed; after --resume that job must run again,
+   journaled under its own key, and the rid must get the recomputed
+   verdict. *)
+let test_daemon_fresh_over_old_journal () =
+  if not have_model then () else
+  with_tmp "stale" @@ fun base ->
+  let socket = base ^ ".sock" and journal = base ^ ".jsonl" in
+  let drained what pid =
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _, _ -> Alcotest.failf "%s did not drain cleanly" what
+  in
+  let pid = start_daemon ~journal socket in
+  let conn = Cl.connect_retry ~timeout_s:60.0 socket in
+  Cl.send conn (req 0);
+  ignore (expect_result conn "previous run");
+  ignore (Cl.request conn P.Shutdown);
+  Cl.close conn;
+  drained "previous run" pid;
+  check_true "the previous run journaled job 1"
+    (List.map (fun e -> e.J.job) (J.load journal) = [ 1 ]);
+  let c =
+    P.certify ~rid:"fresh-5" ~drill_stall_s:1.0 ~tag:5 ~p:Deept.Lp.L2
+      ~model:"sst_3" ~radius:0.5 (P.Index 5)
+  in
+  let pid = start_daemon ~journal socket in
+  let conn = Cl.connect_retry ~timeout_s:60.0 socket in
+  Cl.send conn (P.Certify c);
+  (* the daemon serves a connection's lines in order: once stats is
+     answered, the request before it is intaken *)
+  (match Cl.request conn P.Stats with
+  | Some (P.Stats_r _) -> ()
+  | _ -> Alcotest.fail "stats request failed");
+  Unix.kill pid Sys.sigkill;
+  ignore (Unix.waitpid [] pid);
+  Cl.close conn;
+  let pid = start_daemon ~journal ~resume:true socket in
+  Fun.protect ~finally:(fun () -> stop_daemon pid) @@ fun () ->
+  let conn = Cl.connect_retry ~timeout_s:60.0 socket in
+  Cl.send conn (P.Certify c);
+  let r = expect_result conn "the rid after resume" in
+  (match Cl.request conn P.Stats with
+  | Some (P.Stats_r s) ->
+      check_true "the accepted job ran again" (s.P.jobs_done = 1)
+  | _ -> Alcotest.fail "stats request failed");
+  ignore (Cl.request conn P.Shutdown);
+  Cl.close conn;
+  drained "resumed daemon" pid;
+  let key = Ca.key ~digest:(Digest.to_hex (Digest.file "../data/sst_3.model")) c in
+  match List.filter (fun e -> e.J.job = r.P.id) (J.load journal) with
+  | [ e ] ->
+      check_true "journaled under the request's key" (e.J.detail = "key=" ^ key);
+      check_true "the rid gets the recomputed verdict"
+        (V.equal r.P.verdict e.J.verdict)
+  | es -> Alcotest.failf "%d journal entries for job %d" (List.length es) r.P.id
 
 let rid_req ~rid k =
   P.Certify (P.certify ~rid ~tag:k ~model:"sst_3" ~radius:0.004 (P.Index k))
@@ -785,6 +848,8 @@ let () =
             test_daemon_cache_bit_identical;
           Alcotest.test_case "sigterm drains" `Slow test_daemon_sigterm_drains;
           Alcotest.test_case "sigkill + resume" `Slow test_daemon_sigkill_resume;
+          Alcotest.test_case "fresh start over an old journal" `Slow
+            test_daemon_fresh_over_old_journal;
           Alcotest.test_case "rid dedup" `Slow test_daemon_rid_dedup;
           Alcotest.test_case "rid dedup across resume" `Slow
             test_daemon_rid_dedup_resume;

@@ -102,6 +102,55 @@ let test_journal_append_reload () =
   J.append j2 (entry 2);
   Helpers.check_true "resume appends" (List.length (J.load path) = 4)
 
+(* A kill tore record 2 after every byte but its newline. The record is
+   not committed: resume cuts it, the next appends start on a line of
+   their own, and every complete record survives later loads and
+   resumes. [fresh] and [resume] return an appender and a closer. *)
+let torn_record_case path ~fresh ~resume ~load ~line ~id mk =
+  let append, close = fresh path in
+  append (mk 1);
+  close ();
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+      output_string oc (line (mk 2)));
+  let append, close, got = resume path in
+  Helpers.check_true "resume drops the torn record" (List.map id got = [ 1 ]);
+  append (mk 3);
+  append (mk 4);
+  close ();
+  let complete = [ 1; 3; 4 ] in
+  Helpers.check_true "load keeps every complete record"
+    (List.map id (load path) = complete);
+  let _, close, got = resume path in
+  close ();
+  Helpers.check_true "resume keeps every complete record"
+    (List.map id got = complete)
+
+let test_journal_torn_record () =
+  with_tmp "torn-journal" @@ fun path ->
+  let ops j = (J.append j, fun () -> J.Log.close (J.log j)) in
+  torn_record_case path
+    ~fresh:(fun p -> ops (J.create p))
+    ~resume:(fun p ->
+      let j = J.resume p in
+      let append, close = ops j in
+      (append, close, J.entries j))
+    ~load:J.load ~line:J.to_json ~id:(fun e -> e.J.job) entry
+
+let test_intake_torn_record () =
+  with_tmp "torn-intake" @@ fun path ->
+  let module P = Service.Protocol in
+  let line (id, c) = P.intake_to_json ~id c in
+  let ops log = ((fun r -> J.Log.append log (line r)), fun () -> J.Log.close log) in
+  torn_record_case path
+    ~fresh:(fun p -> ops (J.Log.fresh ~site:"intake" p))
+    ~resume:(fun p ->
+      let log, recs = J.Log.resume ~site:"intake" ~decode:P.intake_of_json p in
+      let append, close = ops log in
+      (append, close, recs))
+    ~load:(J.Log.load ~decode:P.intake_of_json)
+    ~line ~id:fst
+    (fun k -> (k, P.certify ~tag:k ~model:"m" ~radius:0.1 (P.Index k)))
+
 (* ---------------- the worker pool: clean runs ---------------- *)
 
 let jobs_of n = List.init n (fun i -> (i, i))
@@ -371,6 +420,8 @@ let () =
         [
           Alcotest.test_case "json round-trip" `Quick test_journal_json_round_trip;
           Alcotest.test_case "append/reload" `Quick test_journal_append_reload;
+          Alcotest.test_case "torn record" `Quick test_journal_torn_record;
+          Alcotest.test_case "torn intake record" `Quick test_intake_torn_record;
         ] );
       ( "pool",
         [
