@@ -33,6 +33,11 @@ let metrics =
        copy_ns and two_pass_ns, are reported, not gated) *)
     "inplace_ns";
     "fused_ns";
+    (* the bookkeeping rows: the row-slab table's row queries and the
+       transcribed breakpoint sort (list_ns and array_sort_ns, the
+       replaced paths, are reported, not gated) *)
+    "table_ns";
+    "heap_ns";
     (* the refine bench's base arm (plain Precise radius search; its
        refine arm reports as wall_s). Keys match with the leading
        quote, so "wall_s" never aliases into this one. *)

@@ -30,6 +30,12 @@
    post-LN residual pair run on the same recorded shape, each against
    the path it replaced (see [measure_linear] and [measure_add_center]).
 
+   The bookkeeping rows time two non-arithmetic steps of a propagation
+   on inputs recorded from real searches (bench/fixtures, read from
+   --data DIR): every row query of an ε occupancy, and the breakpoint
+   sort of the softmax-sum refinement (see [measure_row_table] and
+   [measure_breakpoint_sort]).
+
    When a previous BENCH_kernels.json exists it is rotated to
    BENCH_kernels.prev.json so `check_regress.exe` can compare runs. *)
 
@@ -257,6 +263,109 @@ let measure_add_center () =
         before = ("two_pass_ns", t); after = ("fused_ns", f) }
   | _ -> assert false
 
+(* --- bookkeeping ----------------------------------------------------- *)
+
+let fixture_dir = ref "bench/fixtures"
+
+(* The non-comment lines of a fixture file. *)
+let fixture name =
+  let ic = open_in (Filename.concat !fixture_dir name) in
+  let rec go acc =
+    match input_line ic with
+    | l -> go (if l = "" || l.[0] = '#' then acc else l :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  go []
+
+(* The list-building row query the slab table replaced. *)
+let list_row_intervals ~lo ~hi ~cols (bs : Bands.band list) =
+  let ivs =
+    List.filter_map
+      (fun (b : Bands.band) ->
+        if b.row_lo < hi && lo < b.row_hi then
+          let clo = max 0 b.col_lo and chi = min cols b.col_hi in
+          if clo < chi then Some (clo, chi) else None
+        else None)
+      bs
+  in
+  List.rev
+    (List.fold_left
+       (fun acc (lo, hi) ->
+         match acc with
+         | (plo, phi) :: tl when lo <= phi -> (plo, max phi hi) :: tl
+         | _ -> (lo, hi) :: acc)
+       [] (List.sort compare ivs))
+
+(* A recorded sst_3 occupancy (9 value rows of d_model 24, 1344 symbol
+   columns, 76 bands) swept the way one op reads it: every single row
+   (the bounds, elementwise and reduction loops) and every value row's
+   block (the coefficient maps). The table arm starts from a fresh
+   occupancy each call, so it pays for building its table. *)
+let measure_row_table () =
+  let bands =
+    List.map
+      (fun l -> Scanf.sscanf l "%d %d %d %d" (fun col_lo col_hi row_lo row_hi ->
+           { Bands.col_lo; col_hi; row_lo; row_hi }))
+      (fixture "sst3_occupancy.txt")
+  in
+  let rows = vrows * dmodel and cols = e_mid in
+  let bs = Bands.to_bands ~rows:max_int ~cols:max_int (Bands.of_bands bands) in
+  let sweep query =
+    let acc = ref [] in
+    for v = 0 to rows - 1 do
+      acc := query ~lo:v ~hi:(v + 1) :: !acc
+    done;
+    for i = 0 to vrows - 1 do
+      acc := query ~lo:(i * dmodel) ~hi:((i + 1) * dmodel) :: !acc
+    done;
+    !acc
+  in
+  let listed () = sweep (fun ~lo ~hi -> list_row_intervals ~lo ~hi ~cols bs) in
+  let tabled () =
+    let t = Bands.of_bands bs in
+    sweep (fun ~lo ~hi -> Bands.row_intervals ~lo ~hi ~cols t)
+  in
+  if listed () <> tabled () then begin
+    Printf.eprintf "kernels: slab-table row queries diverge\n%!";
+    exit 4
+  end;
+  match time_interleaved [ listed; tabled ] with
+  | [ l; t ] ->
+      { plabel = "row_intervals_216x1344_b76"; vrows; d = dmodel; e = e_mid;
+        before = ("list_ns", l); after = ("table_ns", t) }
+  | _ -> assert false
+
+(* A recorded softmax-sum refinement's 458 breakpoints (sst_6, one
+   softmax row), sorted by index as [Refinement.minimize_abs_sum] sorts
+   them: [Array.sort] by [Float.compare] of the keys against the
+   transcribed heap sort. *)
+let measure_breakpoint_sort () =
+  let keys =
+    Array.of_list (List.map float_of_string (fixture "sst6_breakpoints.txt"))
+  in
+  let n = Array.length keys in
+  let stdlib () =
+    let a = Array.init n Fun.id in
+    Array.sort (fun i j -> Float.compare keys.(i) keys.(j)) a;
+    a
+  in
+  let heap () =
+    let a = Array.init n Fun.id in
+    Deept.Refinement.sort_by_key keys a;
+    a
+  in
+  if stdlib () <> heap () then begin
+    Printf.eprintf "kernels: breakpoint sort permutations diverge\n%!";
+    exit 4
+  end;
+  match time_interleaved [ stdlib; heap ] with
+  | [ a; h ] ->
+      { plabel = Printf.sprintf "breakpoint_sort_%d" n; vrows = 1; d = n; e = n;
+        before = ("array_sort_ns", a); after = ("heap_ns", h) }
+  | _ -> assert false
+
 (* --- reporting -------------------------------------------------------- *)
 
 let geomean xs =
@@ -307,9 +416,12 @@ let () =
     [
       ("--json", Arg.Set json, "  write the results to --out as JSON");
       ("--out", Arg.Set_string out, "PATH  JSON output path (default BENCH_kernels.json)");
+      ( "--data",
+        Arg.Set_string fixture_dir,
+        "DIR  directory of the recorded fixtures (default bench/fixtures)" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "kernels [--json] [--out PATH]";
+    "kernels [--json] [--out PATH] [--data DIR]";
   (* A larger minor heap keeps the timings kernel-dominated: every call
      allocates its output matrix, and with the default 256 KB minor heap
      the measurement would mostly be minor collections. *)
@@ -333,8 +445,11 @@ let () =
       Printf.printf "%-26s %7.0f%% %12.0f %12.0f %8.2fx\n" r.sshape.label
         (r.sdensity *. 100.0) r.dense_ns r.sparse_ns (r.dense_ns /. r.sparse_ns))
     sparse_rows;
-  let pass_rows = [ measure_linear (); measure_add_center () ] in
-  Printf.printf "\n%-26s %12s %12s %9s\n" "one pass" "before ns" "after ns" "x after";
+  let pass_rows =
+    [ measure_linear (); measure_add_center (); measure_row_table (); measure_breakpoint_sort () ]
+  in
+  Printf.printf "\n%-26s %12s %12s %9s\n" "one pass, bookkeeping" "before ns" "after ns"
+    "x after";
   List.iter
     (fun r ->
       Printf.printf "%-26s %12.0f %12.0f %8.2fx\n" r.plabel (snd r.before)

@@ -5,10 +5,11 @@ open Tensor
    operands to [w0] plus its own symbols only, never to the symbols the
    heads before it minted. The heads share no symbol past [w0] (they meet
    only in the output projection), so a head's m symbols, minted at
-   [w0, w0 + m), are then moved behind the earlier heads' by a gap of
-   zero columns at [w0], which gives every symbol the id one counter
-   shared by all heads gave it. The columns a head no longer carries are
-   the +0.0 every sum skips, so every bit is the same (DESIGN.md §19). *)
+   [w0, w0 + m), take their place behind the earlier heads' in the
+   output projection ([Zonotope.linear_join ~own:w0]), which gives every
+   symbol the id one counter shared by all heads gave it. The columns a
+   head no longer carries are the +0.0 every sum skips, so every bit is
+   the same (DESIGN.md §19). *)
 
 (* Behind [minted] symbols of earlier heads, the products padded a head
    operand to them, and the pad turned a full occupancy into a band over
@@ -41,7 +42,7 @@ let apply ~(cfg : Config.t) ~precise ctx (att : Ir.attention) x =
         Zonotope.reset_symbols ctx w0;
         let own = as_padded ~w:(w0 + minted) in
         let scores =
-          Zonotope.scale scale
+          Zonotope.scale_fresh scale
             (Dot.matmul_zz ~precise ~order ctx (own qs.(h))
                (Zonotope.transpose_value (own ks.(h))))
         in
@@ -50,10 +51,9 @@ let apply ~(cfg : Config.t) ~precise ctx (att : Ir.attention) x =
             ~refine:cfg.Config.refine_softmax_sum ctx scores
         in
         let out = Dot.matmul_zz ~precise ~order ctx p (own vs.(h)) in
-        ( minted + Zonotope.ctx_symbols ctx - w0,
-          Zonotope.insert_eps_gap out ~at:w0 ~by:minted ))
+        (minted + Zonotope.ctx_symbols ctx - w0, out))
       0 (List.init att.heads Fun.id)
   in
   if heads = [] then invalid_arg "Attention_t.apply: no heads";
   Zonotope.reset_symbols ctx (w0 + minted);
-  Zonotope.linear_join heads att.wo att.bo
+  Zonotope.linear_join ~own:w0 heads att.wo att.bo

@@ -9,8 +9,9 @@
     both products of each head.
 
     {b Symbols.} Each head runs with the ctx's symbol counter rewound to
-    its value W at entry, and the symbols it mints are then moved behind
-    those of the heads before it ({!Zonotope.insert_eps_gap}). On return
+    its value W at entry, and the output projection places the symbols
+    it mints behind those of the heads before it
+    ({!Zonotope.linear_join} [~own:W]). On return
     the counter is W plus every head's symbols, and every value,
     occupancy and symbol id is the one a single counter shared by all
     heads gives (DESIGN.md §19).

@@ -144,17 +144,21 @@ let apply ctx (z : Zonotope.t) rule =
         incr n_new
       end)
     cs;
-  (* Pad to the context's current width so the new columns sit at globally
-     fresh symbol ids. *)
-  let z = Zonotope.pad_eps z (Zonotope.ctx_symbols ctx) in
+  (* The new columns sit at globally fresh symbol ids, behind the
+     context's current width [old_w]: an operand narrower than that is
+     read as if zero-padded to it ([Zonotope.pad_eps]), without the
+     padded copy. *)
+  let cur = Zonotope.num_eps z in
+  let old_w = max cur (Zonotope.ctx_symbols ctx) in
+  let occ_in = Zonotope.padded_occ z.Zonotope.eps_occ ~n ~cur ~w:old_w in
   let base = Zonotope.alloc_eps ctx !n_new in
-  let old_w = Zonotope.num_eps z in
   let w = base + !n_new in
   assert (old_w = base);
   let center = Mat.copy z.Zonotope.center in
   let phi = Mat.copy z.Zonotope.phi in
   let eps = Mat.create n w in
   let ep = Zonotope.num_phi z in
+  let zeps = z.Zonotope.eps.Mat.data in
   (* A zero slope must annihilate the input coefficients outright: some of
      them can be infinite (an overflowed dot-product remainder), and
      0 * inf would inject NaN instead of the intended constant form. *)
@@ -163,7 +167,20 @@ let apply ctx (z : Zonotope.t) rule =
      declares dead (lam * ±0.0); only an all-finite lambda vector may
      skip dead columns or keep the band structure. *)
   let lambdas_finite = Array.for_all (fun c -> Float.is_finite c.lambda) cs in
-  let skip_dead = lambdas_finite && not (Bands.is_full z.Zonotope.eps_occ) in
+  let skip_dead = lambdas_finite && not (Bands.is_full occ_in) in
+  (* Entries [jlo, jhi) of row [v]: the operand's own columns scaled, the
+     padding past them the scaled +0.0 the padded copy would give. *)
+  let scale_row v lam jlo jhi =
+    for j = jlo to min jhi cur - 1 do
+      eps.Mat.data.((v * w) + j) <- scaled lam zeps.((v * cur) + j)
+    done;
+    if jhi > cur then begin
+      let pad = scaled lam 0.0 in
+      for j = max jlo cur to jhi - 1 do
+        eps.Mat.data.((v * w) + j) <- pad
+      done
+    end
+  in
   (* Poll again before the scaling loop, which is the op's O(n·w) pass. *)
   Zonotope.check_deadline ctx;
   for v = 0 to n - 1 do
@@ -174,22 +191,14 @@ let apply ctx (z : Zonotope.t) rule =
     done;
     if skip_dead then
       List.iter
-        (fun (jlo, jhi) ->
-          for j = jlo to jhi - 1 do
-            eps.Mat.data.((v * w) + j) <-
-              scaled c.lambda z.Zonotope.eps.Mat.data.((v * old_w) + j)
-          done)
-        (Bands.row_intervals ~lo:v ~hi:(v + 1) ~cols:old_w z.Zonotope.eps_occ)
-    else
-      for j = 0 to old_w - 1 do
-        eps.Mat.data.((v * w) + j) <-
-          scaled c.lambda z.Zonotope.eps.Mat.data.((v * old_w) + j)
-      done;
+        (fun (jlo, jhi) -> scale_row v c.lambda jlo jhi)
+        (Bands.row_intervals ~lo:v ~hi:(v + 1) ~cols:old_w occ_in)
+    else scale_row v c.lambda 0 old_w;
     if fresh.(v) >= 0 then eps.Mat.data.((v * w) + base + fresh.(v)) <- c.beta
   done;
   let occ =
     if lambdas_finite then
-      Bands.union z.Zonotope.eps_occ
+      Bands.union occ_in
         (Zonotope.fresh_bands ~fresh ~base ~rows:z.Zonotope.vrows
            ~per_row:z.Zonotope.vcols)
     else Bands.full

@@ -98,7 +98,12 @@ module Domain = struct
     let { cfg; ctx; total_layers; _ } = st in
     try
       match op with
-      | Ir.Linear { src; w; b } -> Zonotope.linear_map (get src) w b
+      | Ir.Linear { src; w; b } ->
+          (* Every op's output passed the poison scan before it was
+             stored, and the scan after this op aborts on a NaN as on an
+             infinity: the NaN -> inf widening, and the scan of the
+             source that decides it, cannot change the outcome. *)
+          Zonotope.linear_map ~scan:false (get src) w b
       | Ir.Relu src -> Elementwise.relu ctx (get src)
       | Ir.Tanh src -> Elementwise.tanh_ ctx (get src)
       | Ir.Add (a, b) -> Zonotope.add (get a) (get b)

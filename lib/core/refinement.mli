@@ -33,6 +33,13 @@ val minimize_abs_sum :
     (weighted-median search; Appendix A.1). Returns 0 if no breakpoint
     is allowed. *)
 
+val sort_by_key : float array -> int array -> unit
+(** [sort_by_key k a] sorts the indices [a] in place by their keys
+    [k.(a.(i))] (indices into [k]): the permutation
+    [Array.sort (fun i j -> Float.compare k.(i) k.(j)) a] gives, from the
+    same comparisons made in the same order, without a comparison
+    closure. [minimize_abs_sum] sorts its breakpoints with it. *)
+
 val sum_residual : Zonotope.t -> target:float -> float * float array * float array
 (** [(c_S, α_S, β_S)] of the affine form [target − Σ variables]. *)
 
@@ -40,3 +47,14 @@ val softmax_sum : Zonotope.t -> Zonotope.t
 (** Refines a zonotope whose variables are one softmax row (value shape
     [1 x N] or [N x 1]) under the constraint that they sum to 1. Returns
     the input unchanged when no ε symbol can serve as pivot. *)
+
+val softmax_sum_in_place :
+  Zonotope.t -> v0:int -> nv:int -> ee:int -> Tensor.Bands.t -> Tensor.Bands.t
+(** [softmax_sum_in_place z ~v0 ~nv ~ee occ] refines variables
+    [v0 .. v0 + nv - 1] of [z] in [z]'s own matrices, as {!softmax_sum}
+    refines the zonotope of just those variables over ε columns
+    [0 .. ee - 1] whose occupancy is [occ], and returns that zonotope's
+    result occupancy. Those rows' columns from [ee] on must be +0.0;
+    they stay untouched, as in the narrower zonotope they do not exist.
+    For a [z] nothing else holds: {!Zonotope.stack_rows} refines the
+    softmax rows in the matrix it stacked them into. *)

@@ -218,8 +218,8 @@ let exp_sum ctx s lo hi i =
   |> Zonotope.with_eps_occ (Bands.block_rows ~bin:n ~bout:1 exp_occ)
 
 (* sigma_i = 1 / sum_j exp(nu_j - nu_i) for score row [r] of [z], whose
-   occupancy is [occ]. *)
-let stable_row ctx z r ~occ =
+   occupancy is [occ]: the n scalar outputs, in order. *)
+let stable_outputs ctx z r ~occ =
   (* The n^2 differences make softmax one of the heaviest transformers;
      poll the cooperative deadline once per score row. *)
   Zonotope.check_deadline ctx;
@@ -252,20 +252,23 @@ let stable_row ctx z r ~occ =
          (Bands.of_bands
             [ { Bands.col_lo = base; col_hi = base + 1; row_lo = 0; row_hi = 1 } ])
   in
-  let outputs =
-    List.init n (fun i ->
-        match sat_bound i with
-        | Some u -> boxed u
-        | None -> (
-            (* if the exponential or the reciprocal still overflows (a
-               huge range that is not uniformly dominated), fall back to
-               the universally valid sigma_i in [0, 1]; symbols exp
-               minted before a failing reciprocal stay allocated *)
-            try Elementwise.recip ctx (exp_sum ctx s lo hi i)
-            with Zonotope.Unbounded -> boxed 1.0))
-  in
-  (* Stack the n scalar outputs into a 1 x n row. *)
-  Zonotope.reshape_value (Zonotope.of_rows outputs) ~rows:1 ~cols:n
+  List.init n (fun i ->
+      match sat_bound i with
+      | Some u -> boxed u
+      | None -> (
+          (* if the exponential or the reciprocal still overflows (a
+             huge range that is not uniformly dominated), fall back to
+             the universally valid sigma_i in [0, 1]; symbols exp
+             minted before a failing reciprocal stay allocated *)
+          try Elementwise.recip ctx (exp_sum ctx s lo hi i)
+          with Zonotope.Unbounded -> boxed 1.0))
+
+(* The score rows' outputs, each row of n scalars stacked once into the
+   result, where the refinement then rewrites it in place. *)
+let stack ~refine groups =
+  Zonotope.stack_rows
+    ?refine:(if refine then Some Refinement.softmax_sum_in_place else None)
+    groups
 
 (* sigma_i = exp(nu_i) * recip(sum_j exp(nu_j)) — the CROWN-style
    composition, for the ablation. *)
@@ -281,14 +284,13 @@ let direct_row ctx row =
   in
   Dot.mul_zz ctx e r_bcast
 
-let refined ~refine out = if refine then Refinement.softmax_sum out else out
-
 let apply_row ~form ~refine ctx row =
   if row.Zonotope.vrows <> 1 then invalid_arg "Softmax_t.apply_row: need 1 x N";
-  refined ~refine
-    (match (form : Config.softmax_form) with
-    | Config.Stable -> stable_row ctx row 0 ~occ:row.Zonotope.eps_occ
-    | Config.Direct -> direct_row ctx row)
+  match (form : Config.softmax_form) with
+  | Config.Stable -> stack ~refine [ stable_outputs ctx row 0 ~occ:row.Zonotope.eps_occ ]
+  | Config.Direct ->
+      let out = direct_row ctx row in
+      if refine then Refinement.softmax_sum out else out
 
 let apply ~form ~refine ctx z =
   (* Rows must stay sequential: each one allocates fresh eps symbols from
@@ -296,14 +298,15 @@ let apply ~form ~refine ctx z =
      form reads each row in place, with the occupancy a copy of the row
      would carry. *)
   let n = z.Zonotope.vcols in
-  let rows =
-    List.init z.Zonotope.vrows (fun r ->
-        match (form : Config.softmax_form) with
-        | Config.Stable ->
-            let occ =
-              Bands.restrict_rows ~lo:(r * n) ~hi:((r + 1) * n) z.Zonotope.eps_occ
-            in
-            refined ~refine (stable_row ctx z r ~occ)
-        | Config.Direct -> apply_row ~form ~refine ctx (Zonotope.select_value_rows z r 1))
-  in
-  Zonotope.of_rows rows
+  match (form : Config.softmax_form) with
+  | Config.Stable ->
+      stack ~refine
+        (List.init z.Zonotope.vrows (fun r ->
+             let occ =
+               Bands.restrict_rows ~lo:(r * n) ~hi:((r + 1) * n) z.Zonotope.eps_occ
+             in
+             stable_outputs ctx z r ~occ))
+  | Config.Direct ->
+      Zonotope.of_rows
+        (List.init z.Zonotope.vrows (fun r ->
+             apply_row ~form ~refine ctx (Zonotope.select_value_rows z r 1)))

@@ -64,8 +64,8 @@ let make ~p ~center ~phi ~eps =
   { vrows = Mat.rows center; vcols = Mat.cols center; p; center; phi; eps;
     eps_occ }
 
-let with_eps_occ occ z =
-  { z with eps_occ = (if Bands.enabled then occ else Bands.full) }
+let pin occ = if Bands.enabled then occ else Bands.full
+let with_eps_occ occ z = { z with eps_occ = pin occ }
 
 (* Occupancy of freshly minted symbols: transformers assign fresh ids
    ascending in the flat variable order ([fresh.(v)] is the id offset of
@@ -238,22 +238,6 @@ let pad_eps z w =
     { z with eps; eps_occ = padded_occ z.eps_occ ~n ~cur ~w }
   end
 
-let insert_eps_gap z ~at ~by =
-  let e = num_eps z in
-  if at < 0 || at > e || by < 0 then invalid_arg "Zonotope.insert_eps_gap";
-  if by = 0 then z
-  else begin
-    let n = num_vars z and w = e + by in
-    let eps = Mat.create n w in
-    for v = 0 to n - 1 do
-      Array.blit z.eps.Mat.data (v * e) eps.Mat.data (v * w) at;
-      Array.blit z.eps.Mat.data ((v * e) + at) eps.Mat.data ((v * w) + at + by) (e - at)
-    done;
-    with_eps_occ
-      (Bands.insert_gap ~rows:n ~cols:e ~at ~by z.eps_occ)
-      { z with eps }
-  end
-
 (* ---------------- affine transformers ---------------- *)
 
 (* Apply [block -> w^T . block] to every per-value-row coefficient block
@@ -330,9 +314,11 @@ let mapped_occ z w =
     Bands.block_rows ~bin:z.vcols ~bout:(Mat.cols w) z.eps_occ
   else Bands.full
 
-let linear_map z w b =
+let linear_map ?(scan = true) z w b =
   linear_checks z w b;
-  let phi, eps = map_coeffs z w ~cols_for:(skip_for z w) ~scrub:(input_scrub z) in
+  let phi, eps =
+    map_coeffs z w ~cols_for:(skip_for z w) ~scrub:(scan && input_scrub z)
+  in
   {
     z with
     vcols = Mat.cols w;
@@ -409,6 +395,12 @@ let scale s z =
     eps = Mat.scale s z.eps;
     eps_occ;
   }
+
+let scale_fresh s z =
+  Mat.scale_in_place s z.center;
+  Mat.scale_in_place s z.phi;
+  Mat.scale_in_place s z.eps;
+  { z with eps_occ = (if Float.is_finite s then z.eps_occ else Bands.full) }
 
 let neg z = scale (-1.0) z
 
@@ -725,36 +717,47 @@ let reshape_value z ~rows ~cols =
    concatenations built it, each step padding the accumulator and the
    next operand to their common width ([padded_occ]) before the union:
    band coalescing makes the union order-sensitive, and compaction and
-   the decorrelation tie-break read the bands. [step ~vars ~vcols occ z
-   occ_z] joins the occupancy of the operands so far ([vars] variables,
-   [vcols] value columns side by side) with operand [z]'s padded one. *)
+   the decorrelation tie-break read the bands. An operand enters the
+   fold as a [piece]: its occupancy, ε width, variable count and value
+   width. [step ~vars ~vcols occ p occ_p] joins the occupancy of the
+   operands so far ([vars] variables, [vcols] value columns side by
+   side) with piece [p]'s padded one. *)
+type piece = { occ : Bands.t; width : int; vars : int; cols : int }
+
+let piece z = { occ = z.eps_occ; width = num_eps z; vars = num_vars z; cols = z.vcols }
+
 let fold_occ ~step = function
   | [] -> invalid_arg "Zonotope.fold_occ: empty"
-  | z0 :: rest ->
+  | p0 :: rest ->
       let occ, _, _, _ =
         List.fold_left
-          (fun (occ, w, vars, vcols) z ->
-            let w' = max w (num_eps z) and nz = num_vars z in
+          (fun (occ, w, vars, vcols) p ->
+            let w' = max w p.width in
             ( step ~vars ~vcols
                 (padded_occ occ ~n:vars ~cur:w ~w:w')
-                z
-                (padded_occ z.eps_occ ~n:nz ~cur:(num_eps z) ~w:w'),
+                p
+                (padded_occ p.occ ~n:p.vars ~cur:p.width ~w:w'),
               w',
-              vars + nz,
-              vcols + z.vcols ))
-          (z0.eps_occ, num_eps z0, num_vars z0, z0.vcols)
+              vars + p.vars,
+              vcols + p.cols ))
+          (p0.occ, p0.width, p0.vars, p0.cols)
           rest
       in
       occ
 
 (* The occupancy of the values side by side: both sides' rows land
    inside the same widened value rows. *)
-let hcat_occ zs =
-  fold_occ zs ~step:(fun ~vars:_ ~vcols occ z occ_z ->
-      let cols = vcols + z.vcols in
+let hcat_occ ps =
+  fold_occ ps ~step:(fun ~vars:_ ~vcols occ p occ_p ->
+      let cols = vcols + p.cols in
       Bands.union
         (Bands.block_rows ~bin:vcols ~bout:cols occ)
-        (Bands.block_rows ~bin:z.vcols ~bout:cols occ_z))
+        (Bands.block_rows ~bin:p.cols ~bout:cols occ_p))
+
+(* The occupancy of the values stacked top to bottom. *)
+let vcat_occ ps =
+  fold_occ ps ~step:(fun ~vars ~vcols:_ occ _ occ_p ->
+      Bands.union occ (Bands.shift_rows vars occ_p))
 
 (* NaN dominates Inf, as in [Mat.finite_class] of the matrices side by
    side (zero padding is finite). *)
@@ -772,8 +775,19 @@ let join_class cs =
    an operand maps only its own columns (and skips its own dead ones).
    A non-finite [w] turns those terms into NaN, so that path maps every
    operand padded to the full width, as the dense map of the
-   concatenation did. *)
-let linear_join zs w b =
+   concatenation did.
+
+   With [~own:w0] (the attention heads, each run in its own symbol space
+   from the [w0] symbols they share), operand h's columns from [w0] on
+   are its own symbols, and the output places them behind the own
+   symbols of the operands before it: that is the map of the operands
+   with that many zero columns inserted at [w0] ([Bands.insert_gap] for
+   the occupancy). With a finite [w] no gap is built: an own column only
+   ever gets its operand's terms, the others add zeros or nothing, and
+   its running sum starts from the +0.0 of the fresh output, so the
+   operand's own columns map straight to their place
+   ([Mat.matmul_ta_acc ~b_cols ~out_col]). *)
+let linear_join ?own zs w b =
   match zs with
   | [] -> invalid_arg "Zonotope.linear_join: empty"
   | [ z ] -> linear_map z w b
@@ -789,34 +803,67 @@ let linear_join zs w b =
       if Mat.rows w <> cols_in then invalid_arg "Zonotope.linear_map: shape mismatch";
       if Array.length b <> Mat.cols w then invalid_arg "Zonotope.linear_map: bias";
       let vcols = Mat.cols w in
-      let ee = List.fold_left (fun acc z -> max acc (num_eps z)) 0 zs in
+      (* [shared] columns of each operand keep their ids; the rest move
+         right by [off], the own columns of the operands before it *)
+      let shared z = match own with Some w0 -> min w0 (num_eps z) | None -> num_eps z in
+      let _, placed =
+        List.fold_left_map (fun off z -> (off + num_eps z - shared z, (z, off))) 0 zs
+      in
+      let ee = List.fold_left (fun acc (z, off) -> max acc (num_eps z + off)) 0 placed in
       let w_finite = Mat.finite_class w = `Finite in
       let center = Mat.create vrows cols_in in
       let phi = Mat.create (vrows * vcols) (num_phi z0) in
       let eps = Mat.create (vrows * vcols) ee in
       ignore
         (List.fold_left
-           (fun off z ->
+           (fun c0 (z, off) ->
              for i = 0 to vrows - 1 do
                Array.blit z.center.Mat.data (i * z.vcols) center.Mat.data
-                 ((i * cols_in) + off) z.vcols
+                 ((i * cols_in) + c0) z.vcols
              done;
-             let wz = Mat.sub_rows w off z.vcols in
+             let wz = Mat.sub_rows w c0 z.vcols in
              map_coeff_blocks ~vrows ~bin:z.vcols ~bout:vcols wz z.phi phi;
-             (if w_finite then
-                map_coeff_blocks
-                  ?cols_for:(live_blocks z.eps_occ ~bin:z.vcols ~e:(num_eps z))
-                  ~vrows ~bin:z.vcols ~bout:vcols wz z.eps eps
-              else
-                map_coeff_blocks ~vrows ~bin:z.vcols ~bout:vcols wz
-                  (pad_eps z ee).eps eps);
-             off + z.vcols)
-           0 zs);
+             let e = num_eps z and sh = shared z in
+             (if w_finite then begin
+                let cols_for = live_blocks z.eps_occ ~bin:z.vcols ~e in
+                for i = 0 to vrows - 1 do
+                  let cols = Option.map (fun f -> f i) cols_for in
+                  let b_row = i * z.vcols and out_row = i * vcols in
+                  if sh > 0 then
+                    Mat.matmul_ta_acc ?cols ~b_cols:(0, sh) wz z.eps ~b_row eps ~out_row;
+                  if e > sh then
+                    Mat.matmul_ta_acc ?cols ~b_cols:(sh, e) ~out_col:(sh + off) wz z.eps
+                      ~b_row eps ~out_row
+                done
+              end
+              else begin
+                (* the operand's ε in its place in the output's columns *)
+                let n = num_vars z in
+                let g = Mat.create n ee in
+                for v = 0 to n - 1 do
+                  Array.blit z.eps.Mat.data (v * e) g.Mat.data (v * ee) sh;
+                  Array.blit z.eps.Mat.data ((v * e) + sh) g.Mat.data ((v * ee) + sh + off)
+                    (e - sh)
+                done;
+                map_coeff_blocks ~vrows ~bin:z.vcols ~bout:vcols wz g eps
+              end);
+             c0 + z.vcols)
+           0 placed);
       let cls f = join_class (List.map (fun z -> Mat.finite_class (f z)) zs) in
       if cls (fun z -> z.phi) = `Inf || cls (fun z -> z.eps) = `Inf then begin
         scrub_coeff_nan phi;
         scrub_coeff_nan eps
       end;
+      let gapped (z, off) =
+        let p = piece z in
+        if off = 0 then p
+        else
+          {
+            p with
+            occ = pin (Bands.insert_gap ~rows:p.vars ~cols:p.width ~at:(shared z) ~by:off p.occ);
+            width = p.width + off;
+          }
+      in
       {
         vrows;
         vcols;
@@ -825,7 +872,8 @@ let linear_join zs w b =
         phi;
         eps;
         eps_occ =
-          (if w_finite then Bands.block_rows ~bin:cols_in ~bout:vcols (hcat_occ zs)
+          (if w_finite then
+             Bands.block_rows ~bin:cols_in ~bout:vcols (hcat_occ (List.map gapped placed))
            else Bands.full);
       }
 
@@ -856,11 +904,46 @@ let of_rows = function
             done;
             row + nz)
           0 zs);
-      let eps_occ =
-        fold_occ zs ~step:(fun ~vars ~vcols:_ occ _ occ_z ->
-            Bands.union occ (Bands.shift_rows vars occ_z))
-      in
-      { vrows; vcols; p = z0.p; center; phi; eps; eps_occ }
+      { vrows; vcols; p = z0.p; center; phi; eps; eps_occ = vcat_occ (List.map piece zs) }
+
+(* Data: the scalars of every group, row after row, as [of_rows] of all
+   of them stacks them (one copy, at the widest width). Occupancy: each
+   group stacked into a row ([of_rows]), the row refined, then the rows
+   stacked, as the two levels of [of_rows] build it. A row is refined in
+   place in the stacked matrices: its columns past its own width are the
+   +0.0 of the fresh matrix, as in the row [of_rows] would pad. *)
+let stack_rows ?refine groups =
+  let rows = List.length groups in
+  let n = match groups with g :: _ -> List.length g | [] -> 0 in
+  let scalars = List.concat groups in
+  List.iter
+    (fun g -> if List.length g <> n then invalid_arg "Zonotope.stack_rows: ragged groups")
+    groups;
+  List.iter
+    (fun z -> if num_vars z <> 1 then invalid_arg "Zonotope.stack_rows: not a scalar")
+    scalars;
+  let z0 = match scalars with z :: _ -> z | [] -> invalid_arg "Zonotope.stack_rows: empty" in
+  let ep = num_phi z0 in
+  let w = List.fold_left (fun acc z -> max acc (num_eps z)) 0 scalars in
+  let center = Mat.create rows n in
+  let phi = Mat.create (rows * n) ep and eps = Mat.create (rows * n) w in
+  List.iteri
+    (fun v z ->
+      if num_phi z <> ep then invalid_arg "Zonotope.stack_rows: phi mismatch";
+      center.Mat.data.(v) <- z.center.Mat.data.(0);
+      Array.blit z.phi.Mat.data 0 phi.Mat.data (v * ep) ep;
+      Array.blit z.eps.Mat.data 0 eps.Mat.data (v * w) (num_eps z))
+    scalars;
+  let stacked = { vrows = rows; vcols = n; p = z0.p; center; phi; eps; eps_occ = Bands.full } in
+  let row_piece r g =
+    let occ = vcat_occ (List.map piece g) in
+    let width = List.fold_left (fun acc z -> max acc (num_eps z)) 0 g in
+    let occ =
+      match refine with Some f -> f stacked ~v0:(r * n) ~nv:n ~ee:width occ | None -> occ
+    in
+    { occ; width; vars = n; cols = n }
+  in
+  { stacked with eps_occ = vcat_occ (List.mapi row_piece groups) }
 
 let map_rows_affine z m =
   if Mat.cols m <> z.vrows then invalid_arg "Zonotope.map_rows_affine";

@@ -40,8 +40,9 @@ val reset_symbols : ctx -> int -> unit
     used by noise-symbol reduction, which renumbers the symbol space.
     Only sound when a single zonotope is alive, or when the values alive
     beside it never meet it while the ids overlap: {!Attention_t} rewinds
-    the counter for each head, and no value a head mints meets another
-    head's value before {!insert_eps_gap} has moved it past them. *)
+    the counter for each head, and the heads' values meet only in
+    {!linear_join} [~own], which moves each head's symbols past the
+    earlier heads' ones. *)
 
 val set_deadline : ctx -> float option -> unit
 (** [set_deadline ctx (Some t)] arms an absolute wall-clock deadline
@@ -137,8 +138,15 @@ val instantiate : t -> phi:float array -> eps:float array -> Tensor.Mat.t
 
 (** {1 Exact affine transformers (Theorem 2)} *)
 
-val linear_map : t -> Tensor.Mat.t -> float array -> t
-(** [linear_map x w b] abstracts the row-wise affine map [x·w + b]. *)
+val linear_map : ?scan:bool -> t -> Tensor.Mat.t -> float array -> t
+(** [linear_map x w b] abstracts the row-wise affine map [x·w + b]. When
+    [x] has an infinite coefficient, the NaN an infinity times a zero
+    weight leaves in the result is widened to +∞ (sound: the radius
+    term is then infinite anyway). Deciding that scans [x]'s φ and ε.
+    [~scan:false] skips the scan and the widening, for a caller that
+    poison-scans the result and aborts on NaN and ∞ alike, and whose
+    inputs have passed that scan ({!Propagate}'s [Linear] transfer): the
+    widening could only change which of the two it finds. *)
 
 val linear_split : t -> (Tensor.Mat.t * float array) list -> parts:int -> t array list
 (** [linear_split z [(w1, b1); ...] ~parts] maps [z] by every
@@ -150,12 +158,21 @@ val linear_split : t -> (Tensor.Mat.t * float array) list -> parts:int -> t arra
     with no map of the whole width cut afterwards, and [z]'s
     finiteness is scanned once for all maps. *)
 
-val linear_join : t list -> Tensor.Mat.t -> float array -> t
+val linear_join : ?own:int -> t list -> Tensor.Mat.t -> float array -> t
 (** [linear_join zs w b] is [linear_map] of the values [zs] side by side
     (equal value row counts; the attention heads before the output
     projection), bit for bit, occupancy included, without building the
     concatenation: each operand's coefficients are mapped by its rows of
-    [w] and accumulated into the output in order. *)
+    [w] and accumulated into the output in order.
+
+    [~own:w0] declares that each operand ran in its own symbol space
+    from the [w0] symbols all share ({!Attention_t}'s heads): operand
+    [h]'s ε columns from [w0] on are its own symbols, and they take the
+    ids behind the own symbols of the operands before it. The result is
+    [linear_join] of the operands with that many zero columns inserted
+    at [w0] ({!Tensor.Bands.insert_gap} for the occupancy), bit for bit,
+    and with a finite [w] no operand is copied: its own columns map
+    straight to their place in the output. *)
 
 val add : t -> t -> t
 (** Sum of two zonotopes over the same symbols (ε widths may differ;
@@ -163,6 +180,12 @@ val add : t -> t -> t
 
 val add_const : t -> Tensor.Mat.t -> t
 val scale : float -> t -> t
+
+val scale_fresh : float -> t -> t
+(** [scale_fresh s z] is [scale s z], bit for bit, computed in [z]'s own
+    matrices, which it overwrites. Only for a [z] nothing else holds: a
+    transformer's result that has not been handed on (the attention
+    scores, scaled as soon as their product returns). *)
 
 val neg : t -> t
 
@@ -221,14 +244,6 @@ val padded_occ : Tensor.Bands.t -> n:int -> cur:int -> w:int -> Tensor.Bands.t
 val pad_eps : t -> int -> t
 (** Zero-pads the ε matrix to the given width (no-op if already wider). *)
 
-val insert_eps_gap : t -> at:int -> by:int -> t
-(** [insert_eps_gap z ~at ~by] moves ε columns [at ..] right by [by],
-    leaving [by] zero columns at [at] ({!Tensor.Bands.insert_gap} for
-    the occupancy). The value's bounds are unchanged. This is how an
-    attention head that ran in its own symbol space ({!Attention_t})
-    takes its place behind the symbols earlier heads minted.
-    @raise Invalid_argument unless [0 <= at <= num_eps z] and [by >= 0]. *)
-
 val pool_first : t -> t
 (** Restricts to the first value row. *)
 
@@ -250,6 +265,20 @@ val of_rows : t list -> t
     ones, value shape [1 x d], in the softmax). Built in one pass; the
     columns, coefficients and occupancy are those of a left fold of
     pairwise stackings. *)
+
+val stack_rows :
+  ?refine:(t -> v0:int -> nv:int -> ee:int -> Tensor.Bands.t -> Tensor.Bands.t) ->
+  t list list ->
+  t
+(** [stack_rows groups] stacks groups of [n] scalar values (value shape
+    [1 x 1]) into a [rows x n] value, row [r] holding group [r]: bit for
+    bit, occupancy included, it is [of_rows] of the [1 x n] rows
+    [reshape_value (of_rows g) ~rows:1 ~cols:n], or of [refine]d ones,
+    with every scalar copied once. [refine z ~v0 ~nv ~ee occ] refines
+    row [v0 / nv] in [z]'s matrices in place, as the row of width [ee]
+    and occupancy [occ] would be refined, and returns the refined row's
+    occupancy ({!Refinement.softmax_sum_in_place}). This is how the
+    stable softmax builds its output. *)
 
 val map_rows_affine : t -> Tensor.Mat.t -> t
 (** [map_rows_affine z m] abstracts [m · x] for the constant matrix [m]

@@ -28,7 +28,10 @@ type band = { col_lo : int; col_hi : int; row_lo : int; row_hi : int }
 type t
 (** An occupancy: either [full] (no information — every entry possibly
     nonzero) or a normalized list of bands whose union covers every
-    nonzero entry. *)
+    nonzero entry. A band list also caches its row-slab table, built on
+    the first {!row_intervals}, {!col_intervals} or {!area} query (see
+    {!row_intervals}). Structural equality sees that cache too; two
+    occupancies hold the same bands when their {!to_bands} agree. *)
 
 val enabled : bool
 (** False when [DEEPT_NO_SPARSE] is set (to anything but [""] or ["0"])
@@ -98,7 +101,18 @@ val repeat_intervals : times:int -> cols:int -> t -> (int * int) list
 val row_intervals : lo:int -> hi:int -> cols:int -> t -> (int * int) list
 (** Like {!col_intervals} but restricted to bands meeting rows
     [lo .. hi) — the per-row-block refinement used when a kernel works
-    on one value row at a time. *)
+    on one value row at a time; [[]] when [lo >= hi].
+
+    Answered from the occupancy's row-slab table: the bands' distinct
+    row boundaries cut the rows into slabs that each band covers whole
+    or misses, and each slab holds the merged column intervals of the
+    bands covering it. The table is built once per occupancy, on the
+    first query, and cached in the value; a single row reads its slab's
+    list (no allocation when the bands fit in [cols]), a block of rows
+    merges the lists of the slabs it meets. Domains that race on a cold
+    cache each build the same table and publish it atomically, so
+    concurrent queries (the pooled row blocks of a dot product) are
+    safe. *)
 
 val dead_cols : cols:int -> t -> bool array
 (** [dead_cols ~cols t] marks columns covered by no band — provably

@@ -553,18 +553,28 @@ let matmul ?cols a b =
     { rows = m; cols = n; data = out }
   end
 
-let matmul_ta_acc ?cols a b ~b_row out ~out_row =
-  let m = a.cols and k = a.rows and n = b.cols in
-  if n > out.cols then invalid_arg "Mat.matmul_ta_acc: b wider than out";
+let matmul_ta_acc ?cols ?b_cols ?out_col a b ~b_row out ~out_row =
+  let m = a.cols and k = a.rows in
+  let c0, c1 = Option.value b_cols ~default:(0, b.cols) in
+  let dst = Option.value out_col ~default:c0 in
+  let n = c1 - c0 in
+  if c0 < 0 || c1 > b.cols || n < 0 then
+    invalid_arg "Mat.matmul_ta_acc: column window out of range";
+  if dst < 0 || dst + n > out.cols then invalid_arg "Mat.matmul_ta_acc: b wider than out";
   if b_row < 0 || b_row + k > b.rows || out_row < 0 || out_row + m > out.rows then
     invalid_arg "Mat.matmul_ta_acc: row block out of range";
-  let boff = b_row * n and ooff = out_row * out.cols in
+  let boff = (b_row * b.cols) + c0 and ooff = (out_row * out.cols) + dst in
   if use_naive then
-    naive_into ~m ~k ~n ~ldb:n ~ldo:out.cols ~boff ~ooff (transpose a).data
+    naive_into ~m ~k ~n ~ldb:b.cols ~ldo:out.cols ~boff ~ooff (transpose a).data
       b.data out.data
   else
+    (* the window's column j is [b]'s column c0 + j *)
+    let cols =
+      if c0 = 0 then cols
+      else Option.map (List.map (fun (lo, hi) -> (lo - c0, hi - c0))) cols
+    in
     with_jtiles ?cols ~n
-      (mm_ta_rows ~k ~m ~ldb:n ~ldo:out.cols ~boff ~ooff a.data b.data out.data)
+      (mm_ta_rows ~k ~m ~ldb:b.cols ~ldo:out.cols ~boff ~ooff a.data b.data out.data)
       0 m
 
 let matmul_ta ?cols a b =

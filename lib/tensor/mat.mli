@@ -143,7 +143,15 @@ val matmul_ta : ?cols:(int * int) list -> t -> t -> t
     transpose: a: k x m, b: k x n gives m x n. [cols] as in {!matmul}. *)
 
 val matmul_ta_acc :
-  ?cols:(int * int) list -> t -> t -> b_row:int -> t -> out_row:int -> unit
+  ?cols:(int * int) list ->
+  ?b_cols:int * int ->
+  ?out_col:int ->
+  t ->
+  t ->
+  b_row:int ->
+  t ->
+  out_row:int ->
+  unit
 (** [matmul_ta_acc a b ~b_row out ~out_row] adds [aᵀ · b'] into rows
     [out_row .. out_row + m - 1] of [out] in place, where [b'] is rows
     [b_row .. b_row + k - 1] of [b] (a: k x m). No block is copied in or
@@ -159,7 +167,14 @@ val matmul_ta_acc :
     which is the dense result when the skipped columns of [b'] are
     ±0.0, [a] is finite and the stored value is not -0.0 (a sum started
     at +0.0 never is). [MAT_NAIVE=1] runs the naive kernel with the
-    same offsets and ignores [cols]. *)
+    same offsets and ignores [cols].
+
+    [b_cols = (c0, c1)] restricts [b'] to its columns [c0 .. c1 - 1]
+    (default: all) and [out_col] is the column of [out] that column
+    [c0] adds into (default [c0]); only those [c1 - c0] output columns
+    are touched, and [cols] still names columns of [b]. This is how a
+    range of symbol columns maps straight to the place it takes in a
+    wider output ([Zonotope.linear_join]). *)
 
 val matmul_tb : ?cols:(int * int) list -> t -> t -> t
 (** [matmul_tb a b] = [matmul a (transpose b)] without materializing the

@@ -180,6 +180,24 @@ let test_dot_overflow_downstream () =
   Helpers.check_float "zero column stays a point (hi)" 0.0
     (Mat.get b.Interval.Imat.hi 0 1)
 
+(* +inf and -inf coefficients of one symbol summed by a finite weight
+   column make NaN: a direct [linear_map] still scans its input and
+   widens that NaN to +inf; [~scan:false] (Propagate's transfer, whose
+   checkpoint aborts on either) leaves it. *)
+let test_linear_map_scrubs_inf_input () =
+  let z =
+    Z.make ~p:Lp.L2
+      ~center:(Mat.of_rows [| [| 1.0; 2.0 |] |])
+      ~phi:(Mat.create 2 0)
+      ~eps:(Mat.of_rows [| [| infinity; 1.0 |]; [| neg_infinity; 1.0 |] |])
+  in
+  let w = Mat.of_rows [| [| 1.0 |]; [| 1.0 |] |] in
+  let y = Z.linear_map z w [| 0.0 |] in
+  Helpers.check_true "NaN widened to +inf" (Mat.get y.Z.eps 0 0 = infinity);
+  Helpers.check_float "finite column untouched" 2.0 (Mat.get y.Z.eps 0 1);
+  let raw = Z.linear_map ~scan:false z w [| 0.0 |] in
+  Helpers.check_true "unscanned map leaves the NaN" (Float.is_nan (Mat.get raw.Z.eps 0 0))
+
 let test_dot_overflow_routed_to_verdict () =
   (* An overflow-poisoned region fed to a linear program: the per-op
      checkpoint catches the infinite coefficients and the verdict is the
@@ -337,6 +355,8 @@ let () =
             test_dot_overflow_downstream;
           Alcotest.test_case "dot overflow routed" `Quick
             test_dot_overflow_routed_to_verdict;
+          Alcotest.test_case "linear_map scrubs inf input" `Quick
+            test_linear_map_scrubs_inf_input;
           Alcotest.test_case "dot NaN remainder" `Quick test_dot_nan_remainder;
           Alcotest.test_case "precise absurd radius" `Quick
             test_precise_absurd_radius_verdict;

@@ -456,6 +456,52 @@ let test_fused_pair_fault_sites () =
       check_bits (Printf.sprintf "stall at op %d eps" op) plain.Z.eps stalled.Z.eps)
     [ 1; 2; 9; 10 ]
 
+(* Propagate's Linear transfer skips the scan of its source: an infinity
+   injected at the op before a Linear is still caught by that op's
+   checkpoint, and a NaN the Linear makes from infinite coefficients by
+   its own. *)
+let test_inf_before_linear () =
+  let relu_linear =
+    {
+      Ir.input_dim = 2;
+      Ir.ops =
+        [|
+          Ir.Relu 0;
+          Ir.Linear { src = 1; w = Mat.of_rows [| [| 1.0 |]; [| 0.0 |] |]; b = [| 0.0 |] };
+        |];
+    }
+  in
+  let region =
+    Deept.Region.lp_ball ~p:Lp.L2 (Mat.of_rows [| [| 0.3; -0.2 |] |]) ~word:0 ~radius:0.1
+  in
+  let fault op action =
+    { Deept.Config.fast with Deept.Config.fault = Some (Deept.Config.fault op action) }
+  in
+  List.iter
+    (fun action ->
+      Helpers.check_true "poison before a Linear is a numerical fault"
+        (C.certify_v (fault 0 action) relu_linear region ~true_class:0
+        = Deept.Verdict.Unknown Deept.Verdict.Numerical_fault);
+      match Deept.Propagate.run (fault 0 action) relu_linear region with
+      | _ -> Alcotest.fail "the run went past the poisoned op"
+      | exception Deept.Verdict.Abort Deept.Verdict.Numerical_fault -> ())
+    [ Deept.Config.Inject_inf; Deept.Config.Inject_nan ];
+  let cancel =
+    Z.make ~p:Lp.L2
+      ~center:(Mat.of_rows [| [| 1.0; 2.0 |] |])
+      ~phi:(Mat.create 2 0)
+      ~eps:(Mat.of_rows [| [| infinity |]; [| neg_infinity |] |])
+  in
+  let sum =
+    {
+      Ir.input_dim = 2;
+      Ir.ops = [| Ir.Linear { src = 0; w = Mat.make 2 1 1.0; b = [| 0.0 |] } |];
+    }
+  in
+  Helpers.check_true "a NaN the Linear makes is a numerical fault"
+    (C.certify_v Deept.Config.fast sum cancel ~true_class:0
+    = Deept.Verdict.Unknown Deept.Verdict.Numerical_fault)
+
 let zoo_query name =
   Zoo.data_dir := "../data";
   let entry = Zoo.entry name in
@@ -554,6 +600,7 @@ let () =
         [
           Alcotest.test_case "pair rules" `Quick test_pair_rules;
           Alcotest.test_case "fault sites" `Quick test_fused_pair_fault_sites;
+          Alcotest.test_case "inf before a linear" `Quick test_inf_before_linear;
           Alcotest.test_case "traced = untraced" `Quick test_traced_matches_untraced;
           Alcotest.test_case "zoo resume bit identity" `Quick test_resume_zoo_bit_identity;
         ] );

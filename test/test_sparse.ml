@@ -185,6 +185,228 @@ let test_bands_over_approximation () =
       bs
   done
 
+(* The list-building queries and normalization the row-slab table and
+   the canonical fast paths replaced: the oracles of their tests. *)
+let ref_merge ivs =
+  List.rev
+    (List.fold_left
+       (fun acc (lo, hi) ->
+         match acc with
+         | (plo, phi) :: tl when lo <= phi -> (plo, max phi hi) :: tl
+         | _ -> (lo, hi) :: acc)
+       [] (List.sort compare ivs))
+
+let ref_row_intervals ~lo ~hi ~cols bs =
+  if cols <= 0 then []
+  else
+    ref_merge
+      (List.filter_map
+         (fun b ->
+           if b.Bands.row_lo < hi && lo < b.Bands.row_hi then begin
+             let clo = max 0 b.Bands.col_lo and chi = min cols b.Bands.col_hi in
+             if clo < chi then Some (clo, chi) else None
+           end
+           else None)
+         bs)
+
+let ref_normalize bs =
+  let try_merge a b =
+    let open Bands in
+    let contains o i =
+      o.col_lo <= i.col_lo && i.col_hi <= o.col_hi && o.row_lo <= i.row_lo
+      && i.row_hi <= o.row_hi
+    in
+    if contains a b then Some a
+    else if contains b a then Some b
+    else if
+      a.row_lo = b.row_lo && a.row_hi = b.row_hi && b.col_lo <= a.col_hi
+      && a.col_lo <= b.col_hi
+    then Some { a with col_lo = min a.col_lo b.col_lo; col_hi = max a.col_hi b.col_hi }
+    else if
+      a.col_lo = b.col_lo && a.col_hi = b.col_hi && b.row_lo <= a.row_hi
+      && a.row_lo <= b.row_hi
+    then Some { a with row_lo = min a.row_lo b.row_lo; row_hi = max a.row_hi b.row_hi }
+    else None
+  in
+  let bs =
+    List.filter (fun b -> b.Bands.col_lo < b.Bands.col_hi && b.Bands.row_lo < b.Bands.row_hi) bs
+  in
+  let bs =
+    List.sort
+      (fun a b ->
+        compare
+          (a.Bands.col_lo, a.Bands.row_lo, a.Bands.col_hi, a.Bands.row_hi)
+          (b.Bands.col_lo, b.Bands.row_lo, b.Bands.col_hi, b.Bands.row_hi))
+      bs
+  in
+  let pass bs =
+    List.rev
+      (List.fold_left
+         (fun acc b ->
+           match acc with
+           | prev :: tl -> (
+               match try_merge prev b with Some m -> m :: tl | None -> b :: prev :: tl)
+           | [] -> [ b ])
+         [] bs)
+  in
+  let rec cap bs =
+    if List.length bs <= 128 then bs
+    else
+      let rec pairup = function
+        | a :: b :: tl ->
+            {
+              Bands.col_lo = min a.Bands.col_lo b.Bands.col_lo;
+              col_hi = max a.Bands.col_hi b.Bands.col_hi;
+              row_lo = min a.Bands.row_lo b.Bands.row_lo;
+              row_hi = max a.Bands.row_hi b.Bands.row_hi;
+            }
+            :: pairup tl
+        | l -> l
+      in
+      cap (pairup bs)
+  in
+  cap (pass (pass bs))
+
+(* The raw band list of an occupancy (columns and rows are non-negative
+   in these tests, so the clip is the identity). *)
+let raw t = Bands.to_bands ~rows:max_int ~cols:max_int t
+
+(* Random band sets of every kind the transfers make: scattered
+   rectangles (up to past the cap), per-value-row bands under wide ones,
+   and row-uniform (canonical) lists. *)
+let random_bands rng =
+  match Rng.int rng 4 with
+  | 0 ->
+      List.init (Rng.int rng 200) (fun _ ->
+          let col_lo = Rng.int rng 60 and row_lo = Rng.int rng 40 in
+          band ~cols:(col_lo, col_lo + 1 + Rng.int rng 9) ~rows:(row_lo, row_lo + 1 + Rng.int rng 9))
+  | 1 ->
+      let d = 1 + Rng.int rng 6 in
+      List.init (Rng.int rng 30) (fun _ ->
+          let col_lo = Rng.int rng 60 in
+          let cols = (col_lo, col_lo + 1 + Rng.int rng 9) in
+          if Rng.int rng 4 = 0 then band ~cols ~rows:(0, 6 * d)
+          else
+            let i = Rng.int rng 6 in
+            band ~cols ~rows:(i * d, (i + 1) * d))
+  | 2 ->
+      let r0 = Rng.int rng 10 in
+      let r1 = r0 + 1 + Rng.int rng 10 in
+      List.init (Rng.int rng 12) (fun _ ->
+          let col_lo = Rng.int rng 60 in
+          band ~cols:(col_lo, col_lo + 1 + Rng.int rng 6) ~rows:(r0, r1))
+  | _ -> []
+
+(* The area sweep the slab table replaced: slabs between the clipped
+   bands' row edges, each as tall as it is times its merged width. *)
+let ref_area ~rows ~cols t =
+  let bs = Bands.to_bands ~rows ~cols t in
+  let edges =
+    List.sort_uniq compare (List.concat_map (fun b -> [ b.Bands.row_lo; b.Bands.row_hi ]) bs)
+  in
+  let rec slabs acc = function
+    | r0 :: (r1 :: _ as tl) ->
+        let width =
+          List.fold_left
+            (fun w (lo, hi) -> w + hi - lo)
+            0
+            (ref_merge
+               (List.filter_map
+                  (fun b ->
+                    if b.Bands.row_lo <= r0 && r1 <= b.Bands.row_hi then
+                      Some (b.Bands.col_lo, b.Bands.col_hi)
+                    else None)
+                  bs))
+        in
+        slabs (acc + ((r1 - r0) * width)) tl
+    | _ -> acc
+  in
+  slabs 0 edges
+
+(* Every row query of [t] against the list reference: single rows, row
+   blocks aligned to their height and not, [cols] that clip and that do
+   not, and rows outside every band; and the area of every clipped
+   shape. *)
+let check_row_queries msg t =
+  List.iter
+    (fun (rows, cols) ->
+      if Bands.area ~rows ~cols t <> ref_area ~rows ~cols t then
+        Alcotest.failf "%s: area ~rows:%d ~cols:%d differs" msg rows cols)
+    [ (0, 10); (5, 0); (7, 33); (48, 70); (100, 1000) ];
+  let bs = if Bands.is_full t then None else Some (raw t) in
+  List.iter
+    (fun cols ->
+      for h = 1 to 7 do
+        for lo = -2 to 46 do
+          let hi = lo + h in
+          let expected =
+            match bs with
+            | None -> if cols > 0 then [ (0, cols) ] else []
+            | Some bs -> ref_row_intervals ~lo ~hi ~cols bs
+          in
+          if Bands.row_intervals ~lo ~hi ~cols t <> expected then
+            Alcotest.failf "%s: row_intervals ~lo:%d ~hi:%d ~cols:%d differs" msg lo hi cols
+        done
+      done;
+      let expected =
+        match bs with
+        | None -> if cols > 0 then [ (0, cols) ] else []
+        | Some bs -> ref_row_intervals ~lo:min_int ~hi:max_int ~cols bs
+      in
+      if Bands.col_intervals ~cols t <> expected then
+        Alcotest.failf "%s: col_intervals ~cols:%d differs" msg cols)
+    [ 0; 1; 10; 33; 70; 1000 ]
+
+let test_row_table_matches_reference () =
+  let rng = Rng.create 0x51ab in
+  check_row_queries "full" Bands.full;
+  check_row_queries "empty" Bands.empty;
+  for trial = 1 to 300 do
+    check_row_queries (Printf.sprintf "trial %d" trial) (Bands.of_bands (random_bands rng))
+  done
+
+(* The row transforms and unions skip normalizing lists already in
+   normal form; their band lists must be the ones normalizing gives. *)
+let test_transforms_match_normalize () =
+  let rng = Rng.create 0x707 in
+  for trial = 1 to 2000 do
+    let xs = random_bands rng and ys = random_bands rng in
+    let a = Bands.of_bands xs and b = Bands.of_bands ys in
+    let check what got expected =
+      if raw got <> ref_normalize expected then
+        Alcotest.failf "trial %d: %s differs from the normalized list" trial what
+    in
+    check "of_bands" a xs;
+    check "union" (Bands.union a b) (raw a @ raw b);
+    let d = Rng.int rng 9 and lo = Rng.int rng 12 in
+    let hi = lo + Rng.int rng 12 in
+    let map f = List.map f (raw a) in
+    check "shift_rows" (Bands.shift_rows d a)
+      (map (fun c -> { c with Bands.row_lo = c.Bands.row_lo + d; row_hi = c.Bands.row_hi + d }));
+    check "widen_rows" (Bands.widen_rows ~rows:d a)
+      (map (fun c -> { c with Bands.row_lo = 0; row_hi = d }));
+    check "restrict_rows"
+      (Bands.restrict_rows ~lo ~hi a)
+      (List.filter_map
+         (fun c ->
+           let rlo = max lo c.Bands.row_lo and rhi = min hi c.Bands.row_hi in
+           if rlo < rhi then Some { c with Bands.row_lo = rlo - lo; row_hi = rhi - lo }
+           else None)
+         (raw a));
+    let bin = 1 + Rng.int rng 5 and bout = 1 + Rng.int rng 5 in
+    check "block_rows"
+      (Bands.block_rows ~bin ~bout a)
+      (map (fun c ->
+           {
+             c with
+             Bands.row_lo = c.Bands.row_lo / bin * bout;
+             row_hi = (c.Bands.row_hi + bin - 1) / bin * bout;
+           }));
+    match raw b with
+    | c :: _ -> check "add" (Bands.add a c) (c :: raw a)
+    | [] -> ()
+  done
+
 (* ---------------- tile-skipping kernels ---------------- *)
 
 (* A k x n matrix whose only nonzero columns are the live intervals —
@@ -575,6 +797,10 @@ let () =
               Alcotest.test_case "transforms" `Quick test_bands_transforms;
               Alcotest.test_case "over-approximation" `Quick
                 test_bands_over_approximation;
+              Alcotest.test_case "row table = list reference" `Quick
+                test_row_table_matches_reference;
+              Alcotest.test_case "transforms = normalize" `Quick
+                test_transforms_match_normalize;
             ] );
           ( "kernels",
             [
