@@ -9,7 +9,7 @@
    iters = 10) and must return the pinned radius, or the benchmark
    exits non-zero — the gate guards correctness as well as time.
    The time is the median over [rounds] full searches of each search's
-   wall-clock scaled to the machine's speed at nominal (see [slowness]);
+   wall-clock scaled to the machine's speed at nominal (see Refloop);
    the unscaled median is reported beside it. When a previous
    BENCH_radius.json exists it is rotated to BENCH_radius.prev.json so
    `check_regress.exe` can compare runs. *)
@@ -22,70 +22,15 @@
    bisection's radius. *)
 let pinned_radius = 0.1474609375
 
-(* The machine's momentary speed, read from a fixed reference loop, as
-   bench/e2e/speed.ml reads it (this is a copy of its loop; that
-   directory belongs to the end-to-end benchmark). On a shared 2-core
-   host one search takes up to 1.7 times longer in some minutes than in
-   others; the loop allocates and promotes small boxed values as the
-   zonotope code does, so it slows in step. [nominal_s] is the loop's
-   median time on the 2-core Xeon the end-to-end bounds were set on. *)
-let nominal_s = 0.025
-
-let speed_loop () =
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to 3 do
-    ignore (Sys.opaque_identity (Array.init 100_000 (fun i -> Some (float_of_int i))))
-  done;
-  Unix.gettimeofday () -. t0
-
-let median xs =
-  let xs = List.sort compare xs in
-  List.nth xs (List.length xs / 2)
-
-(* The loop's time in a fresh process (this program re-run with
-   --speed-sample), so this process's heap and GC state cannot move it. *)
-let speed_sample () =
-  let r, w = Unix.pipe ~cloexec:true () in
-  let exe = Sys.executable_name in
-  let pid = Unix.create_process exe [| exe; "--speed-sample" |] Unix.stdin w Unix.stderr in
-  Unix.close w;
-  let ic = Unix.in_channel_of_descr r in
-  let line = try input_line ic with End_of_file -> "" in
-  close_in ic;
-  match (Unix.waitpid [] pid, float_of_string_opt line) with
-  | (_, Unix.WEXITED 0), Some t -> t
-  | _ -> failwith "radius: the speed sample failed"
-
-(* Slowness now, above 1 when the machine runs slower than nominal: the
-   median of [samples] loop times over [nominal_s]. One 25 ms sample
-   reads up to 1.6 times another taken a second later, so one alone
-   would scale a round by its own noise. *)
-let samples = 5
-
-let slowness () = median (List.init samples (fun _ -> speed_sample ())) /. nominal_s
-
-(* The median over the rounds of the search's time at nominal speed, each
-   round scaled by the slowness read right after it, and the median of
-   the unscaled wall-clocks. Over 1 s rounds the loop follows the search
-   only loosely (a correlation of about 0.5), so a single round, or the
-   fastest one, carries the loop's noise as well as the search's; the
-   median over the rounds (eight by default) sheds both. *)
+(* The median over the rounds of the search's time at nominal speed
+   (Refloop), each round scaled by the slowness read right after it,
+   and the median of the unscaled wall-clocks. *)
 let measure ~rounds ~iters cfg program ~p x ~word ~true_class =
   let run () =
     Deept.Certify.certified_radius_v cfg program ~p x ~word ~true_class ~iters
       ()
   in
-  let times =
-    List.init (max rounds 1) (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        let r = run () in
-        let dt = Unix.gettimeofday () -. t0 in
-        (dt /. slowness (), dt, r))
-  in
-  let _, _, report = List.hd times in
-  ( median (List.map (fun (s, _, _) -> s) times),
-    median (List.map (fun (_, dt, _) -> dt) times),
-    report )
+  Refloop.medians (List.init (max rounds 1) (fun _ -> Refloop.timed run))
 
 let bracket_width (r : Deept.Certify.radius_report) =
   let good, bad = r.Deept.Certify.bracket in
@@ -115,7 +60,6 @@ let () =
   let rounds = ref 8 in
   let json = ref false in
   let out = ref "BENCH_radius.json" in
-  let speed_sample = ref false in
   Arg.parse
     [
       ("--data", Arg.Set_string data, "DIR  model directory (default data)");
@@ -123,16 +67,10 @@ let () =
       ("--rounds", Arg.Set_int rounds, "N  timing repetitions, median kept (default 8)");
       ("--json", Arg.Set json, "  write the results to --out as JSON");
       ("--out", Arg.Set_string out, "PATH  JSON output path (default BENCH_radius.json)");
-      ( "--speed-sample",
-        Arg.Set speed_sample,
-        "  time the reference loop once, print the seconds and exit" );
+      Refloop.spec;
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "radius [--data DIR] [--json] [--out PATH]";
-  if !speed_sample then begin
-    Printf.printf "%.6f\n" (speed_loop ());
-    exit 0
-  end;
   Zoo.data_dir := !data;
   let entry = Zoo.entry "sst_3" in
   let model = Zoo.load_or_train ~log:(fun s -> Printf.eprintf "%s\n%!" s) "sst_3" in

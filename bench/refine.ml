@@ -13,35 +13,30 @@
    arm's (refinement must not perturb the search it extends), every
    model's refined radius must be >= its base radius, and at least two
    models must show a strictly larger refined radius — the refinement
-   has to actually recover queries, not just not regress. Branches run
-   on the serial wave runner so the wall-clock rows are in-process
-   stable (check_regress gates them at the usual 25%); cross-runner
-   bit-identity is the test suite's job, not the bench's. *)
+   has to actually recover queries, not just not regress.
+
+   Both arms are timed in reference-loop units, as bench/radius.ml
+   times its search: [rounds] rounds each run the base search and then
+   the refine search, each scaled by the slowness read right after it
+   (Refloop), and each arm reports the median over the rounds
+   ([base_wall_s], [wall_s]) with its unscaled median beside it. *)
 
 type row = {
   name : string;
   depth : int;
   base_wall_s : float;
+  base_unscaled_s : float;
   wall_s : float;
+  unscaled_s : float;
   radius : float;
   refined_radius : float;
 }
 
-let measure ~rounds run =
-  let result = ref None in
-  let best = ref infinity in
-  for _ = 1 to max rounds 1 do
-    let t0 = Unix.gettimeofday () in
-    result := Some (run ());
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  (!best, Option.get !result)
-
 let json_of_row ~cores r =
   Printf.sprintf
-    "{\"name\":\"%s\",\"depth\":%d,\"base_wall_s\":%.3f,\"wall_s\":%.3f,\"radius\":%.17g,\"refined_radius\":%.17g,\"cores\":%d}"
-    r.name r.depth r.base_wall_s r.wall_s r.radius r.refined_radius cores
+    "{\"name\":\"%s\",\"depth\":%d,\"base_wall_s\":%.3f,\"base_unscaled_s\":%.3f,\"wall_s\":%.3f,\"unscaled_s\":%.3f,\"radius\":%.17g,\"refined_radius\":%.17g,\"cores\":%d}"
+    r.name r.depth r.base_wall_s r.base_unscaled_s r.wall_s r.unscaled_s
+    r.radius r.refined_radius cores
 
 let write_json path ~cores rows =
   if Sys.file_exists path then begin
@@ -66,7 +61,7 @@ let () =
   let data = ref "data" in
   let models = ref "small_3,sst_3,small_6" in
   let iters = ref 10 in
-  let rounds = ref 1 in
+  let rounds = ref 5 in
   let json = ref false in
   let out = ref "BENCH_refine.json" in
   Arg.parse
@@ -76,20 +71,16 @@ let () =
         Arg.Set_string models,
         "LIST  comma-separated zoo models (default small_3,sst_3,small_6)" );
       ("--iters", Arg.Set_int iters, "N  bisection steps (default 10)");
-      ("--rounds", Arg.Set_int rounds, "N  timing repetitions, min kept (default 1)");
+      ("--rounds", Arg.Set_int rounds, "N  timing repetitions, median kept (default 5)");
       ("--json", Arg.Set json, "  write the results to --out as JSON");
       ("--out", Arg.Set_string out, "PATH  JSON output path (default BENCH_refine.json)");
+      Refloop.spec;
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "refine [--data DIR] [--models LIST] [--json] [--out PATH]";
   Zoo.data_dir := !data;
   let base_cfg = Deept.Config.precise in
-  let refine_cfg =
-    (* serial branch waves: in-process, scheduler-free timings *)
-    Deept.Config.with_refine
-      (Some (Deept.Config.refine ~waves:Deept.Config.Serial_waves ()))
-      base_cfg
-  in
+  let refine_cfg = Deept.Config.with_refine (Some Deept.Config.default_refine) base_cfg in
   (* ℓ∞ balls: every noise symbol is an independent ε, so a symbol split
      is an exact partition and branch-and-bound genuinely recovers
      queries. (ℓ2 splits go through the φ-decoupling relaxation, which
@@ -98,8 +89,9 @@ let () =
   let word = 1 and p = Deept.Lp.Linf in
   let cores = Domain.recommended_domain_count () in
   Printf.printf
-    "refined vs base Precise certified radius, idx 0 word %d linf, iters %d\n\n"
-    word !iters;
+    "refined vs base Precise certified radius, idx 0 word %d linf, iters %d, \
+     median of %d rounds (s at nominal speed)\n\n"
+    word !iters !rounds;
   let failures = ref 0 in
   let strict_gains = ref 0 in
   let rows =
@@ -118,8 +110,13 @@ let () =
           Deept.Certify.certified_radius_v cfg program ~p x ~word ~true_class
             ~iters:!iters ()
         in
-        let base_wall_s, base = measure ~rounds:!rounds (search base_cfg) in
-        let wall_s, refined = measure ~rounds:!rounds (search refine_cfg) in
+        let rounds =
+          List.init (max !rounds 1) (fun _ ->
+              let b = Refloop.timed (search base_cfg) in
+              (b, Refloop.timed (search refine_cfg)))
+        in
+        let base_wall_s, base_unscaled_s, base = Refloop.medians (List.map fst rounds) in
+        let wall_s, unscaled_s, refined = Refloop.medians (List.map snd rounds) in
         if refined.Deept.Certify.radius <> base.Deept.Certify.radius then begin
           Printf.eprintf
             "refine: %s plain radius drifted under refinement: %.17g != %.17g\n%!"
@@ -144,18 +141,22 @@ let () =
           name = Printf.sprintf "refine_%s" mname;
           depth;
           base_wall_s;
+          base_unscaled_s;
           wall_s;
+          unscaled_s;
           radius = base.Deept.Certify.radius;
           refined_radius = rr;
         })
       (String.split_on_char ',' !models |> List.filter (fun s -> s <> ""))
   in
-  Printf.printf "%-20s %5s %10s %12s %12s %14s %8s\n" "model" "depth"
-    "base s" "refine s" "base radius" "refined radius" "gain";
+  Printf.printf "%-20s %5s %8s %10s %8s %10s %12s %14s %8s\n" "model" "depth"
+    "base s" "unscaled" "refine s" "unscaled" "base radius" "refined radius"
+    "gain";
   List.iter
     (fun r ->
-      Printf.printf "%-20s %5d %10.3f %12.3f %12.8f %14.8f %7.2f%%\n" r.name
-        r.depth r.base_wall_s r.wall_s r.radius r.refined_radius
+      Printf.printf "%-20s %5d %8.3f %10.3f %8.3f %10.3f %12.8f %14.8f %7.2f%%\n"
+        r.name r.depth r.base_wall_s r.base_unscaled_s r.wall_s r.unscaled_s
+        r.radius r.refined_radius
         (if r.radius > 0.0 then (r.refined_radius /. r.radius -. 1.0) *. 100.0
          else 0.0))
     rows;

@@ -50,8 +50,12 @@ let deadline_arg =
 
 let hard_deadline_arg =
   let doc =
-    "Per-job wall-clock deadline enforced from outside the worker \
-     (SIGTERM, then SIGKILL after --grace)."
+    Printf.sprintf
+      "Per-job wall-clock deadline enforced from outside the worker \
+       (SIGTERM, then SIGKILL after --grace). A refine=1 request runs its \
+       branches inside the worker, so the deadline must cover the plain \
+       propagation plus up to %d branch propagations."
+      Deept.Config.default_refine.Deept.Config.max_branches
   in
   Arg.(value & opt (some float) None & info [ "hard-deadline" ] ~doc)
 
@@ -149,26 +153,14 @@ let serve data socket models jobs queue_cap retry_hint deadline hard_deadline
       ~max_backoff_s:max_backoff ()
   in
   (* Same oversubscription warning `certify` prints for its jobs x
-     domains product. A daemon worker runs on 1 domain only until a
-     refine=1 request lands on it: Brefine's split wave then fans the
-     worker out to concurrent branch evaluators (forked processes),
-     bounded by Config.default_refine's branch budget — so the honest
-     worst case is jobs x that fan-out, not jobs x 1. *)
+     domains product; a daemon worker runs every request, refinement
+     included, on 1 domain. *)
   let avail = Domain.recommended_domain_count () in
-  let refine_fanout =
-    max 2 (min 16 Deept.Config.default_refine.Deept.Config.max_branches)
-  in
   if jobs > avail then
     Printf.eprintf
       "certifyd: warning: %d daemon worker(s) x 1 domain(s) oversubscribes \
        the %d recommended domain(s) on this machine\n%!"
-      jobs avail
-  else if jobs * refine_fanout > avail then
-    Printf.eprintf
-      "certifyd: warning: refine=1 requests fan each of the %d daemon \
-       worker(s) out to %d branch evaluator(s) (%d total), which would \
-       oversubscribe the %d recommended domain(s) on this machine\n%!"
-      jobs refine_fanout (jobs * refine_fanout) avail;
+      jobs avail;
   let journal, resume =
     match (resume, journal) with
     | Some p, _ -> (Some p, true)
@@ -254,9 +246,12 @@ let verifier_arg =
 
 let refine_arg =
   let doc =
-    "Branch-and-bound refinement: on a precision failure the engine \
-     splits the most influential noise symbols and re-certifies the \
-     branches before giving up."
+    Printf.sprintf
+      "Branch-and-bound refinement: on a precision failure the engine \
+       splits the most influential noise symbols and re-certifies the \
+       branches, up to %d more propagations inside the worker, before \
+       giving up."
+      Deept.Config.default_refine.Deept.Config.max_branches
   in
   Arg.(value & flag & info [ "refine" ] ~doc)
 

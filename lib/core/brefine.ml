@@ -33,11 +33,11 @@ type report = {
 
 let no_split verdict = { verdict; split = []; branches = 0; depth = 0 }
 
-(* ---------------- wave runners ---------------- *)
+(* ---------------- the wave runner ---------------- *)
 
 (* A wave evaluates branches [f 0 .. f (n-1)] and returns the results in
-   branch order. [f] is deterministic and its result plain data, so it
-   may cross the Marshal boundary of a fork. *)
+   branch order. Every wave runs in the calling process; [certify_v
+   ?wave] is only the seam the union tests use to fake branch results. *)
 
 let serial_wave f n =
   if n = 0 then [||]
@@ -50,49 +50,6 @@ let serial_wave f n =
     done;
     out
   end
-
-(* One forked process per branch over the Supervisor plumbing. The work
-   closure is inherited by fork, not marshalled; only the result crosses
-   the pipe. Branches are deterministic, so a crashed worker is not
-   retried: its slot becomes a faulted branch, which the union turns
-   into the refinement's verdict. *)
-let fork_wave f n =
-  let crash r = { bverdict = Verdict.Unknown r; props = 0; bdepth = 0 } in
-  if n = 0 then [||]
-  else if Dpool.domains_active () then
-    (* The OCaml 5 runtime forbids Unix.fork while worker domains are
-       live (a --domains pool): degrade to in-process evaluation rather
-       than crash. *)
-    serial_wave f n
-  else begin
-    (* Forked children inherit buffered stdio; flush now or every worker
-       re-emits the parent's pending output on exit. *)
-    flush stdout;
-    flush stderr;
-    let jobs = List.init n (fun i -> (i, i)) in
-    let pool = Config.pool ~workers:n ~max_retries:0 () in
-    let results = Supervisor.run ~pool ~worker:(fun _ i -> f i) jobs in
-    let out = Array.make n None in
-    List.iter
-      (fun (r : _ Supervisor.job_result) ->
-        out.(r.Supervisor.job) <-
-          Some
-            (match r.Supervisor.outcome with
-            | Ok o -> o
-            | Error fl -> crash (Supervisor.failure_reason fl)))
-      results;
-    Array.map
-      (function Some r -> r | None -> crash Verdict.Worker_crashed)
-      out
-  end
-
-(* A forked branch feeds a copy of the trace sink inside its process,
-   and those events die with it: a traced refinement runs in process so
-   its profile counts every branch. *)
-let wave_of (cfg : Config.t) (r : Config.refine) : wave =
-  match r.Config.waves with
-  | Config.Fork_waves when cfg.Config.trace = None -> fork_wave
-  | Config.Fork_waves | Config.Serial_waves -> serial_wave
 
 (* Certify.margin with the adversary remembered: the smallest margin
    lower bound over classes j ≠ t, and that argmin class (the losing
@@ -156,10 +113,10 @@ let verdict_of_margin m =
 
 (* Sound union semantics over one split wave: the branches jointly cover
    the parent, so all-Certified proves it; any faulted branch (abort,
-   collapse, dead fork worker) makes the union unsound to trust and the
-   whole refinement answers with that branch's fault — the first one in
-   branch order, a deterministic choice; otherwise some branch was
-   merely imprecise and the parent stays Unknown Imprecise. *)
+   collapse) makes the union unsound to trust and the whole refinement
+   answers with that branch's fault — the first one in branch order, a
+   deterministic choice; otherwise some branch was merely imprecise and
+   the parent stays Unknown Imprecise. *)
 let combine (evals : branch_eval array) =
   if Array.for_all (fun e -> e.bverdict = Verdict.Certified) evals then
     Verdict.Certified
@@ -177,12 +134,9 @@ let fit_k cap budget =
   !k
 
 (* Evaluate one branch region: propagate, settle on the margin, and —
-   when still imprecise with depth and budget to spare — re-split
-   *serially*. Only the first split wave of a refinement may run on a
-   parallel wave runner; everything below is sequential inside its
-   branch, so a branch's result (and therefore the whole tree's) is a
-   pure function of (cfg, program, region) — bit-identical across the
-   serial and fork runners. *)
+   when still imprecise with depth and budget to spare — re-split it in
+   branch order. A branch's result (and therefore the whole tree's) is
+   a pure function of (cfg, program, region). *)
 let rec eval_branch (cfg : Config.t) program ~true_class region ~budget
     ~depth_left =
   match Propagate.run cfg program region with
@@ -214,8 +168,7 @@ let rec eval_branch (cfg : Config.t) program ~true_class region ~budget
    (nothing splittable, or the budget cannot afford even one 2-way
    split). The remaining budget is shared evenly between the branches
    ((budget - n) / n each) *before* any branch runs, so a branch's
-   recursion allowance never depends on sibling results — the
-   cross-runner determinism hinge. *)
+   recursion allowance never depends on sibling results. *)
 and split_node (cfg : Config.t) program ~true_class region out ~budget
     ~depth_left ~wave =
   let r =
@@ -261,13 +214,13 @@ and split_node (cfg : Config.t) program ~true_class region out ~budget
     Some (verdict, props, d, chosen)
   end
 
-let certify_v ?wave ?out (cfg : Config.t) program region ~true_class =
+let certify_v ?(wave = serial_wave) ?out (cfg : Config.t) program region
+    ~true_class =
   let rcfg =
     match cfg.Config.refine with
     | Some r -> r
     | None -> invalid_arg "Brefine.certify_v: cfg.refine is None"
   in
-  let wave = match wave with Some w -> w | None -> wave_of cfg rcfg in
   let propagated =
     match out with
     | Some out -> Ok out

@@ -13,20 +13,20 @@
 
     {b Union semantics (sound).} The branches of one split jointly cover
     the parent region, so the parent is [Certified] iff {e every} branch
-    certifies. Any faulted branch — typed abort, collapsed abstraction,
-    dead fork worker — aborts the refinement to [Unknown] with that
-    branch's reason (the first faulted branch in deterministic branch
-    order). A branch verdict is margin-only, so refinement can never
-    produce — and therefore never flip — a [Falsified].
+    certifies. Any faulted branch — typed abort, collapsed abstraction —
+    aborts the refinement to [Unknown] with that branch's reason (the
+    first faulted branch in deterministic branch order). A branch
+    verdict is margin-only, so refinement can never produce — and
+    therefore never flip — a [Falsified].
 
-    {b Determinism.} The first split wave runs on {!serial_wave} or
-    {!fork_wave} ([Config.refine.waves]); every deeper re-split runs
-    serially inside its branch with a budget share fixed before the
-    wave launches, so the refinement's outcome is a pure function of
-    (config, program, region) — bit-identical across wave runners.
+    {b Determinism.} Every split wave runs in the calling process, its
+    branches in branch order, each with a budget share fixed before the
+    wave runs, so the refinement's outcome is a pure function of
+    (config, program, region).
 
     Branch budget ([Config.refine.max_branches]) counts branch
-    propagations across the whole tree; the per-propagation deadline and
+    propagations across the whole tree, all of them run by the caller
+    after its plain propagation; the per-propagation deadline and
     symbol budget are inherited from [Config.budget] like every other
     propagation. *)
 
@@ -35,22 +35,14 @@ type branch_eval = {
   props : int;  (** propagations consumed by the branch, recursion included *)
   bdepth : int;  (** split levels below the branch *)
 }
-(** Result of one branch evaluation — plain data, safe across the
-    Marshal boundary of a fork wave. *)
+(** Result of one branch evaluation. *)
 
 type wave = (int -> branch_eval) -> int -> branch_eval array
 (** A wave runner: evaluates branches [f 0 .. f (n-1)] and returns the
     results in branch order. [f] must be deterministic. *)
 
 val serial_wave : wave
-(** Ascending in-process evaluation — the deterministic reference. *)
-
-val fork_wave : wave
-(** One forked process per branch over the {!Supervisor} plumbing
-    ([max_retries = 0]); a crashed worker's slot is the faulted branch
-    [Unknown reason]. The closure is inherited by [fork], not
-    marshalled. Degrades to {!serial_wave} while any {!Tensor.Dpool}
-    has live worker domains (the runtime forbids forking then). *)
+(** Ascending in-process evaluation: the runner every wave uses. *)
 
 type report = {
   verdict : Verdict.t;
@@ -79,10 +71,9 @@ val certify_v :
     propagation is skipped; everything from the ranking on is
     unchanged. {!Engine}'s up walk passes its first rung's output,
     {!Certify.certified_radius_v} its failing probe's. [?wave]
-    overrides the first-wave runner (tests: fault injection,
-    cross-runner bit-identity); the default is [cfg.refine.waves]'
-    runner, or {!serial_wave} whenever [cfg.trace] is set, so that
-    every branch's events reach the sink.
+    (default {!serial_wave}) runs the first split wave; the union tests
+    pass their own to fake branch results. Every branch propagation
+    runs under [cfg], so a [cfg.trace] sink sees each one's events.
     @raise Invalid_argument when [cfg.refine] is [None]. *)
 
 val certify :

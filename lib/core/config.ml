@@ -62,23 +62,20 @@ let pool ?(workers = default_pool.workers) ?hard_deadline_s
     max_backoff_s;
   }
 
-type waves = Fork_waves | Serial_waves
+type refine = { top_k : int; max_branches : int; depth : int }
 
-type refine = { top_k : int; max_branches : int; depth : int; waves : waves }
-
-let default_refine =
-  { top_k = 2; max_branches = 8; depth = 2; waves = Fork_waves }
+let default_refine = { top_k = 2; max_branches = 8; depth = 2 }
 
 let refine ?(top_k = default_refine.top_k)
     ?(max_branches = default_refine.max_branches)
-    ?(depth = default_refine.depth) ?(waves = default_refine.waves) () =
+    ?(depth = default_refine.depth) () =
   if top_k < 1 || top_k > 6 then
     invalid_arg "Config.refine: need 1 <= top_k <= 6";
   if max_branches < 2 || max_branches > 256 then
     invalid_arg "Config.refine: need 2 <= max_branches <= 256";
   if depth < 1 || depth > 8 then
     invalid_arg "Config.refine: need 1 <= depth <= 8";
-  { top_k; max_branches; depth; waves }
+  { top_k; max_branches; depth }
 
 type t = {
   variant : dot_variant;

@@ -115,16 +115,11 @@ val pool :
     Imprecise]), the refiner ranks input noise symbols by their absolute
     coefficient contribution to the losing logit margin, splits the
     [top_k] strongest symbol ranges in half and re-certifies every
-    half-combination. [None] (the default) disables refinement and
-    preserves the engine's pre-refinement behavior bit-for-bit. *)
-
-type waves =
-  | Fork_waves
-      (** one forked process per branch of the first split wave
-          ({!Brefine.fork_wave}; the default) *)
-  | Serial_waves
-      (** every branch in process, in branch order
-          ({!Brefine.serial_wave}): scheduler-free timings *)
+    half-combination. Every branch runs in the calling process, in
+    branch order, so a refinement costs its caller up to
+    [max_branches] propagations beyond the plain one. [None] (the
+    default) disables refinement and preserves the engine's
+    pre-refinement behavior bit-for-bit. *)
 
 type refine = {
   top_k : int;
@@ -136,20 +131,12 @@ type refine = {
   depth : int;
       (** maximum nesting of splits: 1 = split once, no recursion on
           still-imprecise branches *)
-  waves : waves;
-      (** how the first split wave runs. Verdicts are bit-identical
-          either way, so it is not part of {!policy_key}. A traced
-          config ([trace <> None]) runs its waves in process whatever
-          this says, since a forked branch's events would die with its
-          process. *)
 }
 
 val default_refine : refine
-(** [top_k = 2], [max_branches = 8], [depth = 2], fork waves. *)
+(** [top_k = 2], [max_branches = 8], [depth = 2]. *)
 
-val refine :
-  ?top_k:int -> ?max_branches:int -> ?depth:int -> ?waves:waves -> unit ->
-  refine
+val refine : ?top_k:int -> ?max_branches:int -> ?depth:int -> unit -> refine
 (** Validating constructor over {!default_refine}.
     @raise Invalid_argument unless [1 <= top_k <= 6],
     [2 <= max_branches <= 256] and [1 <= depth <= 8]. *)

@@ -7,8 +7,8 @@
     treats per-input queries as independent, restartable units (the way
     Faith batches GPU queries and Shi et al. loop over per-sentence
     certifications) and runs them on forked workers. One pool core does
-    that for two drivers: {!run} (the [certify batch] CLI and
-    {!Brefine}'s fork waves) and certifyd's server loop:
+    that for two drivers: {!run} (the [certify batch] CLI) and
+    certifyd's server loop:
 
     {v
             supervisor (parent)

@@ -99,46 +99,42 @@ let run_job warm deadline_default _id (c : Protocol.certify) =
       try
         let toks, label =
           match c.Protocol.input with
-          | Protocol.Index i -> List.nth w.Warm.corpus.Text.Corpus.test i
-          | Protocol.Sentence s ->
-              let toks = Text.Corpus.tokenize w.Warm.corpus s in
-              ( toks,
-                Nn.Forward.predict w.Warm.program
-                  (Nn.Model.embed_tokens w.Warm.model toks) )
+          | Protocol.Index i ->
+              let toks, label = List.nth w.Warm.corpus.Text.Corpus.test i in
+              (toks, Some label)
+          | Protocol.Sentence s -> (Text.Corpus.tokenize w.Warm.corpus s, None)
         in
         let x = Nn.Model.embed_tokens w.Warm.model toks in
-        let pred = Nn.Forward.predict w.Warm.program x in
-        if pred <> label then
-          {
-            w_verdict = Verdict.Falsified;
-            w_rung = "concrete";
-            w_attempts = 1;
-            w_rungs = [];
-          }
-        else begin
-          let word = max 0 (min c.Protocol.word (Array.length toks - 1)) in
-          (* base_config is also what the cache key serializes — keep the
-             two derivations one. *)
-          let base = Protocol.base_config c in
-          let deadline =
-            match c.Protocol.deadline_s with
-            | Some _ as d -> d
-            | None -> deadline_default
-          in
-          let cfg = Config.with_budget ?deadline base in
-          let region =
-            Region.lp_ball ~p:c.Protocol.p x ~word ~radius:c.Protocol.radius
-          in
-          let o = Engine.certify cfg w.Warm.program region ~true_class:label in
-          {
-            w_verdict = o.Engine.verdict;
-            w_rung = o.Engine.rung_name;
-            w_attempts = List.length o.Engine.attempts;
-            w_rungs =
-              List.map (fun (a : Engine.attempt) -> a.Engine.rung_name)
-                o.Engine.attempts;
-          }
-        end
+        (* a free sentence is certified against the model's own prediction *)
+        let label =
+          match label with
+          | Some l -> l
+          | None -> Nn.Forward.predict w.Warm.program x
+        in
+        let word = max 0 (min c.Protocol.word (Array.length toks - 1)) in
+        (* base_config is also what the cache key serializes — keep the
+           two derivations one. *)
+        let base = Protocol.base_config c in
+        let deadline =
+          match c.Protocol.deadline_s with
+          | Some _ as d -> d
+          | None -> deadline_default
+        in
+        let cfg = Config.with_budget ?deadline base in
+        let region =
+          Region.lp_ball ~p:c.Protocol.p x ~word ~radius:c.Protocol.radius
+        in
+        (* A misclassified input comes back Falsified@concrete from the
+           engine's falsifier, which checks the unperturbed center first. *)
+        let o = Engine.certify cfg w.Warm.program region ~true_class:label in
+        {
+          w_verdict = o.Engine.verdict;
+          w_rung = o.Engine.rung_name;
+          w_attempts = List.length o.Engine.attempts;
+          w_rungs =
+            List.map (fun (a : Engine.attempt) -> a.Engine.rung_name)
+              o.Engine.attempts;
+        }
       with exn -> crash_result exn)
 
 (* ---------------- daemon-side state ---------------- *)

@@ -43,14 +43,6 @@ type t = {
 
 let size p = p.size
 
-(* Live worker domains across every pool in the process. The OCaml 5
-   runtime forbids [Unix.fork] while other domains are running, so the
-   fork-based branch wave (Brefine.fork_wave) consults this to degrade
-   instead of crashing. *)
-let live_workers = Atomic.make 0
-
-let domains_active () = Atomic.get live_workers > 0
-
 (* Claim-and-run loop shared by workers and the caller. Every chunk is
    claimed exactly once; after a failure the remaining chunks are claimed
    and dropped so [pending] still drains to zero. *)
@@ -115,7 +107,6 @@ let create ?(force = false) n =
     }
   in
   pool.workers <- Array.init spawned (fun _ -> Domain.spawn (fun () -> worker pool));
-  ignore (Atomic.fetch_and_add live_workers spawned);
   pool
 
 let shutdown pool =
@@ -124,7 +115,6 @@ let shutdown pool =
   Condition.broadcast pool.work_cv;
   Mutex.unlock pool.mutex;
   Array.iter Domain.join pool.workers;
-  ignore (Atomic.fetch_and_add live_workers (-(Array.length pool.workers)));
   pool.workers <- [||]
 
 (* Run [f c] for every chunk index [c] in [0, nchunks): in chunk order on

@@ -1,5 +1,6 @@
 (** A reusable, spawn-once pool of OCaml 5 domains for intra-certification
-    parallelism.
+    parallelism: domains shard work inside one propagation, while
+    independent queries run in the supervisor's forked worker processes.
 
     Work is split by the {e caller} into chunks whose boundaries depend
     only on the problem size; the pool merely decides which domain runs
@@ -30,12 +31,6 @@ val size : t -> int
 
 val shutdown : t -> unit
 (** Terminates and joins the worker domains. The pool must be idle. *)
-
-val domains_active : unit -> bool
-(** Whether any pool in the process currently has live worker domains.
-    The OCaml 5 runtime forbids [Unix.fork] while other domains run, so
-    fork-based schedulers consult this to degrade to in-process
-    execution instead of crashing. *)
 
 val run_chunks : t -> nchunks:int -> (int -> unit) -> unit
 (** [run_chunks p ~nchunks f] runs [f c] for every [c] in [0, nchunks),

@@ -3,9 +3,8 @@
    ranking, the union semantics of a split wave (certified iff every
    branch certifies; any faulted branch poisons the whole refinement),
    the engine integration (refinement never flips Falsified, the up
-   walk fires only on a clean precision failure), cross-runner
-   bit-identity of the branch tree, the traced wave fallback and the
-   fork wave runner itself. *)
+   walk fires only on a clean precision failure), and the in-process
+   waves: a faulted branch propagation and a traced refinement. *)
 
 open Tensor
 module C = Deept.Config
@@ -199,105 +198,35 @@ let test_refine_requires_config () =
   | _ -> Alcotest.fail "refine without cfg.refine accepted"
   | exception Invalid_argument _ -> ()
 
-(* ---------------- real branch waves: cross-runner bit-identity -------- *)
+(* ---------------- real branch waves ---------------- *)
 
-let test_cross_runner_identity () =
+(* A branch whose propagation aborts is a faulted branch, and the union
+   answers with its fault. [~out] is a clean propagation's output, so
+   only the branch propagations run with the fault armed. *)
+let test_faulted_branch_propagation () =
   let program, region, pred = imprecise_query () in
   let cfg = refine_cfg C.fast in
-  let serial =
-    B.certify_v ~wave:B.serial_wave cfg program region ~true_class:pred
-  and forked =
-    B.certify_v ~wave:B.fork_wave cfg program region ~true_class:pred
-  in
-  Helpers.check_true "serial = fork (full report)" (serial = forked);
-  (* the default runner selection agrees too, whatever waves cfg asks
-     for: the branch tree is a pure function of (cfg-modulo-waves,
-     program, region) *)
-  List.iter
-    (fun waves ->
-      let cfg_w = C.with_refine (Some (C.refine ~waves ())) C.fast in
-      let r = B.certify_v cfg_w program region ~true_class:pred in
-      Helpers.check_true "waves-selected runner agrees" (r = serial))
-    [ C.Serial_waves; C.Fork_waves ];
-  Helpers.check_true "refinement never returns Falsified"
-    (serial.B.verdict <> V.Falsified)
+  let out = Deept.Propagate.run cfg program region in
+  let mid = Array.length program.Ir.ops / 2 in
+  let faulted = { cfg with C.fault = Some (C.fault mid C.Inject_nan) } in
+  let r = B.certify_v ~out faulted program region ~true_class:pred in
+  Helpers.check_true "the branch fault is the verdict"
+    (r.B.verdict = V.Unknown V.Numerical_fault);
+  Helpers.check_true "split recorded" (r.B.split <> []);
+  Helpers.check_true "branches propagated" (r.B.branches >= 2)
 
-(* A traced refinement sees every branch's events: forked branches would
-   feed copies of the sink that die with their processes, so the default
-   wave runs in process whenever cfg.trace is set. *)
+(* A traced refinement's sink sees every op of the ranking propagation
+   and of every branch propagation. *)
 let test_traced_waves_count_every_branch () =
   let program, region, pred = imprecise_query () in
-  let run waves =
-    let events = ref 0 in
-    let cfg =
-      C.with_trace
-        (Some (fun _ -> incr events))
-        (C.with_refine (Some (C.refine ~waves ())) C.fast)
-    in
-    let r = B.certify_v cfg program region ~true_class:pred in
-    (r, !events)
-  in
-  let serial, serial_events = run C.Serial_waves in
-  let forked, forked_events = run C.Fork_waves in
-  Helpers.check_true "branches ran" (serial.B.branches >= 2);
-  Helpers.check_true "same report" (serial = forked);
-  if forked_events <> serial_events then
-    Alcotest.failf "fork waves traced %d events, serial waves %d"
-      forked_events serial_events
-
-(* ---------------- the fork wave runner ----------------
-
-   These run last: the final case starts worker domains, and while any
-   are live fork_wave degrades to serial. *)
-
-(* Branch results that differ per index, so a misplaced slot shows;
-   [calls] counts the evaluations made in this process. *)
-let calls = ref 0
-
-let branch i =
-  incr calls;
-  {
-    B.bverdict = (if i mod 3 = 0 then V.Certified else V.Unknown V.Imprecise);
-    props = (i * i) + 1;
-    bdepth = i mod 2;
-  }
-
-let test_fork_wave_agrees () =
-  Helpers.check_true "no domains yet" (not (Dpool.domains_active ()));
-  let serial = B.serial_wave branch 7 in
-  calls := 0;
-  let forked = B.fork_wave branch 7 in
-  Helpers.check_true "fork = serial" (forked = serial);
-  Helpers.check_true "branches ran in child processes" (!calls = 0);
-  Helpers.check_true "empty wave" (B.fork_wave branch 0 = [||])
-
-(* a branch process that dies is a faulted branch, not a crash of the
-   refinement: the union answers with that fault *)
-let test_fork_crash_contained () =
-  let crashing i = if i >= 2 then Unix._exit 9 else branch i in
-  let r = B.fork_wave crashing 4 in
-  Helpers.check_true "live branches kept" (r.(0) = branch 0 && r.(1) = branch 1);
-  Helpers.check_true "dead branches are faults"
-    (V.is_fault r.(2).B.bverdict && V.is_fault r.(3).B.bverdict);
-  let program, region, pred = imprecise_query () in
-  let wave f n =
-    B.fork_wave (fun i -> if i = n - 1 then Unix._exit 9 else f i) n
-  in
-  let rep = B.certify_v ~wave (refine_cfg C.fast) program region ~true_class:pred in
-  Helpers.check_true "a dead branch makes the refinement a fault"
-    (V.is_fault rep.B.verdict)
-
-(* with live domains, fork_wave degrades to serial instead of the
-   runtime's "fork while domains run" crash *)
-let test_fork_degrades_with_live_domains () =
-  let dp = Dpool.create ~force:true 4 in
-  Fun.protect ~finally:(fun () -> Dpool.shutdown dp) @@ fun () ->
-  Helpers.check_true "domains live" (Dpool.domains_active ());
-  let serial = B.serial_wave branch 7 in
-  calls := 0;
-  let degraded = B.fork_wave branch 7 in
-  Helpers.check_true "degraded fork = serial" (degraded = serial);
-  Helpers.check_true "branches ran in process" (!calls = 7)
+  let events = ref 0 in
+  let cfg = C.with_trace (Some (fun _ -> incr events)) (refine_cfg C.fast) in
+  let r = B.certify_v cfg program region ~true_class:pred in
+  Helpers.check_true "branches ran" (r.B.branches >= 2);
+  Alcotest.(check int)
+    "one event per op per propagation"
+    ((1 + r.B.branches) * Array.length program.Ir.ops)
+    !events
 
 (* ---------------- engine integration ---------------- *)
 
@@ -468,11 +397,11 @@ let () =
           Alcotest.test_case "imprecise branch" `Quick test_union_imprecise_branch;
           Alcotest.test_case "refine requires config" `Quick
             test_refine_requires_config;
+          Alcotest.test_case "faulted branch propagation" `Quick
+            test_faulted_branch_propagation;
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "cross-runner bit-identity" `Quick
-            test_cross_runner_identity;
           Alcotest.test_case "traced waves count every branch" `Quick
             test_traced_waves_count_every_branch;
         ] );
@@ -491,14 +420,5 @@ let () =
         [
           Alcotest.test_case "small_3 edge recovery" `Slow
             test_zoo_edge_recovery;
-        ] );
-      ( "runners",
-        [
-          Alcotest.test_case "fork agrees with serial" `Quick
-            test_fork_wave_agrees;
-          Alcotest.test_case "fork crash contained" `Quick
-            test_fork_crash_contained;
-          Alcotest.test_case "fork degrades with live domains" `Quick
-            test_fork_degrades_with_live_domains;
         ] );
     ]

@@ -321,9 +321,6 @@ let test_policy_key_pinned () =
       ("fast", C.fast, "fast:olinf:sstable:ss1:k128:rf-");
       ("fast, refined", refined, "fast:olinf:sstable:ss1:k128:rfk2.b8.d2");
       ("precise", C.precise, "precise:olinf:sstable:ss1:k96:rf-");
-      ( "fast, refined in serial waves",
-        C.with_refine (Some (C.refine ~waves:C.Serial_waves ())) C.fast,
-        "fast:olinf:sstable:ss1:k128:rfk2.b8.d2" );
       ( "fast, traced on 2 domains",
         C.with_domains 2 (C.with_trace (Some ignore) C.fast),
         "fast:olinf:sstable:ss1:k128:rf-" );
@@ -739,6 +736,43 @@ let test_daemon_crash_path () =
   check_true "both crashes counted" (s.P.worker_deaths = 2);
   Cl.close conn
 
+(* The first sst_3 test sentence the model misclassifies. *)
+let misclassified_index () =
+  Zoo.data_dir := "../data";
+  let model = Zoo.load_or_train ~log:ignore "sst_3" in
+  let program = Nn.Model.to_ir model in
+  let corpus = Zoo.corpus_of (Zoo.entry "sst_3").Zoo.corpus in
+  let rec find i = function
+    | [] -> Alcotest.fail "sst_3 classifies every test sentence"
+    | (toks, label) :: rest ->
+        if Nn.Forward.predict program (Nn.Model.embed_tokens model toks) <> label
+        then i
+        else find (i + 1) rest
+  in
+  find 0 corpus.Text.Corpus.test
+
+(* A misclassified sentence is falsified by the engine's concrete check,
+   and the stats rung histogram counts that attempt like any other. *)
+let test_daemon_misclassified_index () =
+  if not have_model then () else
+  let idx = misclassified_index () in
+  with_tmp "concrete" @@ fun base ->
+  let socket = base ^ ".sock" in
+  let pid = start_daemon socket in
+  Fun.protect ~finally:(fun () -> stop_daemon pid) @@ fun () ->
+  let conn = Cl.connect_retry ~timeout_s:60.0 socket in
+  Cl.send conn (req idx);
+  let r = expect_result conn "misclassified sentence" in
+  check_true
+    (Printf.sprintf "sentence %d: falsified@concrete in 1 attempt, got %s@%s in %d"
+       idx (V.to_string r.P.verdict) r.P.rung r.P.attempts)
+    (V.equal r.P.verdict V.Falsified && r.P.rung = "concrete" && r.P.attempts = 1);
+  let s = stats conn in
+  check_true
+    (Printf.sprintf "stats rungs %S count the concrete attempt" s.P.rungs)
+    (s.P.rungs = "concrete=1");
+  Cl.close conn
+
 let test_daemon_deadline_sigterm () =
   if not have_model then () else
   with_tmp "sigterm" @@ fun base ->
@@ -863,5 +897,7 @@ let () =
             test_daemon_idle_worker_kill;
           Alcotest.test_case "pool topped up at start" `Slow
             test_daemon_pool_topped_up;
+          Alcotest.test_case "misclassified index falsified@concrete" `Slow
+            test_daemon_misclassified_index;
         ] );
     ]

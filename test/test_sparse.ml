@@ -531,8 +531,9 @@ let test_decorrelate_sparse_matches_dense () =
       (Z.num_eps rs <= Z.num_eps rd)
 
 (* Branch refinement on an L2 ball: the branch builder compacts each
-   branch after restrict_symbol, and the full report must stay
-   bit-identical across the serial and forked wave runners. *)
+   branch after restrict_symbol. Every branch shares the parent region,
+   so the full report must not depend on the order the wave evaluates
+   its branches in. *)
 let imprecise_l2_query () =
   let program = Helpers.tiny_program ~layers:2 43 in
   let x = Mat.random_gaussian (Rng.create 143) 3 (Ir.out_dim program 0) 0.7 in
@@ -562,15 +563,23 @@ let serial_l2_report () =
   check_true "symbols were split" (serial.Deept.Brefine.split <> []);
   (program, region, pred, serial)
 
-let test_branch_compaction_fork () =
+let test_branch_compaction_any_order () =
   let program, region, pred, serial = serial_l2_report () in
   let module B = Deept.Brefine in
-  let forked =
-    B.certify_v ~wave:B.fork_wave
+  let reversed : B.wave =
+   fun f n ->
+    let out = Array.make n None in
+    for i = n - 1 downto 0 do
+      out.(i) <- Some (f i)
+    done;
+    Array.map Option.get out
+  in
+  let backwards =
+    B.certify_v ~wave:reversed
       (C.with_refine (Some C.default_refine) C.fast)
       program region ~true_class:pred
   in
-  check_true "serial = fork (full report)" (serial = forked)
+  check_true "reversed = serial (full report)" (serial = backwards)
 
 (* restrict_symbol itself: the minted eps column is live (one-hot band),
    so compaction keeps it; widths are unchanged. *)
@@ -813,8 +822,8 @@ let () =
                 test_compact_drops_dead;
               Alcotest.test_case "decorrelate sparse = dense" `Quick
                 test_decorrelate_sparse_matches_dense;
-              Alcotest.test_case "branch compaction serial = fork" `Quick
-                test_branch_compaction_fork;
+              Alcotest.test_case "branch compaction in any order" `Quick
+                test_branch_compaction_any_order;
               Alcotest.test_case "restrict-minted column live" `Quick
                 test_restrict_minted_column_is_live;
             ] );
