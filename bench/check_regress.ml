@@ -3,18 +3,21 @@
      dune exec bench/kernels.exe -- --json   # rotates the old json, writes new
      dune exec bench/check_regress.exe       # compares the two
 
-   Loads a benchmark snapshot (BENCH_kernels.json or BENCH_radius.json)
-   and its rotated *.prev.json and exits non-zero when any row's timing
-   metric got more than 25% slower than the previous run. The metrics
-   compared are whichever of the known timing keys each row carries
-   (blocked_ns for the kernel bench, wall_s for the radius bench), so
-   one gate binary covers every snapshot format. With no previous
-   snapshot (first run, fresh checkout) there is nothing to compare and
-   the gate passes trivially. *)
+   Loads a benchmark snapshot (BENCH_kernels.json, BENCH_radius.json,
+   BENCH_service.json or BENCH_refine.json: the four timing gates of
+   tools/timing_gates.sh) and its rotated *.prev.json and exits
+   non-zero when any row's timing metric got slower than --tolerance
+   allows, or a rate metric drifted past --abs-tolerance. The metrics
+   compared are whichever of the known keys each row carries
+   (blocked_ns for the kernel bench, wall_s for the radius bench, p95_ms
+   for the service bench, ...), so one gate binary covers every
+   snapshot format. With no previous snapshot (first run, fresh
+   checkout) there is nothing to compare and the gate passes
+   trivially. *)
 
-(* Default for the kernel bench, whose single-process timings are
-   stable. The radius and service gates pass their own --tolerance
-   (bench/dune says why for each). *)
+(* The default when no --tolerance is given, which the kernels gate
+   keeps. tools/timing_gates.sh passes the radius, service and refine
+   gates their own (bench/dune says how each was derived). *)
 let tolerance = ref 0.25
 
 (* Timing fields compared when present; lower is better for all,

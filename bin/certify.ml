@@ -588,16 +588,7 @@ let batch data name count word p radius verifier refine deadline budget fault
           wall_s = r.Deept.Supervisor.wall_s;
           detail = "";
         }
-    | Error f ->
-        {
-          Deept.Journal.job = r.Deept.Supervisor.job;
-          verdict = Deept.Verdict.Unknown (Deept.Supervisor.failure_reason f);
-          rung = "worker";
-          attempts = 0;
-          retries = r.Deept.Supervisor.retries;
-          wall_s = r.Deept.Supervisor.wall_s;
-          detail = Deept.Supervisor.failure_detail f;
-        }
+    | Error f -> Deept.Journal.of_failure r f
   in
   let fresh = ref [] in
   (* Histogram of every ladder rung attempted, with its direction —
@@ -644,26 +635,8 @@ let batch data name count word p radius verifier refine deadline budget fault
     | Some j -> Deept.Journal.entries j
     | None -> List.rev !fresh
   in
-  (* summary: verdicts by reason, then rescues by ladder rung — rows
-     sorted by name so journal/summary diffs are stable across runs *)
-  let tally f =
-    List.fold_left
-      (fun acc e ->
-        let k = f e in
-        let n = try List.assoc k acc with Not_found -> 0 in
-        (k, n + 1) :: List.remove_assoc k acc)
-      [] rows
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  Printf.printf "\n== summary (%d sentences) ==\n" (List.length rows);
-  List.iter
-    (fun (v, n) -> Printf.printf "  %-28s %d\n" v n)
-    (tally (fun (e : Deept.Journal.entry) ->
-         Deept.Verdict.to_string e.Deept.Journal.verdict));
-  Printf.printf "by rung:\n";
-  List.iter
-    (fun (r, n) -> Printf.printf "  %-28s %d\n" r n)
-    (tally (fun (e : Deept.Journal.entry) -> e.Deept.Journal.rung));
+  (* summary: verdicts by reason, then rescues by ladder rung *)
+  print_string ("\n" ^ Deept.Journal.summary ~noun:"sentences" rows);
   if !attempt_hist <> [] then begin
     Printf.printf "attempts by rung (this run):\n";
     List.iter

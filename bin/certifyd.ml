@@ -410,25 +410,7 @@ let shutdown_cmd =
    verdicts, same rungs) print identical summaries, whether the daemon
    ran uninterrupted or was SIGKILLed and resumed. *)
 let summary path =
-  let entries = Deept.Journal.load path in
-  let tally f =
-    List.fold_left
-      (fun acc e ->
-        let k = f e in
-        let n = try List.assoc k acc with Not_found -> 0 in
-        (k, n + 1) :: List.remove_assoc k acc)
-      [] entries
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  Printf.printf "== summary (%d jobs) ==\n" (List.length entries);
-  List.iter
-    (fun (v, n) -> Printf.printf "  %-28s %d\n" v n)
-    (tally (fun (e : Deept.Journal.entry) ->
-         Deept.Verdict.to_string e.Deept.Journal.verdict));
-  Printf.printf "by rung:\n";
-  List.iter
-    (fun (r, n) -> Printf.printf "  %-28s %d\n" r n)
-    (tally (fun (e : Deept.Journal.entry) -> e.Deept.Journal.rung))
+  print_string (Deept.Journal.summary ~noun:"jobs" (Deept.Journal.load path))
 
 let summary_journal_arg =
   let doc = "Journal to summarize." in

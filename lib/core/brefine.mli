@@ -69,7 +69,7 @@ val certify_v :
     caller already has it — the region propagated under [cfg]'s
     precision policy and budget, with no fault armed — and the
     propagation is skipped; everything from the ranking on is
-    unchanged. {!Engine}'s up walk passes its first rung's output,
+    unchanged. {!Engine}'s refine step passes its first rung's output,
     {!Certify.certified_radius_v} its failing probe's. [?wave]
     (default {!serial_wave}) runs the first split wave; the union tests
     pass their own to fake branch results. Every branch propagation

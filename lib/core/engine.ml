@@ -1,9 +1,6 @@
 open Tensor
 
-type rung =
-  | Abstract of { rname : string; cfg : Config.t }
-  | Box
-  | Refine of { rname : string; cfg : Config.t }
+type rung = Abstract of { rname : string; cfg : Config.t } | Box
 
 type direction = Down | Up
 
@@ -15,16 +12,7 @@ type outcome = {
   attempts : attempt list;
 }
 
-type ladder = { down : rung list; up : rung list }
-
-let rung_name = function
-  | Abstract { rname; _ } -> rname
-  | Box -> "interval"
-  | Refine { rname; _ } -> rname
-
-let ladder ?(up = []) down =
-  if down = [] then invalid_arg "Engine.ladder: empty down walk";
-  { down; up }
+let rung_name = function Abstract { rname; _ } -> rname | Box -> "interval"
 
 let default_ladder (cfg : Config.t) =
   let base = Abstract { rname = Config.variant_name cfg.Config.variant; cfg } in
@@ -48,17 +36,6 @@ let default_ladder (cfg : Config.t) =
     else []
   in
   (base :: fast) @ reduced @ [ Box ]
-
-(* The upward walk: one branch-and-bound refinement rung, present only
-   when the config opts into refinement — with [refine = None] the
-   ladder is exactly the pre-refinement one-directional walk,
-   bit-for-bit. *)
-let refine_rungs (cfg : Config.t) =
-  match cfg.Config.refine with
-  | None -> []
-  | Some _ -> [ Refine { rname = "refine"; cfg } ]
-
-let ladder_of cfg = { down = default_ladder cfg; up = refine_rungs cfg }
 
 (* The fault stays active for [persist] ladder attempts, then the rung
    configs run clean — this is what lets tests exercise "rung N faults,
@@ -146,132 +123,80 @@ let run_box ~fault ~(budget : Config.budget) program region ~true_class =
                     Verdict.Unknown Verdict.Numerical_fault
                 | _ -> Brefine.verdict_of_margin m)))
 
-(* ---------------- the ladder ---------------- *)
+(* ---------------- the walk ---------------- *)
 
-(* The leading affine ops (ViT patch embedding: Linear + Positional) are
-   deterministic, config-independent exact maps — propagate them once and
-   let the zonotope rungs resume from their checkpoint instead of
-   re-propagating from the program input, bit-identically. Abandoned on
-   any prefix failure, in which case the rungs run in full and abort
-   individually exactly as they did before the hoist. *)
-let prefix_checkpoint (cfg : Config.t) program region =
-  match Propagate.affine_prefix_len program with
-  | 0 -> None
-  | len -> (
-      match Propagate.run_prefix cfg program region ~len with
-      | c -> Some c
-      | exception _ -> None)
-
-(* [policy_key] without the refine part: what decides a propagation. *)
-let propagation_key (cfg : Config.t) =
-  Config.policy_key { cfg with Config.refine = None }
-
-let certify ?ladder:l ?(falsify_samples = 8) (cfg : Config.t) program region
-    ~true_class =
-  let l =
-    match l with
-    | Some { down = []; _ } -> invalid_arg "Engine.certify: empty ladder"
-    | Some l -> l
-    | None -> ladder_of cfg
-  in
+let certify ?(falsify_samples = 8) (cfg : Config.t) program region ~true_class =
   if falsify_samples > 0 && falsify ~samples:falsify_samples program region ~true_class
   then begin
     let a = { rung_name = "concrete"; verdict = Verdict.Falsified; direction = Down } in
     { verdict = Verdict.Falsified; rung_name = "concrete"; attempts = [ a ] }
   end
   else begin
-    (* Rungs resume instead of starting over. [resume] is where the next
-       zonotope rung starts: the affine prefix's end, then the input of
-       the last layer a rung entered before a Symbol_budget abort (a
-       symbol count depends only on the config and the input, so the
-       point is deterministic; a deadline's would not be). [first] is the
-       first rung's config and output, which an up walk under the same
-       propagation ranks on instead of propagating again. Under fault
-       injection neither is used: fault sites address op indices within
-       each rung, so every rung runs from op 0. *)
+    (* Attempts reuse what earlier ones computed instead of starting
+       over. [resume] is where the next zonotope rung starts after a
+       Symbol_budget abort: the input of the last layer the aborted rung
+       entered (a symbol count depends only on the config and the input,
+       so the point is deterministic; a deadline's would not be).
+       [first] is the first rung's output, which the refine step ranks
+       and splits on instead of propagating the region again. Under
+       fault injection neither is used: fault sites address op indices
+       within each attempt, so every attempt runs from op 0. *)
     let shared = cfg.Config.fault = None in
-    let resume = ref (if shared then prefix_checkpoint cfg program region else None) in
-    let first = ref None in
-    let armed idx (c : Config.t) = { c with Config.fault = fault_for idx c.Config.fault } in
-    let run_rung idx = function
+    let resume = ref None and first = ref None in
+    let run_rung idx rung fault =
+      match rung with
       | Abstract { cfg = rcfg; _ } ->
-          let rcfg = armed idx rcfg in
-          if shared && rcfg.Config.fault = None then begin
+          let rcfg = { rcfg with Config.fault } in
+          if shared then begin
             let v, out =
               Certify.certify_out ?from:!resume
                 ~on_budget:(fun c -> resume := Some c)
                 rcfg program region ~true_class
             in
-            if idx = 0 then first := Option.map (fun o -> (rcfg, o)) out;
+            if idx = 0 then first := out;
             v
           end
           else Certify.certify_v rcfg program region ~true_class
-      | Box ->
-          run_box
-            ~fault:(fault_for idx cfg.Config.fault)
-            ~budget:cfg.Config.budget program region ~true_class
-      | Refine { cfg = rcfg; _ } ->
-          (* Branch regions differ from the input region, so the branches
-             re-propagate in full; only the unsplit region's propagation
-             can be the first rung's. *)
-          let rcfg = armed idx rcfg in
-          let out =
-            match !first with
-            | Some (c0, out)
-              when rcfg.Config.fault = None
-                   && c0.Config.budget = rcfg.Config.budget
-                   && propagation_key c0 = propagation_key rcfg ->
-                Some out
-            | _ -> None
-          in
-          (Brefine.certify_v ?out rcfg program region ~true_class).Brefine.verdict
+      | Box -> run_box ~fault ~budget:cfg.Config.budget program region ~true_class
+    in
+    (* Branch regions differ from the input region, so the branches
+       re-propagate in full; only the unsplit region's propagation can
+       be the first rung's. *)
+    let refine fault =
+      (Brefine.certify_v ?out:!first { cfg with Config.fault } program region
+         ~true_class)
+        .Brefine.verdict
     in
     let attempts = ref [] in
-    let run idx rung =
-      match run_rung idx rung with
-      | v -> v
-      | exception Verdict.Abort r -> Verdict.Unknown r
-      | exception Zonotope.Unbounded -> Verdict.Unknown Verdict.Unbounded
+    (* The fault is armed for the attempt's index, which counts across
+       both directions, so a fault spec's [persist] spans the up step. *)
+    let attempt idx rung_name direction run =
+      let v =
+        match run (fault_for idx cfg.Config.fault) with
+        | v -> v
+        | exception Verdict.Abort r -> Verdict.Unknown r
+        | exception Zonotope.Unbounded -> Verdict.Unknown Verdict.Unbounded
+      in
+      attempts := { rung_name; verdict = v; direction } :: !attempts;
+      v
     in
-    let record rung direction v =
-      attempts := { rung_name = rung_name rung; verdict = v; direction } :: !attempts
-    in
-    let final v rung =
-      { verdict = v; rung_name = rung_name rung; attempts = List.rev !attempts }
-    in
-    (* Upward walk: refine-and-retry rungs, entered only when the
-       requested rung failed cleanly on precision. A decisive answer
-       (Certified — refinement cannot falsify) ends the walk; anything
-       else falls through to the next up rung, and the last attempt's
-       verdict stands when the walk is exhausted. The attempt index
-       keeps counting so a fault spec's [persist] spans both
-       directions. *)
-    let rec go_up idx = function
+    let final v rung_name = { verdict = v; rung_name; attempts = List.rev !attempts } in
+    (* Down the ladder while a rung faults. The up step fires only off
+       the first rung, the configuration the caller asked for, and only
+       on Unknown Imprecise: cheaper rungs are coarser, so refining one
+       of them could not prove anything the first rung's refinement
+       would not. *)
+    let rec down idx = function
       | [] -> assert false
       | rung :: rest ->
-          let v = run idx rung in
-          record rung Up v;
-          if v = Verdict.Certified || v = Verdict.Falsified || rest = [] then
-            final v rung
-          else go_up (idx + 1) rest
+          let name = rung_name rung in
+          let v = attempt idx name Down (run_rung idx rung) in
+          if idx = 0 && v = Verdict.Unknown Verdict.Imprecise && cfg.Config.refine <> None
+          then final (attempt (idx + 1) "refine" Up refine) "refine"
+          else if Verdict.is_fault v && rest <> [] then down (idx + 1) rest
+          else final v name
     in
-    (* Downward walk: the pre-refinement degradation ladder. The up walk
-       fires only off the *first* rung — the configuration the caller
-       asked for — and only on Unknown Imprecise: cheaper rungs are
-       coarser, so refining one of them when the requested rung already
-       failed on precision could not prove anything the requested rung's
-       refinement would not. *)
-    let rec go_down idx = function
-      | [] -> assert false
-      | rung :: rest ->
-          let v = run idx rung in
-          record rung Down v;
-          if idx = 0 && v = Verdict.Unknown Verdict.Imprecise && l.up <> []
-          then go_up (idx + 1) l.up
-          else if Verdict.is_fault v && rest <> [] then go_down (idx + 1) rest
-          else final v rung
-    in
-    go_down 0 l.down
+    down 0 (default_ladder cfg)
   end
 
 let pp_outcome ppf o =

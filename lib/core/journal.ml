@@ -122,6 +122,36 @@ let of_json line =
   let* verdict = Verdict.of_string_res vs in
   Ok { job; verdict; rung; attempts; retries; wall_s; detail }
 
+let of_failure (r : _ Supervisor.job_result) f =
+  {
+    job = r.Supervisor.job;
+    verdict = Verdict.Unknown (Supervisor.failure_reason f);
+    rung = "worker";
+    attempts = 0;
+    retries = r.Supervisor.retries;
+    wall_s = r.Supervisor.wall_s;
+    detail = Supervisor.failure_detail f;
+  }
+
+(* Rows sorted by name, so journal/summary diffs are stable across runs. *)
+let summary ~noun entries =
+  let buf = Buffer.create 256 in
+  let rows f =
+    List.fold_left
+      (fun acc e ->
+        let k = f e in
+        let n = try List.assoc k acc with Not_found -> 0 in
+        (k, n + 1) :: List.remove_assoc k acc)
+      [] entries
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.iter (fun (k, n) -> Printf.bprintf buf "  %-28s %d\n" k n)
+  in
+  Printf.bprintf buf "== summary (%d %s) ==\n" (List.length entries) noun;
+  rows (fun e -> Verdict.to_string e.verdict);
+  Buffer.add_string buf "by rung:\n";
+  rows (fun e -> e.rung);
+  Buffer.contents buf
+
 type t = {
   log : Log.t;
   mutable rev_entries : entry list;  (* newest first *)

@@ -16,7 +16,7 @@
     v}
 
     Verdicts round-trip through {!Verdict.to_string} /
-    {!Verdict.of_string}; [detail] carries the supervisor's failure
+    {!Verdict.of_string_res}; [detail] carries the supervisor's failure
     reason (["signal 9"], ["oom"], …) for dead-worker entries. *)
 
 (** The append-only log. Every line is one record. Two rules hold for
@@ -81,6 +81,18 @@ val to_json : entry -> string
 val of_json : string -> (entry, string) result
 (** Strict inverse of {!to_json} (unknown fields rejected, all fields
     required); the [Error] carries a parse diagnostic. *)
+
+val of_failure : 'b Supervisor.job_result -> Supervisor.failure -> entry
+(** The entry of a job whose worker died with this failure:
+    [Unknown (Supervisor.failure_reason f)] on rung ["worker"], 0
+    attempts, [Supervisor.failure_detail f] as its detail, and the
+    result's job id, retries and wall time. [certify batch] and
+    certifyd journal a dead worker this way. *)
+
+val summary : noun:string -> entry list -> string
+(** ["== summary (N noun) =="], then the entries counted by verdict and,
+    after ["by rung:"], by rung; one ["  NAME  COUNT"] row per name, in
+    name order, so identical journals print identical summaries. *)
 
 type t
 (** An open journal: in-memory entries plus the backing {!Log}. *)

@@ -207,32 +207,9 @@ let state_of ~t0 ?(start = 0) ~width (cfg : Config.t) (p : Ir.program) =
     layer = List.length (List.filter (fun i -> i < start) (layer_ops p));
   }
 
-let affine_prefix_len (p : Ir.program) =
-  let n = Array.length p.Ir.ops in
-  let rec go i =
-    if i >= n then i
-    else
-      match p.Ir.ops.(i) with
-      | Ir.Linear _ | Ir.Add _ | Ir.Positional _ | Ir.Pool_first _
-      | Ir.Center_norm { divide_std = false; _ } ->
-          go (i + 1)
-      | Ir.Center_norm _ | Ir.Relu _ | Ir.Tanh _ | Ir.Self_attention _ -> i
-  in
-  go 0
-
 let check_input (p : Ir.program) input =
   if input.Zonotope.vcols <> p.Ir.input_dim then
     invalid_arg "Propagate.run: input dim mismatch"
-
-let run_prefix (cfg : Config.t) (p : Ir.program) input ~len =
-  check_input p input;
-  if len < 0 || len > affine_prefix_len p then
-    invalid_arg "Propagate.run_prefix: not an affine prefix";
-  let t0 = Unix.gettimeofday () in
-  let st = state_of ~t0 ~width:(Zonotope.num_eps input) cfg p in
-  let vals = Array.make (Ir.num_values p) input in
-  I.run_values ~checks:(checks_of ~t0 cfg) ~stop:len st p vals;
-  checkpoint_at (last_uses p) ~start:len (Array.get vals)
 
 let run ?from ?on_budget (cfg : Config.t) (p : Ir.program) input =
   check_input p input;

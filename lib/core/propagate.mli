@@ -16,12 +16,11 @@
 type checkpoint
 (** A point to resume a propagation at: the index of the op to run next
     and the values that ops at or after it read — only those, so
-    holding one costs a layer input, not a run's value array. Two kinds
-    exist, and {!Engine} resumes its rungs from both:
-    - the end of the program's affine prefix ({!run_prefix});
-    - the input of the last Transformer layer a run entered before a
-      [Symbol_budget] abort ([?on_budget]), as that run reduced it with
-      DecorrelateMin_k. *)
+    holding one costs a layer input, not a run's value array. A run
+    hands one on when it aborts with [Symbol_budget] ([?on_budget]): the
+    input of the last Transformer layer it entered, as it reduced it
+    with DecorrelateMin_k. {!Engine}'s next zonotope rung resumes from
+    it. *)
 
 val checkpoint_op : checkpoint -> int
 (** The op a resumed run starts at. *)
@@ -81,26 +80,11 @@ val run :
     still the first tool to reach for when certification of a deep
     network fails unexpectedly. *)
 
-val run_prefix :
-  Config.t -> Ir.program -> Zonotope.t -> len:int -> checkpoint
-(** Propagates only ops [0 .. len - 1] and returns the checkpoint at op
-    [len]. [len] must not exceed {!affine_prefix_len}: affine ops are
-    config-independent and symbol-free, so the checkpoint can be shared
-    across ladder rungs via [?from], bit-identically.
-    @raise Invalid_argument if [len] exceeds the affine prefix. *)
-
-val affine_prefix_len : Ir.program -> int
-(** Length of the leading run of ops whose zonotope transformers are
-    exact affine maps independent of {!Config.t}: [Linear], [Add],
-    [Positional], [Pool_first] and mean-only [Center_norm]. For the ViT
-    models this covers the patch embedding; for text models it is 0
-    (they start with self-attention). *)
-
-(** {1 Internals shared with {!Engine}} *)
+(** {1 Internals} *)
 
 val use_precise : Config.t -> layer:int -> total:int -> bool
-val apply_fault : Config.fault_spec -> Zonotope.t -> unit
-val poison_scan : Zonotope.t -> [ `Finite | `Nan | `Inf ]
+(** Whether the Transformer layer [layer] (of [total]) uses the Precise
+    dot product under [cfg.variant]. *)
 
 val abort_of : Interp.abort -> exn
 (** Maps interpreter checkpoint aborts to {!Verdict.Abort} — [Timeout],

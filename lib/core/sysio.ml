@@ -6,23 +6,19 @@
    retry loops, so an injected EINTR storm or short write exercises
    exactly the code that would face the real thing. *)
 
-type op = Write | Send | Fsync | Rename | Truncate | Close
+type op = Write | Send | Fsync | Truncate
 
 let op_name = function
   | Write -> "write"
   | Send -> "send"
   | Fsync -> "fsync"
-  | Rename -> "rename"
   | Truncate -> "truncate"
-  | Close -> "close"
 
 let op_of_name = function
   | "write" -> Some Write
   | "send" -> Some Send
   | "fsync" -> Some Fsync
-  | "rename" -> Some Rename
   | "truncate" -> Some Truncate
-  | "close" -> Some Close
   | _ -> None
 
 type action = Err of Unix.error | Short of int | Eintr of int | Torn of int | Crash
@@ -300,6 +296,4 @@ let rec retry_plain eop ~site f =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> retry_plain eop ~site f
 
 let fsync ~site fd = retry_plain Fsync ~site (fun () -> Unix.fsync fd)
-let rename ~site src dst = retry_plain Rename ~site (fun () -> Unix.rename src dst)
 let ftruncate ~site fd n = retry_plain Truncate ~site (fun () -> Unix.ftruncate fd n)
-let close ~site fd = retry_plain Close ~site (fun () -> Unix.close fd)

@@ -1,9 +1,9 @@
 (** Injectable syscall shim for the durability path.
 
-    Every write, fsync, rename, truncate, close and socket send that the
-    certification stack's durability story depends on — journal appends,
-    intake records, supervisor pipes, the client socket — goes through
-    this module instead of calling [Unix] directly. When the shim is
+    Every write, fsync, truncate and socket send that the certification
+    stack's durability story depends on — journal appends, intake
+    records, supervisor pipes, the client socket — goes through this
+    module instead of calling [Unix] directly. When the shim is
     {e off} (the default) each wrapper is one match on an immutable
     [Off] state away from the raw syscall: no allocation, no logging,
     no measurable overhead. When {e armed} with a {!plan}, the shim
@@ -26,7 +26,7 @@
 
 (** Operation classes, for plan filtering. [Send] is a socket write,
     [Write] a file or pipe write; the rest match their syscalls. *)
-type op = Write | Send | Fsync | Rename | Truncate | Close
+type op = Write | Send | Fsync | Truncate
 
 val op_name : op -> string
 
@@ -112,6 +112,4 @@ val single_write : site:string -> Unix.file_descr -> string -> int -> int -> int
     as usual for the caller to handle. Counted as [Send]. *)
 
 val fsync : site:string -> Unix.file_descr -> unit
-val rename : site:string -> string -> string -> unit
 val ftruncate : site:string -> Unix.file_descr -> int -> unit
-val close : site:string -> Unix.file_descr -> unit

@@ -67,11 +67,6 @@ let of_string_res = function
               \"unknown(REASON)\")"
              s)
 
-let of_string s = Result.to_option (of_string_res s)
-
-let pp ppf v = Format.pp_print_string ppf (to_string v)
-let pp_reason ppf r = Format.pp_print_string ppf (reason_name r)
-let is_certified = function Certified -> true | _ -> false
 let is_fault = function
   | Unknown
       ( Timeout | Symbol_budget | Numerical_fault | Unbounded | Worker_killed

@@ -64,21 +64,12 @@ val to_string : t -> string
 val reason_of_string : string -> unknown_reason option
 (** Inverse of {!reason_name}. *)
 
-val of_string : string -> t option
-(** Inverse of {!to_string} — ["certified"], ["falsified"],
-    ["unknown(REASON)"]. Used by {!Journal} to round-trip verdicts
-    through the on-disk batch journal. *)
-
 val of_string_res : string -> (t, string) result
-(** Like {!of_string} but a rejection explains itself: an unknown reason
+(** Inverse of {!to_string} — ["certified"], ["falsified"],
+    ["unknown(REASON)"]. A rejection explains itself: an unknown reason
     lists every valid reason name, a malformed verdict shows the
     expected shapes. The journal and the service protocol use this so a
-    corrupt or version-skewed line fails with an actionable message
-    instead of a bare [None]. *)
-
-val pp : Format.formatter -> t -> unit
-val pp_reason : Format.formatter -> unknown_reason -> unit
-val is_certified : t -> bool
+    corrupt or version-skewed line fails with an actionable message. *)
 
 val is_fault : t -> bool
 (** True for every [Unknown] except [Imprecise] — the verdicts the

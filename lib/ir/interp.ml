@@ -167,22 +167,20 @@ module Make (D : DOMAIN) = struct
           vals.(i + 2) <- out;
           true
 
-  let run_values ?(checks = no_checks) ?(start = 0) ?stop st (p : Ir.program)
+  let run_values ?(checks = no_checks) ?(start = 0) st (p : Ir.program)
       (vals : D.value array) =
     let n = Array.length p.Ir.ops in
-    let stop = match stop with Some s -> s | None -> n in
     if Array.length vals <> Ir.num_values p then
       invalid_arg
         (Printf.sprintf "Interp(%s).run_values: %d values for %d-op program"
            D.name (Array.length vals) n);
-    if start < 0 || stop > n || start > stop then
+    if start < 0 || start > n then
       invalid_arg
-        (Printf.sprintf "Interp(%s).run_values: bad op range [%d, %d) of %d"
-           D.name start stop n);
+        (Printf.sprintf "Interp(%s).run_values: bad start op %d of %d" D.name start n);
     let readers = readers p in
     let i = ref start in
-    while !i < stop do
-      if !i + 1 < stop && step_pair checks st p vals readers !i then i := !i + 2
+    while !i < n do
+      if !i + 1 < n && step_pair checks st p vals readers !i then i := !i + 2
       else begin
         step checks st p vals !i;
         incr i

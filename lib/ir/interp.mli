@@ -141,24 +141,22 @@ module Make (D : DOMAIN) : sig
   val run_values :
     ?checks:D.value checks ->
     ?start:int ->
-    ?stop:int ->
     D.state ->
     Ir.program ->
     D.value array ->
     unit
-  (** [run_values st p vals] interprets ops [start..stop-1] (default:
-      all), writing the output of op [i] to [vals.(i + 1)]. Entries
+  (** [run_values st p vals] interprets ops [start] (default 0) to the
+      end, writing the output of op [i] to [vals.(i + 1)]. Entries
       [0..start] must already be filled. The value array has
       {!Ir.num_values} entries.
 
-      A pair of ops [i], [i + 1] (both inside the range) runs as one
-      {!DOMAIN.transfer_pair} when op [i + 1] is the only reader of op
-      [i]'s output, no fault is armed at either op and no trace sink is
-      installed. Op [i]'s output is then never formed and its slot is
-      left as it was. Both ops' checkpoints run on the pair's output,
-      op [i]'s first, and the output is scanned for poison once, at op
-      [i]'s; op indices, fault sites and trace events still name the
-      ops of [p]. *)
+      A pair of ops [i], [i + 1] runs as one {!DOMAIN.transfer_pair}
+      when op [i + 1] is the only reader of op [i]'s output, no fault is
+      armed at either op and no trace sink is installed. Op [i]'s output
+      is then never formed and its slot is left as it was. Both ops'
+      checkpoints run on the pair's output, op [i]'s first, and the
+      output is scanned for poison once, at op [i]'s; op indices, fault
+      sites and trace events still name the ops of [p]. *)
 
   val run_all :
     ?checks:D.value checks -> D.state -> Ir.program -> D.value -> D.value array

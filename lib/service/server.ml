@@ -385,37 +385,32 @@ let run o =
 
   (* ---------------- completion ---------------- *)
   let finish (j : job) (r : wres Supervisor.job_result) =
-    let verdict, rung, attempts, detail =
+    let e =
       match r.outcome with
       | Ok w ->
           Jobq.note_service q r.wall_s;
           count_rungs w.w_rungs;
           Cache.store cache j.data.key
             { Cache.verdict = w.w_verdict; rung = w.w_rung; attempts = w.w_attempts };
-          (w.w_verdict, w.w_rung, w.w_attempts, "key=" ^ j.data.key)
-      | Error f ->
-          ( Verdict.Unknown (Supervisor.failure_reason f),
-            "worker",
-            0,
-            Supervisor.failure_detail f )
+          {
+            Journal.job = j.id;
+            verdict = w.w_verdict;
+            rung = w.w_rung;
+            attempts = w.w_attempts;
+            retries = r.retries;
+            wall_s = r.wall_s;
+            detail = "key=" ^ j.data.key;
+          }
+      | Error f -> Journal.of_failure r f
     in
-    journal_append
-      {
-        Journal.job = j.id;
-        verdict;
-        rung;
-        attempts;
-        retries = r.retries;
-        wall_s = r.wall_s;
-        detail;
-      };
+    journal_append e;
     let res =
       {
         Protocol.id = j.id;
         tag = j.data.c.Protocol.tag;
-        verdict;
-        rung;
-        attempts;
+        verdict = e.Journal.verdict;
+        rung = e.Journal.rung;
+        attempts = e.Journal.attempts;
         retries = r.retries;
         wall_s = r.wall_s;
         cached = false;

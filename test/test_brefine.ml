@@ -272,26 +272,15 @@ let test_up_walk_fires_on_imprecise () =
    propagating the same region under the same config again. A counting
    sink sees one propagation's events when nothing is ranked, and the
    first rung's plus the branches' otherwise. *)
-let count_events ?ladder cfg program region ~true_class =
+let count_events cfg program region ~true_class =
   let events = ref 0 and starts = ref 0 in
   let sink (e : Interp.event) =
     incr events;
     if e.Interp.op_index = 0 then incr starts
   in
-  let traced = C.with_trace (Some sink) in
-  let ladder =
-    Option.map
-      (fun (down, up) ->
-        let rung = function
-          | E.Abstract { rname; cfg } -> E.Abstract { rname; cfg = traced cfg }
-          | E.Refine { rname; cfg } -> E.Refine { rname; cfg = traced cfg }
-          | E.Box -> E.Box
-        in
-        E.ladder ~up:(List.map rung up) (List.map rung down))
-      ladder
-  in
   let o =
-    E.certify ?ladder ~falsify_samples:0 (traced cfg) program region ~true_class
+    E.certify ~falsify_samples:0 (C.with_trace (Some sink) cfg) program region
+      ~true_class
   in
   Helpers.check_true "the walk went up"
     (List.exists (fun (a : E.attempt) -> a.E.direction = E.Up) o.E.attempts);
@@ -324,26 +313,20 @@ let test_up_walk_reuses_first_rung () =
     (n_ops * (1 + r.B.branches))
     events
 
-(* An up walk whose propagation would differ from the first rung's
-   propagates again: a Precise refine over a Fast rung, and a refine
-   attempt with a fault armed. *)
+(* A refine step whose propagation would differ from the first rung's
+   propagates again: with a fault on [cfg], the first attempt ran from
+   op 0 under its armed fault, so its output is not the refine step's,
+   whether the fault stays armed for the refine attempt or not. *)
 let test_up_walk_repropagates () =
   let program, region, pred = saturated_query () in
-  let down = [ E.Abstract { rname = "fast"; cfg = refine_cfg C.fast } ] in
-  let up cfg = [ E.Refine { rname = "refine"; cfg } ] in
   let last_op = Array.length program.Ir.ops - 1 in
   List.iter
-    (fun (name, rcfg) ->
-      let _, starts =
-        count_events ~ladder:(down, up rcfg) (refine_cfg C.fast)
-          program region ~true_class:pred
-      in
-      Helpers.check_true (name ^ ": the refine rung propagated") (starts >= 2))
-    [
-      ("precise refine", refine_cfg C.precise);
-      ( "fault armed",
-        { (refine_cfg C.fast) with C.fault = Some (C.fault last_op (C.Stall 0.0)) } );
-    ]
+    (fun (name, persist) ->
+      let fault = C.fault ~persist last_op (C.Stall 0.0) in
+      let cfg = { (refine_cfg C.fast) with C.fault = Some fault } in
+      let _, starts = count_events cfg program region ~true_class:pred in
+      Helpers.check_true (name ^ ": the refine step propagated") (starts >= 2))
+    [ ("fault armed for the first attempt", 1); ("fault armed", max_int) ]
 
 (* ---------------- committed zoo model: real recovery ---------------- *)
 

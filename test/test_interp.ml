@@ -2,9 +2,8 @@
    cross-engine soundness sandwich (concrete ⊆ zonotope ⊆ interval),
    bit-exactness pins against pre-refactor baselines on a zoo model,
    typed budget aborts for the interval and linear-relaxation engines,
-   the ladder's interval rung running through the shared loop, prefix
-   sharing, NaN/Inf weight rejection at load, and the trace/profile
-   stream. *)
+   the ladder's interval rung running through the shared loop, NaN/Inf
+   weight rejection at load, and the trace/profile stream. *)
 
 open Tensor
 module Lp = Deept.Lp
@@ -188,62 +187,26 @@ let test_linrelax_budget_aborts () =
 
 (* --- the ladder's interval rung -------------------------------------- *)
 
-(* With an already-expired deadline the Box rung must abort cooperatively
-   inside the shared loop and record a typed timeout on rung "interval" —
-   not hang, not return a stale margin. *)
+(* With an already-expired deadline every rung of the default walk must
+   abort cooperatively and record a typed timeout, down to the Box rung
+   inside the shared loop: rung "interval" ends the walk with a timeout,
+   not a hang, not a stale margin. *)
 let test_ladder_interval_rung_timeout () =
   let p = Helpers.tiny_program ~layers:1 68 in
   let rng = Rng.create 69 in
   let x = Mat.random_gaussian rng 3 (Ir.out_dim p 0) 0.7 in
   let region = Deept.Region.lp_ball ~p:Lp.L2 x ~word:1 ~radius:0.01 in
   let cfg = Deept.Config.with_budget ~deadline:0.0 Deept.Config.fast in
-  let o =
-    Deept.Engine.certify
-      ~ladder:(Deept.Engine.ladder [ Deept.Engine.Box ])
-      ~falsify_samples:0 cfg p region ~true_class:0
-  in
+  let o = Deept.Engine.certify ~falsify_samples:0 cfg p region ~true_class:0 in
+  let timeout = Deept.Verdict.Unknown Deept.Verdict.Timeout in
   Helpers.check_true "interval rung timeout"
-    (Deept.Verdict.equal o.Deept.Engine.verdict
-       (Deept.Verdict.Unknown Deept.Verdict.Timeout));
-  Alcotest.(check string) "rung name" "interval" o.Deept.Engine.rung_name
-
-(* --- prefix sharing --------------------------------------------------- *)
-
-let tiny_vit seed =
-  let rng = Rng.create seed in
-  Nn.Model.create rng
-    {
-      Nn.Model.default_config with
-      vocab_size = 16;
-      max_len = 6;
-      d_model = 8;
-      d_hidden = 8;
-      heads = 2;
-      layers = 1;
-      patch_dim = Some 5;
-    }
-
-let test_prefix_bit_identity () =
-  let p = Nn.Model.to_ir (tiny_vit 70) in
-  let len = Deept.Propagate.affine_prefix_len p in
-  Helpers.check_true "vit has an affine prefix" (len > 0);
-  let rng = Rng.create 71 in
-  let x = Mat.random_gaussian rng 4 5 0.5 in
-  let region = Deept.Region.lp_ball_all ~p:Lp.L2 x ~radius:0.02 in
-  let cfg = Deept.Config.fast in
-  let plain = Deept.Propagate.run cfg p region in
-  let ck = Deept.Propagate.run_prefix cfg p region ~len in
-  Alcotest.(check int) "resumes after the prefix" len
-    (Deept.Propagate.checkpoint_op ck);
-  let shared = Deept.Propagate.run ~from:ck cfg p region in
-  check_zonotope_bits "prefix = full run" plain shared;
-  (* a second rung reusing the same checkpoint must be unaffected by the
-     first (the reduction re-stores the layer input it resumed from) *)
-  let shared2 = Deept.Propagate.run ~from:ck cfg p region in
-  check_zonotope_bits "prefix reusable" plain shared2;
-  (* text models have no affine prefix (they open with self-attention) *)
-  Helpers.check_true "text prefix empty"
-    (Deept.Propagate.affine_prefix_len (Helpers.tiny_program ~layers:1 72) = 0)
+    (Deept.Verdict.equal o.Deept.Engine.verdict timeout);
+  Alcotest.(check string) "rung name" "interval" o.Deept.Engine.rung_name;
+  Helpers.check_true "every attempt timed out"
+    (List.for_all
+       (fun (a : Deept.Engine.attempt) ->
+         Deept.Verdict.equal a.Deept.Engine.verdict timeout)
+       o.Deept.Engine.attempts)
 
 (* --- non-finite weights rejected at load ------------------------------ *)
 
@@ -379,8 +342,6 @@ let () =
           Alcotest.test_case "ladder interval rung" `Quick
             test_ladder_interval_rung_timeout;
         ] );
-      ( "prefix",
-        [ Alcotest.test_case "bit identity" `Quick test_prefix_bit_identity ] );
       ( "weights",
         [
           Alcotest.test_case "non-finite rejected" `Quick

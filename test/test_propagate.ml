@@ -407,11 +407,6 @@ let test_pair_rules () =
   let last = { program with Ir.ops = [| Ir.Relu 0; Ir.Add (0, 1); norm 2 |] } in
   let out, log = run last in
   Helpers.check_true "sole reader: paired" (log = [ "op 0"; "pair 1" ] && out = 2);
-  (* a run that stops between the two ops runs the first alone *)
-  let st = { Recorder.log = [] } in
-  let vals = Array.make (Ir.num_values last) (-1) in
-  RI.run_values ~stop:2 st last vals;
-  Helpers.check_true "stop inside the pair" (List.rev st.Recorder.log = [ "op 0"; "op 1" ]);
   (* one poison scan per op run alone, one per pair *)
   let scans checks =
     Recorder.scans := 0;

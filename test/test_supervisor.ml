@@ -34,14 +34,14 @@ let test_verdict_round_trip () =
   in
   List.iter
     (fun v ->
-      match V.of_string (V.to_string v) with
-      | Some v' ->
+      match V.of_string_res (V.to_string v) with
+      | Ok v' ->
           Helpers.check_true ("round-trip " ^ V.to_string v) (V.equal v v')
-      | None -> Alcotest.failf "of_string failed on %s" (V.to_string v))
+      | Error e -> Alcotest.failf "of_string_res failed on %s: %s" (V.to_string v) e)
     all;
   List.iter
     (fun s ->
-      Helpers.check_true ("rejects " ^ s) (V.of_string s = None))
+      Helpers.check_true ("rejects " ^ s) (Result.is_error (V.of_string_res s)))
     [ ""; "certifiedX"; "unknown"; "unknown("; "unknown()"; "unknown(nope)";
       "Unknown(timeout)"; "unknown(timeout" ]
 

@@ -65,7 +65,8 @@ let test_plan_rejects () =
       ""; "crash"; "@3"; "crash@"; "crash@-1"; "crash@x"; "torn@3";
       "torn:-1@3"; "short:0@1"; "eintr:0@1"; "ebogus@2"; "crash@2:persist";
       "torn:4@2:persist"; "eintr:3@0:persist"; "crash@1:op=bogus";
-      "crash@1:flavor=x"; "short:2@1:op="; "enospc@1:site=";
+      "crash@1:op=rename"; "crash@1:op=close"; "crash@1:flavor=x";
+      "short:2@1:op="; "enospc@1:site=";
     ];
   List.iter
     (fun f ->

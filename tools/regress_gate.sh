@@ -1,22 +1,24 @@
 #!/usr/bin/env bash
-# Hermetic benchmark regression gate for `dune build @ci`.
+# Hermetic benchmark regression gate: one of the four timing gates
+# (kernels, radius, service, refine) that tools/timing_gates.sh runs.
 #
 #   regress_gate.sh BENCH_EXE CHECK_REGRESS_EXE BASELINE_JSON [DATA_DIR] [TOLERANCE]
 #
-# The committed baseline (BENCH_kernels.json or BENCH_radius.json) is
-# copied into a scratch directory as the "previous" snapshot, the
-# benchmark re-measures on this machine (rotating the copy to
-# *.prev.json), and check_regress.exe fails the build if any metric got
-# more than 25% slower than the committed baseline. Nothing outside the
-# scratch directory is touched, so the gate cannot dirty the
-# repository's own snapshot rotation. The optional DATA_DIR is resolved
-# to an absolute path and forwarded as --data (benchmarks that load zoo
-# models need it, since the benchmark runs inside the scratch dir). The
-# optional TOLERANCE (a fraction, default check_regress's 0.25) widens
-# the gate; the radius and service gates pass one (bench/dune says
-# why). Any arguments past TOLERANCE are forwarded to the benchmark
-# verbatim (the
-# refine gate re-measures a subset of the committed baseline's models;
+# The committed baseline (BENCH_kernels.json, BENCH_radius.json,
+# BENCH_service.json or BENCH_refine.json) is copied into a scratch
+# directory as the "previous" snapshot, the benchmark re-measures on
+# this machine (rotating the copy to *.prev.json), and
+# check_regress.exe fails the build if any metric got slower than the
+# tolerance allows. Nothing outside the scratch directory is touched,
+# so the gate cannot dirty the repository's own snapshot rotation. The
+# optional DATA_DIR is resolved to an absolute path and forwarded as
+# --data (benchmarks that load zoo models or fixtures need it, since
+# the benchmark runs inside the scratch dir). The optional TOLERANCE (a
+# fraction, default check_regress's 0.25) is forwarded as --tolerance;
+# tools/timing_gates.sh holds each gate's value (the kernels gate keeps
+# the default) and bench/dune says how each was derived. Any arguments
+# past TOLERANCE are forwarded to the benchmark verbatim (the refine
+# gate re-measures a subset of the committed baseline's models;
 # check_regress reports the missing rows as dropped without failing).
 set -eu
 
